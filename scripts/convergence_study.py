@@ -46,12 +46,12 @@ def run_signal(signal_id: str, alphas: list[float], n: int, m_max: int) -> None:
             print(f"fold {label}: {fold:.2f}x over alpha {clean[0].alpha} -> {clean[-1].alpha}")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--signals", nargs="+", default=["gauss_pair", "two_band"])
     parser.add_argument("--n", type=int, default=32, help="node half-width")
     parser.add_argument("--m-max", type=int, default=4, help="band truncation")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     for signal_id in args.signals:
         run_signal(signal_id, DEFAULT_ALPHAS, args.n, args.m_max)
     return 0

@@ -24,14 +24,14 @@ from pwamalgam import (
 )
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--signal", default="gauss_pair")
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--n", type=int, default=32)
     parser.add_argument("--m-max", type=int, default=4)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     signal = get_signal(args.signal)
     family = get_family("gaussian")

@@ -35,10 +35,10 @@ def run_family(family_id: str, count: int) -> bool:
     return all(verdict.values())
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=6, help="alphas per family")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     ok = all([run_family("gaussian", args.count), run_family("poisson", args.count)])
     return 0 if ok else 1
 

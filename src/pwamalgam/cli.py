@@ -19,8 +19,9 @@ success), 1 on numeric failure (a solve broke down or a sweep row failed),
 Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
 line endings, and shortest round-trip float formatting (``repr``), so two
 runs with the same config produce byte-identical tables. ``manifest.json``
-records the normalized config echo, library version, timestamp, file listing,
-and run-level checks; it is written exactly when the run completes, whether
+records the normalized config echo, library version, timestamp, environment
+(Python, numpy and scipy versions and the BLAS library), file listing, and
+run-level checks; it is written exactly when the run completes, whether
 clean or with flagged rows. The ``output.formats`` list gates the data
 tables: ``"csv"`` enables the CSV files, ``"json"`` enables JSON mirrors of
 the same rows; the manifest and ``reconstruction.json`` are always written
@@ -32,11 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
@@ -86,6 +89,21 @@ def _write_json(path: Path, payload: object) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _environment() -> dict:
+    """Interpreter and library versions, and the BLAS numpy was built against."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas_name = "unknown"
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas_name,
+    }
+
+
 def _write_manifest(
     outdir: Path, command: str, config: ExperimentConfig, files: list[str], checks: dict
 ) -> None:
@@ -93,6 +111,7 @@ def _write_manifest(
         "command": command,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "environment": _environment(),
         "config": config.echo(),
         "files": files,
         "checks": checks,
@@ -185,7 +204,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config.m_max,
         config.j_cap,
         tol=config.solver_tol,
-        workers=config.workers,
     )
     rows: list[list[object]] = [
         [
@@ -271,7 +289,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         grid,
         config.m_max,
         tol=config.solver_tol,
-        workers=config.workers,
     )
     points = []
     if xs:

@@ -82,7 +82,7 @@ class ExperimentConfig:
     quadrature_refinement: int
     out_directory: str
     out_formats: tuple[str, ...]
-    workers: int
+    workers: int  # parsed and echoed only; execution does not depend on it
 
     def alpha_values(self) -> list[float]:
         """The resolved sweep, ascending."""

@@ -6,6 +6,15 @@ the band interpolant ``I_alpha g_m(x) = sum_n a_{m,n} phi_alpha(x - x_n)``
 matches the sampled baseband piece at every node. The approximant is the
 modulated sum ``J_alpha f(x) = sum_m e^{2 pi i m x} I_alpha g_m(x)``.
 
+The collocation matrix depends on ``alpha`` and the nodes but not on the
+band, so each ``alpha`` builds it once, estimates its condition number once
+and factorizes it once; every band is then solved against that one factor.
+Likewise `evaluate_J` builds the kernel matrix ``phi_alpha(x - x_n)`` once
+and applies it band by band. Per-band products and solves are kept (rather
+than one matrix-matrix product) because the rounding of the blocked BLAS
+kernels differs from the per-vector ones, and near the precision cap the
+sweep amplifies such differences far beyond machine precision.
+
 Numerical policy: the matrix is factorized by Cholesky; its 2-norm condition
 number is always estimated and reported. Runs whose condition estimate
 exceeds ``PRECISION_CAP`` are flagged "precision_limited" downstream rather
@@ -17,8 +26,8 @@ positive definiteness raises `ConditioningError`.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -95,64 +104,82 @@ def solve_coefficients(
     nodes: NodeSet,
     samples: np.ndarray,
     tol: float = 1e-8,
-    band_index: int = 0,
-) -> CoefficientSet:
-    """Solve the collocation system for one band's samples.
+    band_index: int | Sequence[int] = 0,
+) -> CoefficientSet | tuple[CoefficientSet, ...]:
+    """Solve the collocation system for one band's samples, or for several.
+
+    `samples` is either one band's vector over the nodes, with `band_index`
+    an int, or a ``(bands, nodes)`` stack with one band index per row; the
+    stack returns one `CoefficientSet` per row, in row order. The matrix is
+    built, its condition estimated and factorized once for all rows.
 
     All-zero samples short-circuit to exactly zero coefficients (the
-    homogeneous system), preserving exact zeros for signals with empty bands.
-    Complex right-hand sides are solved as two real systems against the one
-    real factorization.
+    homogeneous system), preserving exact zeros for signals with empty bands;
+    when every row is zero the matrix is not factorized. Each complex row is
+    solved as two real systems against the one real factorization, so a row
+    is bit-identical to solving that band alone.
 
     Raises
     ------
     ConditioningError
         If the Cholesky factorization fails (matrix numerically indefinite).
     AccuracyError
-        If the interpolation residual exceeds ``tol * (1 + max|samples|)``
-        while the condition estimate is below `PRECISION_CAP`.
+        If a band's interpolation residual exceeds ``tol * (1 + max|samples|)``
+        while the condition estimate is below `PRECISION_CAP`; the first such
+        band in row order is named.
     """
-    samples = np.asarray(samples, dtype=complex)
-    if samples.shape != (nodes.count,):
-        raise ContractError("sample count must match node count")
+    stacked = np.asarray(samples, dtype=complex)
+    single = stacked.ndim == 1
+    indices = [int(m) for m in np.atleast_1d(band_index)]
+    stacked = np.atleast_2d(stacked)
+    if stacked.shape != (len(indices), nodes.count):
+        raise ContractError("samples need one row per band index and one value per node")
     family.check_alpha(alpha)
     matrix = collocation_matrix(family, alpha, nodes)
     condition = float(np.linalg.cond(matrix))
-    if not np.any(samples):
-        coeffs = np.zeros(nodes.count, dtype=complex)
-        diag = SolveDiagnostics(condition_estimate=condition, max_residual=0.0)
-        return CoefficientSet(
+    nonzero = [i for i, row in enumerate(stacked) if np.any(row)]
+    coeffs = np.zeros(stacked.shape, dtype=complex)
+    residuals = [0.0] * len(indices)
+    if nonzero:
+        try:
+            factor = cho_factor(matrix)
+        except LinAlgError as exc:
+            raise ConditioningError(
+                f"collocation matrix lost positive definiteness at alpha={alpha} "
+                f"(condition estimate {condition:.3e})",
+                condition_estimate=condition,
+            ) from exc
+        complex_matrix = matrix.astype(complex)
+        for i in nonzero:
+            # One triangular solve pair per band: a multi-column solve lets
+            # BLAS reblock (OpenBLAS does from 12 columns at 513 nodes) and
+            # changes the rounding of every band.
+            coeffs[i] = cho_solve(factor, stacked[i].real) + 1j * cho_solve(
+                factor, stacked[i].imag
+            )
+            residual = float(np.max(np.abs(complex_matrix @ coeffs[i] - stacked[i])))
+            scale = 1.0 + float(np.max(np.abs(stacked[i])))
+            if residual > tol * scale and condition <= PRECISION_CAP:
+                raise AccuracyError(
+                    f"interpolation residual {residual:.3e} exceeds tol*(1+max|samples|)"
+                    f"={tol * scale:.3e} for band {indices[i]} at alpha={alpha}",
+                    residual=residual,
+                    condition_estimate=condition,
+                )
+            residuals[i] = residual
+    sets = tuple(
+        CoefficientSet(
             alpha=alpha,
-            band_index=band_index,
+            band_index=m,
             node_ref=nodes,
-            values=coeffs,
-            diagnostics=diag,
+            values=values,
+            diagnostics=SolveDiagnostics(
+                condition_estimate=condition, max_residual=residual
+            ),
         )
-    try:
-        factor = cho_factor(matrix)
-    except LinAlgError as exc:
-        raise ConditioningError(
-            f"collocation matrix lost positive definiteness at alpha={alpha} "
-            f"(condition estimate {condition:.3e})",
-            condition_estimate=condition,
-        ) from exc
-    coeffs = cho_solve(factor, samples.real) + 1j * cho_solve(factor, samples.imag)
-    residual = float(np.max(np.abs(matrix @ coeffs - samples)))
-    scale = 1.0 + float(np.max(np.abs(samples)))
-    if residual > tol * scale and condition <= PRECISION_CAP:
-        raise AccuracyError(
-            f"interpolation residual {residual:.3e} exceeds tol*(1+max|samples|)"
-            f"={tol * scale:.3e} for band {band_index} at alpha={alpha}",
-            residual=residual,
-        )
-    diag = SolveDiagnostics(condition_estimate=condition, max_residual=residual)
-    return CoefficientSet(
-        alpha=alpha,
-        band_index=band_index,
-        node_ref=nodes,
-        values=coeffs,
-        diagnostics=diag,
+        for m, values, residual in zip(indices, coeffs, residuals)
     )
+    return sets[0] if single else sets
 
 
 def interpolant_spatial(
@@ -193,49 +220,47 @@ def reconstruct(
     grid: FrequencyGrid,
     m_max: int,
     tol: float = 1e-8,
-    workers: int = 1,
 ) -> Approximant:
     """Slice, sample, and solve every band ``|m| <= m_max``.
 
-    Band solves are independent; `workers` > 1 runs them in a thread pool.
-    Results are keyed by band index and assembled in ascending order, so the
-    output is identical for any thread count.
+    All bands are sampled through one phase matrix and solved in one
+    `solve_coefficients` call: one collocation matrix, one condition
+    estimate and one Cholesky factorization for this ``alpha``.
 
     Raises
     ------
     ConditioningError, AccuracyError
-        Propagated from the failing band, annotated with its index.
+        Propagated from the solve; an `AccuracyError` names the failing band.
     """
     if m_max < 0:
         raise ContractError("m_max must be nonnegative")
     band_range = range(-m_max, m_max + 1)
-
-    def solve_band(m: int) -> CoefficientSet:
-        band = band_slice(signal, m, grid)
-        samples = sample_band_signal(band, grid, nodes)
-        return solve_coefficients(
-            family, alpha, nodes, samples, tol=tol, band_index=m
-        )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            solved = list(pool.map(solve_band, band_range))
-    else:
-        solved = [solve_band(m) for m in band_range]
-    return Approximant(
-        alpha=alpha, family=family, nodes=nodes, coefficient_sets=tuple(solved)
+    bands = [band_slice(signal, m, grid) for m in band_range]
+    samples = sample_band_signal(bands, grid, nodes)
+    solved = solve_coefficients(
+        family, alpha, nodes, samples, tol=tol, band_index=list(band_range)
     )
+    return Approximant(alpha=alpha, family=family, nodes=nodes, coefficient_sets=solved)
 
 
 def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarray:
-    """Evaluate ``J_alpha f(x) = sum_m e^{2 pi i m x} I_alpha g_m(x)``."""
+    """Evaluate ``J_alpha f(x) = sum_m e^{2 pi i m x} I_alpha g_m(x)``.
+
+    The kernel matrix ``phi_alpha(x - x_n)`` is built once and applied to
+    each non-empty band's coefficients in turn.
+    """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.shape, dtype=complex)
-    for coeffs in approx.coefficient_sets:  # ascending m
-        if not np.any(coeffs.values):
-            continue
-        part = interpolant_spatial(coeffs, approx.family, approx.nodes, xs)
-        out += np.exp(1j * TWO_PI * coeffs.band_index * xs) * part
+    bands = [c for c in approx.coefficient_sets if np.any(c.values)]  # ascending m
+    if bands:
+        # The differences stay a temporary: holding them while the complex
+        # copy is made would add a third window-sized matrix to the peak.
+        kernel = phi_spatial(
+            approx.family, approx.alpha, xs[:, None] - approx.nodes.values[None, :]
+        ).astype(complex)
+        for coeffs in bands:
+            part = kernel @ coeffs.values
+            out += np.exp(1j * TWO_PI * coeffs.band_index * xs) * part
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

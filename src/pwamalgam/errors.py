@@ -46,8 +46,11 @@ class AccuracyError(PwAmalgamError):
     ----------
     residual : float
         Max-norm interpolation residual of the rejected solution.
+    condition_estimate : float
+        2-norm condition estimate of the collocation matrix that was solved.
     """
 
-    def __init__(self, message: str, residual: float) -> None:
+    def __init__(self, message: str, residual: float, condition_estimate: float) -> None:
         super().__init__(message)
         self.residual = float(residual)
+        self.condition_estimate = float(condition_estimate)

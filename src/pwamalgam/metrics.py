@@ -110,12 +110,42 @@ def truncated_signal_values(
     return out
 
 
+@dataclass(frozen=True)
+class _Target:
+    """The band-truncated signal on the window quadrature and the spatial grid.
+
+    It depends on the signal, the grids and the truncations, not on ``alpha``,
+    so `sweep` builds it once and measures every approximant against it.
+    """
+
+    xq: np.ndarray
+    wq: np.ndarray
+    on_window: np.ndarray
+    on_grid: np.ndarray
+
+
+def _build_target(
+    signal: TestSignal, grid: FrequencyGrid, m_max: int, x_grid: SpatialGrid, j_cap: int
+) -> _Target:
+    if j_cap <= m_max:
+        raise ContractError("j_cap must exceed the band truncation M_max")
+    xq, wq = window_quadrature(x_grid.extent, j_cap)
+    return _Target(
+        xq=xq,
+        wq=wq,
+        on_window=truncated_signal_values(signal, grid, m_max, xq),
+        on_grid=truncated_signal_values(signal, grid, m_max, x_grid.points),
+    )
+
+
 def error_report(
     signal: TestSignal,
     approx: Approximant,
     grid: FrequencyGrid,
     x_grid: SpatialGrid,
     j_cap: int,
+    *,
+    _target: _Target | None = None,
 ) -> ErrorReport:
     """Measure the approximant's error functionals on the interior window.
 
@@ -126,25 +156,28 @@ def error_report(
     the sup error is the max over the spatial grid points. The bound side is
     ``sum_j || (m_alpha / phi_hat) fhat(. + 2 pi j) ||`` plus the signal's
     tail beyond ``j_cap``.
+
+    `_target` is private to this module: `sweep` passes the target it built
+    once from the same arguments.
     """
     m_max = approx.m_max
-    if j_cap <= m_max:
-        raise ContractError("j_cap must exceed the band truncation M_max")
+    target = _target or _build_target(signal, grid, m_max, x_grid, j_cap)
     family = approx.family
     alpha = approx.alpha
+    xq = target.xq
 
-    xq, wq = window_quadrature(x_grid.extent, j_cap)
-    residual_q = truncated_signal_values(signal, grid, m_max, xq) - evaluate_J(
-        approx, xq
+    # e^{-i(xi + 2 pi j) x} = e^{-i xi x} e^{-2 pi i j x}: one exponential
+    # matrix over the base band, applied to the 2 j_cap + 1 modulated
+    # residual columns.
+    residual_q = target.on_window - evaluate_J(approx, xq)
+    js = np.arange(-j_cap, j_cap + 1)
+    modulated = (target.wq * residual_q)[:, None] * np.exp(
+        -1j * TWO_PI * np.outer(xq, js)
     )
-
-    band_norms = []
-    for j in range(-j_cap, j_cap + 1):
-        shifted = grid.nodes + TWO_PI * j
-        transform = TWO_PI**-0.5 * (
-            np.exp(-1j * np.outer(shifted, xq)) @ (wq * residual_q)
-        )
-        band_norms.append(float(np.sqrt(np.sum(grid.weights * np.abs(transform) ** 2))))
+    transforms = TWO_PI**-0.5 * (np.exp(-1j * np.outer(grid.nodes, xq)) @ modulated)
+    band_norms = np.sqrt(
+        np.sum(grid.weights[:, None] * np.abs(transforms) ** 2, axis=0)
+    ).tolist()
 
     tail_f = signal.tail_bound(m_max)
     coeff_l1 = sum(float(np.sum(np.abs(c.values))) for c in approx.coefficient_sets)
@@ -159,9 +192,7 @@ def error_report(
         np.sqrt(sum(v**2 for v in band_norms) + (tail_f + tail_J) ** 2)
     )
 
-    residual_s = truncated_signal_values(
-        signal, grid, m_max, x_grid.points
-    ) - evaluate_J(approx, x_grid.points)
+    residual_s = target.on_grid - evaluate_J(approx, x_grid.points)
     sup_error = float(np.max(np.abs(residual_s)))
 
     weight = m_alpha(family, alpha) / phi_spectral(family, alpha, grid.nodes)
@@ -213,29 +244,29 @@ def sweep(
     m_max: int,
     j_cap: int,
     tol: float = 1e-8,
-    workers: int = 1,
 ) -> list[ErrorReport]:
     """One `error_report` per alpha, in sweep order.
 
-    Solver failures at one alpha do not stop the sweep: the failed alpha
-    yields a NaN report flagged with the failure message, and remaining
-    values still run. Callers decide whether flagged failures are fatal.
+    The band-truncated target does not depend on alpha and is evaluated once
+    for the whole sweep. Solver failures at one alpha do not stop the sweep:
+    the failed alpha yields a NaN report flagged with the failure message and
+    carrying the condition estimate of its matrix, and remaining values still
+    run. Callers decide whether flagged failures are fatal.
     """
     if not alpha_values:
         raise ContractError("alpha sweep must be nonempty")
     if any(b < a for a, b in zip(alpha_values, alpha_values[1:])):
         raise ContractError("alpha sweep must be ascending")
+    target = _build_target(signal, grid, m_max, x_grid, j_cap)
     reports = []
     for alpha in alpha_values:
         try:
-            approx = reconstruct(
-                signal, family, alpha, nodes, grid, m_max, tol=tol, workers=workers
+            approx = reconstruct(signal, family, alpha, nodes, grid, m_max, tol=tol)
+            reports.append(
+                error_report(signal, approx, grid, x_grid, j_cap, _target=target)
             )
-            reports.append(error_report(signal, approx, grid, x_grid, j_cap))
-        except ConditioningError as exc:
+        except (ConditioningError, AccuracyError) as exc:
             reports.append(
                 _failed_report(alpha, f"failed: {exc}", exc.condition_estimate)
             )
-        except AccuracyError as exc:
-            reports.append(_failed_report(alpha, f"failed: {exc}", float("nan")))
     return reports

@@ -18,7 +18,7 @@ always be accounted explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -220,17 +220,26 @@ def signal_spectrum(
 
 
 def sample_band_signal(
-    band: BandSpectrum, grid: FrequencyGrid, nodes: NodeSet
+    band: BandSpectrum | Sequence[BandSpectrum], grid: FrequencyGrid, nodes: NodeSet
 ) -> np.ndarray:
     """Values ``g_m(x_n)`` at the interpolation nodes by quadrature inversion.
+
+    A single band gives a vector over the nodes; a sequence of bands gives
+    one row per band, all sampled through one shared phase matrix. Each band
+    keeps its own matrix-vector product, so a row is bit-identical to
+    sampling that band alone.
 
     No ``2*pi*m`` modulation is applied here; the modulation factor enters
     when the approximant is assembled.
     """
-    if band.values.shape != grid.nodes.shape:
+    bands = [band] if isinstance(band, BandSpectrum) else list(band)
+    if not bands:
+        raise ContractError("at least one band is required")
+    if any(b.values.shape != grid.nodes.shape for b in bands):
         raise ContractError("band size does not match grid size")
     phase = np.exp(1j * np.outer(nodes.values, grid.nodes))
-    return TWO_PI**-0.5 * (phase @ (grid.weights * band.values))
+    rows = [TWO_PI**-0.5 * (phase @ (grid.weights * b.values)) for b in bands]
+    return rows[0] if isinstance(band, BandSpectrum) else np.array(rows)
 
 
 def reassemble_check(

@@ -4,6 +4,7 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from pwamalgam import parse_config
@@ -64,6 +65,10 @@ def test_sweep_outputs_and_manifest(tmp_path):
     assert set(manifest["files"]) == {
         "convergence.csv", "convergence.json", "manifest.json",
     }
+    environment = manifest["environment"]
+    assert set(environment) == {"python", "numpy", "scipy", "blas"}
+    assert environment["numpy"] == np.__version__
+    assert all(isinstance(v, str) and v for v in environment.values())
     # The echoed config reproduces the run configuration.
     echoed = parse_config(manifest["config"])
     assert echoed == parse_config(SMALL_SWEEP)

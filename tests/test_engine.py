@@ -81,6 +81,18 @@ def test_sample_count_mismatch_rejected():
         solve_coefficients(GAUSSIAN, 1.0, nodes, np.zeros(3, dtype=complex))
 
 
+def test_stacked_solve_needs_one_band_index_per_row():
+    grid = frequency_grid(128)
+    nodes = uniform_nodes(4)
+    samples = np.array([band_samples("gauss_pair", m, nodes, grid) for m in (0, 1)])
+    solved = solve_coefficients(GAUSSIAN, 1.0, nodes, samples, band_index=[0, 1])
+    assert [c.band_index for c in solved] == [0, 1]
+    with pytest.raises(ContractError):
+        solve_coefficients(GAUSSIAN, 1.0, nodes, samples, band_index=[0, 1, 2])
+    with pytest.raises(ContractError):
+        solve_coefficients(GAUSSIAN, 1.0, nodes, samples, band_index=0)
+
+
 def test_conditioning_breakdown_raises():
     # Deep in the poisson domain the collocation matrix loses numerical
     # positive definiteness and the factorization must fail loudly.
@@ -109,6 +121,9 @@ def test_accuracy_error_below_cap():
     with pytest.raises(AccuracyError) as excinfo:
         solve_coefficients(GAUSSIAN, 2.5, nodes, samples, tol=1e-15)
     assert excinfo.value.residual > 0
+    condition = np.linalg.cond(collocation_matrix(GAUSSIAN, 2.5, nodes))
+    assert excinfo.value.condition_estimate == condition
+    assert excinfo.value.condition_estimate <= PRECISION_CAP
 
 
 def test_dense_solve_matches_cg_oracle():
@@ -134,15 +149,22 @@ def test_reconstruct_assembles_all_bands():
         reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, nodes, grid, -1)
 
 
-def test_parallel_reconstruct_identical():
+def test_batched_reconstruct_matches_single_band_solves():
+    # reconstruct solves every band against one factorization; each band must
+    # come out exactly as a solve of that band alone, and the empty bands of
+    # two_band must stay exact zeros.
     grid = frequency_grid(128)
     nodes = uniform_nodes(8)
-    serial = reconstruct(get_signal("two_band"), GAUSSIAN, 1.0, nodes, grid, 3)
-    parallel = reconstruct(
-        get_signal("two_band"), GAUSSIAN, 1.0, nodes, grid, 3, workers=4
-    )
-    for a, b in zip(serial.coefficient_sets, parallel.coefficient_sets):
-        assert np.array_equal(a.values, b.values)
+    approx = reconstruct(get_signal("two_band"), GAUSSIAN, 1.0, nodes, grid, 3)
+    for coeffs in approx.coefficient_sets:
+        samples = band_samples("two_band", coeffs.band_index, nodes, grid)
+        single = solve_coefficients(
+            GAUSSIAN, 1.0, nodes, samples, band_index=coeffs.band_index
+        )
+        assert np.array_equal(coeffs.values, single.values)
+        assert coeffs.diagnostics == single.diagnostics
+    empty = [c for c in approx.coefficient_sets if c.band_index not in (0, 1)]
+    assert all(np.all(c.values == 0.0) for c in empty)
 
 
 def test_approximant_coverage_validated():

@@ -5,6 +5,7 @@ import pytest
 
 from pwamalgam import (
     ContractError,
+    evaluate_J,
     error_report,
     frequency_grid,
     get_family,
@@ -16,7 +17,8 @@ from pwamalgam import (
     sweep,
     uniform_nodes,
 )
-from pwamalgam.metrics import window_quadrature
+from pwamalgam.engine import PRECISION_CAP
+from pwamalgam.metrics import truncated_signal_values, window_quadrature
 
 GAUSSIAN = get_family("gaussian")
 
@@ -79,6 +81,29 @@ def test_rhs_bound_matches_closed_form():
     assert report.rhs_bound == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha", [0.75, 2.5])
+def test_windowed_transform_matches_direct_product(alpha):
+    # error_report factors e^{-i(xi + 2 pi j) x} as e^{-i xi x} e^{-2 pi i j x};
+    # the direct per-j product must give the same band norms.
+    signal = get_signal("gauss_pair")
+    grid, x_grid, approx = small_setup("gauss_pair", alpha, m_max=2)
+    j_cap = 4
+    report = error_report(signal, approx, grid, x_grid, j_cap)
+    xq, wq = window_quadrature(x_grid.extent, j_cap)
+    residual = truncated_signal_values(signal, grid, 2, xq) - evaluate_J(approx, xq)
+    norms = []
+    for j in range(-j_cap, j_cap + 1):
+        phase = np.exp(-1j * np.outer(grid.nodes + 2 * np.pi * j, xq))
+        transform = (2 * np.pi) ** -0.5 * (phase @ (wq * residual))
+        norms.append(np.sqrt(np.sum(grid.weights * np.abs(transform) ** 2)))
+    tails = report.tail_slack_f + report.tail_slack_J
+    # The band norms carry the error, so the comparison below tests them.
+    assert sum(norms) > 10.0 * tails
+    assert report.amalgam_error == pytest.approx(sum(norms) + tails, rel=1e-12)
+    expected_l2 = np.sqrt(sum(v**2 for v in norms) + tails**2)
+    assert report.l2_error == pytest.approx(expected_l2, rel=1e-12)
+
+
 def test_embedding_and_tail_accounting():
     signal = get_signal("cauchy_decay")
     grid, x_grid, approx = small_setup("cauchy_decay", 1.0, m_max=2)
@@ -131,6 +156,20 @@ def test_sweep_records_breakdown_and_continues():
     assert "failed" in broken.flags[0]
     assert np.isnan(broken.amalgam_error)
     assert broken.condition_estimate > 1e15
+
+
+def test_sweep_keeps_condition_estimate_on_accuracy_failures():
+    grid = frequency_grid(128)
+    nodes = uniform_nodes(32)
+    x_grid = spatial_grid(8.0, density=10)
+    (report,) = sweep(
+        get_signal("gauss_pair"), GAUSSIAN, [2.5], nodes, grid, x_grid, 1, 3,
+        tol=1e-15,
+    )
+    assert report.flags and "residual" in report.flags[0]
+    assert np.isnan(report.amalgam_error)
+    assert np.isfinite(report.condition_estimate)
+    assert 1.0 < report.condition_estimate <= PRECISION_CAP
 
 
 def test_sweep_flags_precision_limited_rows():

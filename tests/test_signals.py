@@ -154,6 +154,18 @@ def test_sample_band_signal_oracle():
     assert np.allclose(samples, samples[::-1].conj(), atol=1e-15)
 
 
+def test_stacked_sampling_matches_single_bands():
+    grid = frequency_grid(128)
+    nodes = uniform_nodes(8)
+    bands = [band_slice(get_signal("two_band"), m, grid) for m in range(-2, 3)]
+    stacked = sample_band_signal(bands, grid, nodes)
+    assert stacked.shape == (5, nodes.count)
+    for row, band in zip(stacked, bands):
+        assert np.array_equal(row, sample_band_signal(band, grid, nodes))
+    with pytest.raises(ContractError):
+        sample_band_signal([], grid, nodes)
+
+
 def test_sample_band_grid_mismatch():
     grid = frequency_grid(64)
     band = band_slice(get_signal("gauss_pair"), 0, frequency_grid(32))
