@@ -20,12 +20,15 @@ Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
 line endings, and shortest round-trip float formatting (``repr``), so two
 runs with the same config produce byte-identical tables. ``manifest.json``
 records the normalized config echo, library version, timestamp, environment
-(Python, numpy and scipy versions and the BLAS library), file listing, and
-run-level checks; it is written exactly when the run completes, whether
-clean or with flagged rows. The ``output.formats`` list gates the data
-tables: ``"csv"`` enables the CSV files, ``"json"`` enables JSON mirrors of
-the same rows; the manifest and ``reconstruction.json`` are always written
-when their run completes.
+(Python, numpy and scipy versions and the BLAS library), file listing,
+run-level checks and, for ``sweep`` and ``reconstruct``, the wall seconds of
+three stages under ``timings``: ``build`` (config and inputs), ``compute``
+(the sweep, or the reconstruction and its evaluation, plus the run checks)
+and ``write`` (the data files; the manifest itself is not timed). It is
+written exactly when the run completes, whether clean or with flagged rows.
+The ``output.formats`` list gates the data tables: ``"csv"`` enables the CSV
+files, ``"json"`` enables JSON mirrors of the same rows; the manifest and
+``reconstruction.json`` are always written when their run completes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import json
 import math
 import platform
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -104,8 +108,26 @@ def _environment() -> dict:
     }
 
 
+class _StageTimer:
+    """Wall seconds of consecutive stages, by `time.perf_counter`."""
+
+    def __init__(self) -> None:
+        self.seconds: dict[str, float] = {}
+        self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.seconds[stage] = now - self._last
+        self._last = now
+
+
 def _write_manifest(
-    outdir: Path, command: str, config: ExperimentConfig, files: list[str], checks: dict
+    outdir: Path,
+    command: str,
+    config: ExperimentConfig,
+    files: list[str],
+    checks: dict,
+    timings: dict[str, float] | None = None,
 ) -> None:
     manifest = {
         "command": command,
@@ -116,6 +138,8 @@ def _write_manifest(
         "files": files,
         "checks": checks,
     }
+    if timings is not None:
+        manifest["timings"] = timings
     _write_json(outdir / "manifest.json", manifest)
 
 
@@ -192,19 +216,43 @@ _SWEEP_HEADER = [
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    timer = _StageTimer()
     config = load_config(args.config)
     outdir = _outdir(args, config)
-    reports = run_sweep(
+    inputs = (
         config.make_signal(),
         config.make_family(),
         config.alpha_values(),
         config.make_nodes(),
         config.make_grid(),
         config.make_spatial_grid(),
-        config.m_max,
-        config.j_cap,
-        tol=config.solver_tol,
     )
+    timer.lap("build")
+    reports = run_sweep(*inputs, config.m_max, config.j_cap, tol=config.solver_tol)
+    # The monotone checks read only trustworthy rows: failed rows carry no
+    # errors, and precision-limited rows carry rounding noise.
+    trusted = [r for r in reports if not r.flags and not r.precision_limited]
+    decreasing = all(
+        all(b < a for a, b in zip(col, col[1:]))
+        for col in (
+            [r.l2_error for r in trusted],
+            [r.amalgam_error for r in trusted],
+            [r.sup_error for r in trusted],
+        )
+    )
+    checks = {
+        "rows": len(reports),
+        "failed_rows": sum(1 for r in reports if r.flags),
+        "precision_limited_rows": sum(1 for r in reports if r.precision_limited),
+        "excluded_rows": len(reports) - len(trusted),
+        "embedding_l2_le_amalgam": all(
+            r.l2_error <= r.amalgam_error + 1e-10 for r in trusted
+        ),
+        "errors_strictly_decreasing": decreasing,
+        "quadrature_refinement_factor": config.quadrature_refinement,
+        "quadrature_drift": _quadrature_drift(config),
+    }
+    timer.lap("compute")
     rows: list[list[object]] = [
         [
             r.alpha,
@@ -232,28 +280,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _write_json(outdir / "convergence.json", payload)
         files.append("convergence.json")
     files.append("manifest.json")
-
-    clean = [r for r in reports if not r.flags]
-    decreasing = all(
-        all(b < a for a, b in zip(col, col[1:]))
-        for col in (
-            [r.l2_error for r in clean],
-            [r.amalgam_error for r in clean],
-            [r.sup_error for r in clean],
-        )
-    )
-    checks = {
-        "rows": len(reports),
-        "failed_rows": sum(1 for r in reports if r.flags),
-        "precision_limited_rows": sum(1 for r in reports if r.precision_limited),
-        "embedding_l2_le_amalgam": all(
-            r.l2_error <= r.amalgam_error + 1e-10 for r in clean
-        ),
-        "errors_strictly_decreasing": decreasing,
-        "quadrature_refinement_factor": config.quadrature_refinement,
-        "quadrature_drift": _quadrature_drift(config),
-    }
-    _write_manifest(outdir, "sweep", config, files, checks)
+    timer.lap("write")
+    _write_manifest(outdir, "sweep", config, files, checks, timer.seconds)
     return 1 if checks["failed_rows"] else 0
 
 
@@ -266,6 +294,7 @@ def _parse_eval_points(text: str) -> list[float]:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    timer = _StageTimer()
     config = load_config(args.config)
     alphas = config.alpha_values()
     if len(alphas) != 1:
@@ -280,19 +309,16 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     xs.sort()
 
     signal = config.make_signal()
+    family = config.make_family()
+    nodes = config.make_nodes()
     grid = config.make_grid()
+    timer.lap("build")
     approx = reconstruct(
-        signal,
-        config.make_family(),
-        alphas[0],
-        config.make_nodes(),
-        grid,
-        config.m_max,
-        tol=config.solver_tol,
+        signal, family, alphas[0], nodes, grid, config.m_max, tol=config.solver_tol
     )
-    points = []
+    xs_arr = np.asarray(xs, dtype=float)
+    f_vals = j_vals = np.zeros(0, dtype=complex)
     if xs:
-        xs_arr = np.asarray(xs, dtype=float)
         j_vals = np.atleast_1d(evaluate_J(approx, xs_arr))
         # Reference values: the closed spatial form when the signal has one,
         # otherwise the band-truncated quadrature inversion (the same target
@@ -301,25 +327,28 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             f_vals = np.asarray(signal.f(xs_arr), dtype=complex)
         else:
             f_vals = truncated_signal_values(signal, grid, config.m_max, xs_arr)
-        points = [
-            {
-                "x": float(x),
-                "f": [float(fv.real), float(fv.imag)],
-                "J": [float(jv.real), float(jv.imag)],
-                "error": float(abs(fv - jv)),
-            }
-            for x, fv, jv in zip(xs, f_vals, j_vals)
-        ]
-    _write_json(outdir / "reconstruction.json", points)
-    files = ["reconstruction.json", "manifest.json"]
+    errors = [float(abs(fv - jv)) for fv, jv in zip(f_vals, j_vals)]
     checks = {
         "alpha": alphas[0],
-        "points": len(points),
-        "max_pointwise_error": max((p["error"] for p in points), default=0.0),
+        "points": len(xs),
+        "max_pointwise_error": max(errors, default=0.0),
         "quadrature_refinement_factor": config.quadrature_refinement,
         "quadrature_drift": _quadrature_drift(config),
     }
-    _write_manifest(outdir, "reconstruct", config, files, checks)
+    timer.lap("compute")
+    points = [
+        {
+            "x": float(x),
+            "f": [float(fv.real), float(fv.imag)],
+            "J": [float(jv.real), float(jv.imag)],
+            "error": error,
+        }
+        for x, fv, jv, error in zip(xs, f_vals, j_vals, errors)
+    ]
+    _write_json(outdir / "reconstruction.json", points)
+    files = ["reconstruction.json", "manifest.json"]
+    timer.lap("write")
+    _write_manifest(outdir, "reconstruct", config, files, checks, timer.seconds)
     return 0
 
 

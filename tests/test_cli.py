@@ -173,6 +173,31 @@ def test_precision_limited_rows_still_exit_0(tmp_path):
     assert manifest["checks"]["failed_rows"] == 0
 
 
+def test_precision_limited_rows_leave_monotone_checks(tmp_path):
+    # Poisson alpha=12 at N=32 is far past PRECISION_CAP: its errors are
+    # rounding noise and rise above alpha=8's, which must not fail the check.
+    payload = {
+        **SMALL_SWEEP,
+        "family": {"id": "poisson"},
+        "alpha_sweep": {"values": [4.0, 8.0, 12.0]},
+        "nodes": {"N": 32},
+        "bands": {"M_max": 2},
+        "spatial": {"T_int": 8.0},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    code, _, _ = run_cli(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 0
+    _, rows = csv_rows(out / "convergence.csv")
+    assert [r["precision_limited"] for r in rows] == ["False", "False", "True"]
+    assert float(rows[2]["amalgam_error"]) > float(rows[1]["amalgam_error"])
+    checks = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["checks"]
+    assert checks["errors_strictly_decreasing"] is True
+    assert checks["embedding_l2_le_amalgam"] is True
+    assert checks["excluded_rows"] == 1
+    assert checks["failed_rows"] == 0
+
+
 def test_verify_family_passes_full_domain(tmp_path):
     payload = {
         "family": {"id": "gaussian"},
@@ -325,3 +350,23 @@ def test_reconstruct_complex_signal_reports_both_parts(tmp_path):
     (point,) = json.loads((out / "reconstruction.json").read_text(encoding="utf-8"))
     assert point["f"][1] != 0.0  # genuinely complex reference
     assert point["error"] < 1e-2
+
+
+def test_manifest_records_stage_timings(tmp_path):
+    sweep_cfg = write_config(tmp_path, SMALL_SWEEP)
+    rec_payload = {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}}
+    rec_cfg = write_config(tmp_path, rec_payload, "rec.json")
+    runs = {
+        "sweep": ["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "sweep")],
+        "reconstruct": [
+            "reconstruct", "--config", rec_cfg, "--out", str(tmp_path / "reconstruct"),
+            "--eval-points", "0,0.5",
+        ],
+    }
+    for name, args in runs.items():
+        code, _, _ = run_cli(args)
+        assert code == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        timings = manifest["timings"]
+        assert set(timings) == {"build", "compute", "write"}
+        assert all(isinstance(v, float) and v >= 0 for v in timings.values())

@@ -17,6 +17,7 @@ from pwamalgam import (
     get_signal,
     interpolant_spatial,
     interpolant_spectral,
+    perturbed_nodes,
     reconstruct,
     sample_band_signal,
     solve_coefficients,
@@ -121,9 +122,29 @@ def test_accuracy_error_below_cap():
     with pytest.raises(AccuracyError) as excinfo:
         solve_coefficients(GAUSSIAN, 2.5, nodes, samples, tol=1e-15)
     assert excinfo.value.residual > 0
+    # The estimate comes from the eigenvalues, not an SVD: both give the
+    # 2-norm condition number, to rounding that grows like eps * cond.
     condition = np.linalg.cond(collocation_matrix(GAUSSIAN, 2.5, nodes))
-    assert excinfo.value.condition_estimate == condition
+    eps = np.finfo(float).eps
+    assert abs(excinfo.value.condition_estimate - condition) / condition <= 64 * eps * condition
     assert excinfo.value.condition_estimate <= PRECISION_CAP
+
+
+@pytest.mark.parametrize(
+    "family, alpha",
+    [(GAUSSIAN, a) for a in (0.5, 1.75, 2.5, 3.0)] + [(POISSON, a) for a in (1.0, 4.0, 8.0)],
+)
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_condition_estimate_matches_svd(family, alpha, perturbed):
+    # Oracle: the singular-value ratio of np.linalg.cond. Gaussian alpha=3
+    # sits above PRECISION_CAP at N=32 and must stay there.
+    nodes = perturbed_nodes(32, 0.2, 7, symmetric=False) if perturbed else uniform_nodes(32)
+    solved = solve_coefficients(family, alpha, nodes, np.zeros(nodes.count, dtype=complex))
+    estimate = solved.diagnostics.condition_estimate
+    condition = np.linalg.cond(collocation_matrix(family, alpha, nodes))
+    eps = np.finfo(float).eps
+    assert abs(estimate - condition) / condition <= 64 * eps * condition
+    assert (estimate > PRECISION_CAP) == (condition > PRECISION_CAP)
 
 
 def test_dense_solve_matches_cg_oracle():
