@@ -288,9 +288,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _parse_eval_points(text: str) -> list[float]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     try:
-        return [float(t) for t in items]
+        points = [float(t) for t in items]
     except ValueError as exc:
         raise ConfigError(f"--eval-points must be comma-separated reals: {exc}") from exc
+    if not all(map(math.isfinite, points)):
+        raise ConfigError(f"--eval-points must be finite, got {text!r}")
+    return points
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,8 +25,6 @@ from .kernels import InterpolatorFamily, get_family
 from .nodes import NodeSet, perturbed_nodes, uniform_nodes
 from .signals import TestSignal, builtin_signals, get_signal
 from .spectral import FrequencyGrid, SpatialGrid, frequency_grid, spatial_grid
-
-_VALID_FORMATS = ("csv", "json")
 
 
 def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
@@ -37,24 +35,128 @@ def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
         )
 
 
-def _as_number(section: str, key: str, value: Any) -> float:
+def _as_number(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number")
+        raise ConfigError(f"{name} must be a number")
     if not math.isfinite(float(value)):
-        raise ConfigError(f"{section}.{key} must be finite")
+        raise ConfigError(f"{name} must be finite")
     return float(value)
 
 
-def _as_int(section: str, key: str, value: Any) -> int:
+def _as_int(name: str, value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer")
+        raise ConfigError(f"{name} must be an integer")
     return value
 
 
-def _as_bool(section: str, key: str, value: Any) -> bool:
+def _as_bool(name: str, value: Any) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be a boolean")
+        raise ConfigError(f"{name} must be a boolean")
     return value
+
+
+def _as_string(name: str, value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a nonempty string")
+    return value
+
+
+def _one_of(*options: str) -> Callable[[str, Any], str]:
+    def parse(name: str, value: Any) -> str:
+        if value not in options:
+            raise ConfigError(f"{name} must be one of {list(options)}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _list_of(item: Callable[[str, Any], Any]) -> Callable[[str, Any], tuple]:
+    def parse(name: str, value: Any) -> tuple:
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a nonempty list")
+        return tuple(item(f"{name}[{i}]", v) for i, v in enumerate(value))
+
+    return parse
+
+
+_POSITIVE = (lambda v, c: v > 0, "{name} must be positive")
+
+
+def _at_least(low: int) -> tuple:
+    return (lambda v, c: v >= low, f"{{name}} must be >= {low}")
+
+
+def _spaced(default: Any) -> Callable[[dict], Any]:
+    """Default of a spaced-sweep key: none when the sweep lists its values."""
+    return lambda c: default if c["sweep_values"] is None else None
+
+
+_ONE_FORM = (
+    lambda v, c: c["sweep_values"] is None,
+    "alpha_sweep takes either 'values' or start/stop/count/spacing, not both",
+)
+_SIGNAL_IDS = tuple(s.signal_id for s in builtin_signals())
+
+# One row per key: (section, key, ExperimentConfig attribute, parser, default,
+# *rules), from which parsing, the unknown-key checks and the echo derive. A
+# default is a value or a function of the attributes parsed so far; None means
+# "absent in this form" (no rules, not echoed). A rule is (predicate(value,
+# parsed), message); the message may name the key {name} and the value {v}.
+_KEYS: tuple[tuple, ...] = (
+    ("family", "id", "family_id", _one_of("gaussian", "poisson"), "gaussian"),
+    (
+        "family", "alpha_domain", "alpha_domain", _list_of(_as_number), None,
+        (lambda v, c: len(v) == 2, "{name} must be [lo, hi]"),
+        (lambda v, c: 0 < v[0] < v[1], "{name} must satisfy 0 < lo < hi"),
+    ),
+    (
+        "alpha_sweep", "values", "sweep_values", _list_of(_as_number), None,
+        (lambda v, c: list(v) == sorted(v), "{name} must be ascending"),
+    ),
+    ("alpha_sweep", "start", "sweep_start", _as_number, _spaced(0.75), _ONE_FORM),
+    (
+        "alpha_sweep", "stop", "sweep_stop", _as_number, _spaced(2.5), _ONE_FORM,
+        (lambda v, c: c["sweep_start"] <= v, "alpha_sweep.start must not exceed stop"),
+    ),
+    ("alpha_sweep", "count", "sweep_count", _as_int, _spaced(8), _ONE_FORM, _at_least(1)),
+    (
+        "alpha_sweep", "spacing", "sweep_spacing", _one_of("linear", "log"),
+        _spaced("linear"), _ONE_FORM,
+        (lambda v, c: v == "linear" or c["sweep_start"] > 0, "log spacing requires start > 0"),
+    ),
+    ("nodes", "N", "nodes_N", _as_int, 32, _at_least(1)),
+    (
+        "nodes", "d", "nodes_d", _as_number, 0.0,
+        (
+            lambda v, c: 0 <= v < 0.25,
+            "{name}={v} violates the Kadec 1/4 bound (need 0 <= d < 0.25)",
+        ),
+    ),
+    ("nodes", "seed", "nodes_seed", _as_int, 0),
+    ("nodes", "symmetric", "nodes_symmetric", _as_bool, True),
+    ("bands", "M_max", "m_max", _as_int, 4, _at_least(0)),
+    (
+        "bands", "J_cap", "j_cap", _as_int, lambda c: c["m_max"] + 2,
+        (lambda v, c: v > c["m_max"], "{name} must exceed M_max"),
+    ),
+    (
+        "bands", "points_per_band", "points_per_band", _as_int, 256, _at_least(32),
+        (lambda v, c: v % 2 == 0, "{name} must be even (two quadrature panels)"),
+    ),
+    ("signal", "id", "signal_id", _one_of(*_SIGNAL_IDS), "gauss_pair"),
+    (
+        "spatial", "T_int", "t_int", _as_number, lambda c: c["nodes_N"] / 2.0, _POSITIVE,
+        (lambda v, c: v <= c["nodes_N"] / 2.0, "{name} must not exceed N/2 (interior window)"),
+    ),
+    ("spatial", "density", "density", _as_int, 20, _at_least(1)),
+    ("tolerances", "solver", "solver_tol", _as_number, 1e-8, _POSITIVE),
+    ("tolerances", "quadrature_refinement", "quadrature_refinement", _as_int, 2, _at_least(1)),
+    ("output", "directory", "out_directory", _as_string, "."),
+    ("output", "formats", "out_formats", _list_of(_one_of("csv", "json")), ("csv", "json")),
+    # Parsed and echoed only; execution does not depend on it.
+    ("parallel", "workers", "workers", _as_int, 1, _at_least(1)),
+)
+_SECTIONS = tuple(dict.fromkeys(row[0] for row in _KEYS))
 
 
 @dataclass(frozen=True)
@@ -82,16 +184,14 @@ class ExperimentConfig:
     quadrature_refinement: int
     out_directory: str
     out_formats: tuple[str, ...]
-    workers: int  # parsed and echoed only; execution does not depend on it
+    workers: int
 
     def alpha_values(self) -> list[float]:
         """The resolved sweep, ascending."""
         if self.sweep_values is not None:
             return list(self.sweep_values)
-        if self.sweep_spacing == "log":
-            vals = np.geomspace(self.sweep_start, self.sweep_stop, self.sweep_count)
-        else:
-            vals = np.linspace(self.sweep_start, self.sweep_stop, self.sweep_count)
+        space = np.geomspace if self.sweep_spacing == "log" else np.linspace
+        vals = space(self.sweep_start, self.sweep_stop, self.sweep_count)
         return [float(v) for v in vals]
 
     def make_family(self) -> InterpolatorFamily:
@@ -115,45 +215,12 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Normalized configuration dict; parsing it reproduces this config."""
-        sweep: dict[str, Any]
-        if self.sweep_values is not None:
-            sweep = {"values": list(self.sweep_values)}
-        else:
-            sweep = {
-                "start": self.sweep_start,
-                "stop": self.sweep_stop,
-                "count": self.sweep_count,
-                "spacing": self.sweep_spacing,
-            }
-        family: dict[str, Any] = {"id": self.family_id}
-        if self.alpha_domain is not None:
-            family["alpha_domain"] = list(self.alpha_domain)
-        return {
-            "family": family,
-            "alpha_sweep": sweep,
-            "nodes": {
-                "N": self.nodes_N,
-                "d": self.nodes_d,
-                "seed": self.nodes_seed,
-                "symmetric": self.nodes_symmetric,
-            },
-            "bands": {
-                "M_max": self.m_max,
-                "J_cap": self.j_cap,
-                "points_per_band": self.points_per_band,
-            },
-            "signal": {"id": self.signal_id},
-            "spatial": {"T_int": self.t_int, "density": self.density},
-            "tolerances": {
-                "solver": self.solver_tol,
-                "quadrature_refinement": self.quadrature_refinement,
-            },
-            "output": {
-                "directory": self.out_directory,
-                "formats": list(self.out_formats),
-            },
-            "parallel": {"workers": self.workers},
-        }
+        out: dict[str, dict[str, Any]] = {section: {} for section in _SECTIONS}
+        for section, key, attr, *_ in _KEYS:
+            value = getattr(self, attr)
+            if value is not None:
+                out[section][key] = list(value) if isinstance(value, tuple) else value
+        return out
 
 
 def parse_config(data: dict) -> ExperimentConfig:
@@ -167,193 +234,32 @@ def parse_config(data: dict) -> ExperimentConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _check_keys(
-        "config",
-        data,
-        (
-            "family",
-            "alpha_sweep",
-            "nodes",
-            "bands",
-            "signal",
-            "spatial",
-            "tolerances",
-            "output",
-            "parallel",
-        ),
-    )
+    _check_keys("config", data, _SECTIONS)
+    sections = {section: data.get(section, {}) for section in _SECTIONS}
+    for section, given in sections.items():
+        if not isinstance(given, dict):
+            raise ConfigError(f"{section!r} must be an object")
+        _check_keys(section, given, tuple(row[1] for row in _KEYS if row[0] == section))
 
-    fam = data.get("family", {})
-    if not isinstance(fam, dict):
-        raise ConfigError("'family' must be an object")
-    _check_keys("family", fam, ("id", "alpha_domain"))
-    family_id = fam.get("id", "gaussian")
-    if family_id not in ("gaussian", "poisson"):
-        raise ConfigError(f"family.id must be 'gaussian' or 'poisson', got {family_id!r}")
-    alpha_domain = None
-    if "alpha_domain" in fam:
-        raw = fam["alpha_domain"]
-        if not isinstance(raw, list) or len(raw) != 2:
-            raise ConfigError("family.alpha_domain must be [lo, hi]")
-        lo = _as_number("family.alpha_domain", "lo", raw[0])
-        hi = _as_number("family.alpha_domain", "hi", raw[1])
-        if not (0 < lo < hi):
-            raise ConfigError("family.alpha_domain must satisfy 0 < lo < hi")
-        alpha_domain = (lo, hi)
-
-    sweep = data.get("alpha_sweep", {})
-    if not isinstance(sweep, dict):
-        raise ConfigError("'alpha_sweep' must be an object")
-    _check_keys("alpha_sweep", sweep, ("start", "stop", "count", "spacing", "values"))
-    sweep_values = None
-    sweep_start = sweep_stop = None
-    sweep_count = None
-    sweep_spacing = None
-    if "values" in sweep:
-        if set(sweep) != {"values"}:
-            raise ConfigError(
-                "alpha_sweep takes either 'values' or start/stop/count/spacing, not both"
-            )
-        raw_values = sweep["values"]
-        if not isinstance(raw_values, list) or not raw_values:
-            raise ConfigError("alpha_sweep.values must be a nonempty list")
-        vals = [_as_number("alpha_sweep.values", str(i), v) for i, v in enumerate(raw_values)]
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise ConfigError("alpha_sweep.values must be ascending")
-        sweep_values = tuple(vals)
-    else:
-        sweep_start = _as_number("alpha_sweep", "start", sweep.get("start", 0.75))
-        sweep_stop = _as_number("alpha_sweep", "stop", sweep.get("stop", 2.5))
-        sweep_count = _as_int("alpha_sweep", "count", sweep.get("count", 8))
-        sweep_spacing = sweep.get("spacing", "linear")
-        if sweep_spacing not in ("linear", "log"):
-            raise ConfigError("alpha_sweep.spacing must be 'linear' or 'log'")
-        if sweep_count < 1:
-            raise ConfigError("alpha_sweep.count must be >= 1")
-        if sweep_start > sweep_stop:
-            raise ConfigError("alpha_sweep.start must not exceed stop")
-        if sweep_spacing == "log" and sweep_start <= 0:
-            raise ConfigError("log spacing requires start > 0")
-
-    nodes_sec = data.get("nodes", {})
-    if not isinstance(nodes_sec, dict):
-        raise ConfigError("'nodes' must be an object")
-    _check_keys("nodes", nodes_sec, ("N", "d", "seed", "symmetric"))
-    nodes_N = _as_int("nodes", "N", nodes_sec.get("N", 32))
-    if nodes_N < 0:
-        raise ConfigError("nodes.N must be nonnegative")
-    nodes_d = _as_number("nodes", "d", nodes_sec.get("d", 0.0))
-    if not (0 <= nodes_d < 0.25):
-        raise ConfigError(
-            f"nodes.d={nodes_d} violates the Kadec 1/4 bound (need 0 <= d < 0.25)"
-        )
-    nodes_seed = _as_int("nodes", "seed", nodes_sec.get("seed", 0))
-    nodes_symmetric = _as_bool("nodes", "symmetric", nodes_sec.get("symmetric", True))
-
-    bands = data.get("bands", {})
-    if not isinstance(bands, dict):
-        raise ConfigError("'bands' must be an object")
-    _check_keys("bands", bands, ("M_max", "J_cap", "points_per_band"))
-    m_max = _as_int("bands", "M_max", bands.get("M_max", 4))
-    if m_max < 0:
-        raise ConfigError("bands.M_max must be nonnegative")
-    j_cap = _as_int("bands", "J_cap", bands.get("J_cap", m_max + 2))
-    if j_cap <= m_max:
-        raise ConfigError("bands.J_cap must exceed M_max")
-    points = _as_int("bands", "points_per_band", bands.get("points_per_band", 256))
-    if points < 32:
-        raise ConfigError("bands.points_per_band must be >= 32")
-    if points % 2 != 0:
-        raise ConfigError("bands.points_per_band must be even (two quadrature panels)")
-
-    signal_sec = data.get("signal", {})
-    if not isinstance(signal_sec, dict):
-        raise ConfigError("'signal' must be an object")
-    _check_keys("signal", signal_sec, ("id",))
-    signal_id = signal_sec.get("id", "gauss_pair")
-    known = [s.signal_id for s in builtin_signals()]
-    if signal_id not in known:
-        raise ConfigError(f"signal.id must be one of {known}, got {signal_id!r}")
-
-    spatial_sec = data.get("spatial", {})
-    if not isinstance(spatial_sec, dict):
-        raise ConfigError("'spatial' must be an object")
-    _check_keys("spatial", spatial_sec, ("T_int", "density"))
-    t_int = _as_number("spatial", "T_int", spatial_sec.get("T_int", nodes_N / 2.0))
-    if t_int <= 0:
-        raise ConfigError("spatial.T_int must be positive")
-    if t_int > nodes_N / 2.0:
-        raise ConfigError("spatial.T_int must not exceed N/2 (interior window)")
-    density = _as_int("spatial", "density", spatial_sec.get("density", 20))
-    if density < 1:
-        raise ConfigError("spatial.density must be >= 1")
-
-    tol_sec = data.get("tolerances", {})
-    if not isinstance(tol_sec, dict):
-        raise ConfigError("'tolerances' must be an object")
-    _check_keys("tolerances", tol_sec, ("solver", "quadrature_refinement"))
-    solver_tol = _as_number("tolerances", "solver", tol_sec.get("solver", 1e-8))
-    if solver_tol <= 0:
-        raise ConfigError("tolerances.solver must be positive")
-    refinement = _as_int(
-        "tolerances", "quadrature_refinement", tol_sec.get("quadrature_refinement", 2)
-    )
-    if refinement < 1:
-        raise ConfigError("tolerances.quadrature_refinement must be >= 1")
-
-    out_sec = data.get("output", {})
-    if not isinstance(out_sec, dict):
-        raise ConfigError("'output' must be an object")
-    _check_keys("output", out_sec, ("directory", "formats"))
-    directory = out_sec.get("directory", ".")
-    if not isinstance(directory, str) or not directory:
-        raise ConfigError("output.directory must be a nonempty string")
-    formats = out_sec.get("formats", ["csv", "json"])
-    if (
-        not isinstance(formats, list)
-        or not formats
-        or any(f not in _VALID_FORMATS for f in formats)
-    ):
-        raise ConfigError(f"output.formats must be a nonempty subset of {_VALID_FORMATS}")
-
-    par_sec = data.get("parallel", {})
-    if not isinstance(par_sec, dict):
-        raise ConfigError("'parallel' must be an object")
-    _check_keys("parallel", par_sec, ("workers",))
-    workers = _as_int("parallel", "workers", par_sec.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("parallel.workers must be >= 1")
-
-    config = ExperimentConfig(
-        family_id=family_id,
-        alpha_domain=alpha_domain,
-        sweep_values=sweep_values,
-        sweep_start=sweep_start,
-        sweep_stop=sweep_stop,
-        sweep_count=sweep_count,
-        sweep_spacing=sweep_spacing,
-        nodes_N=nodes_N,
-        nodes_d=nodes_d,
-        nodes_seed=nodes_seed,
-        nodes_symmetric=nodes_symmetric,
-        m_max=m_max,
-        j_cap=j_cap,
-        points_per_band=points,
-        signal_id=signal_id,
-        t_int=t_int,
-        density=density,
-        solver_tol=solver_tol,
-        quadrature_refinement=refinement,
-        out_directory=directory,
-        out_formats=tuple(formats),
-        workers=workers,
-    )
+    parsed: dict[str, Any] = {}
+    for section, key, attr, parse, default, *rules in _KEYS:
+        given, name = sections[section], f"{section}.{key}"
+        if key in given:
+            value = parse(name, given[key])
+        else:
+            value = default(parsed) if callable(default) else default
+        if value is not None:
+            for rule, message in rules:
+                if not rule(value, parsed):
+                    raise ConfigError(message.format(name=name, v=value))
+        parsed[attr] = value
+    config = ExperimentConfig(**parsed)
 
     lo, hi = config.make_family().alpha_domain
     bad = [a for a in config.alpha_values() if not (lo <= a <= hi)]
     if bad:
         raise ConfigError(
-            f"alpha value(s) {bad} outside the {family_id} domain [{lo}, {hi}]"
+            f"alpha value(s) {bad} outside the {config.family_id} domain [{lo}, {hi}]"
         )
     return config
 

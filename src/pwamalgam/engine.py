@@ -38,7 +38,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import InterpolatorFamily, phi_spatial, phi_spectral
 from .nodes import NodeSet
-from .signals import TestSignal, band_slice, sample_band_signal
+from .signals import TestSignal, sample_band_signal, signal_spectrum
 from .spectral import TWO_PI, BandSpectrum, FrequencyGrid
 
 # Condition estimate beyond which solves are flagged instead of failed.
@@ -240,13 +240,10 @@ def reconstruct(
     ConditioningError, AccuracyError
         Propagated from the solve; an `AccuracyError` names the failing band.
     """
-    if m_max < 0:
-        raise ContractError("m_max must be nonnegative")
-    band_range = range(-m_max, m_max + 1)
-    bands = [band_slice(signal, m, grid) for m in band_range]
+    bands = signal_spectrum(signal, grid, m_max).bands
     samples = sample_band_signal(bands, grid, nodes)
     solved = solve_coefficients(
-        family, alpha, nodes, samples, tol=tol, band_index=list(band_range)
+        family, alpha, nodes, samples, tol=tol, band_index=[b.band_index for b in bands]
     )
     return Approximant(alpha=alpha, family=family, nodes=nodes, coefficient_sets=solved)
 

@@ -41,8 +41,8 @@ from .engine import (
 from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import InterpolatorFamily, m_alpha, mj_tail_bound, phi_spectral
 from .nodes import NodeSet
-from .signals import TestSignal, band_slice, sample_band_signal
-from .spectral import TWO_PI, FrequencyGrid, SpatialGrid
+from .signals import TestSignal, signal_spectrum
+from .spectral import TWO_PI, FrequencyGrid, SpatialGrid, gauss_legendre, inverse_ft_at
 
 
 @dataclass(frozen=True)
@@ -80,15 +80,7 @@ def window_quadrature(extent: float, j_cap: int) -> tuple[np.ndarray, np.ndarray
     n_panels = max(1, int(np.ceil(2.0 * extent)))
     panel_len = 2.0 * extent / n_panels
     per_panel = int(np.ceil((2 * j_cap + 1) * np.pi * panel_len / 2.0)) + 8
-    xs, ws = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(-extent, extent, n_panels + 1)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * xs + 0.5 * (lo + hi))
-        weights.append(half * ws)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return gauss_legendre(extent, n_panels, per_panel)
 
 
 def truncated_signal_values(
@@ -100,14 +92,7 @@ def truncated_signal_values(
     feeds the node sampling, truncated to the same bands. Signal mass beyond
     ``m_max`` is accounted by ``tail_slack_f``, never silently dropped.
     """
-    xs = np.asarray(x, dtype=float)
-    phase = np.exp(1j * np.outer(xs, grid.nodes))
-    out = np.zeros(xs.shape, dtype=complex)
-    for m in range(-m_max, m_max + 1):
-        band = band_slice(signal, m, grid)
-        g_m = TWO_PI**-0.5 * (phase @ (grid.weights * band.values))
-        out += np.exp(1j * TWO_PI * m * xs) * g_m
-    return out
+    return inverse_ft_at(signal_spectrum(signal, grid, m_max), grid, x)
 
 
 @dataclass(frozen=True)

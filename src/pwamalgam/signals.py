@@ -30,6 +30,8 @@ from .spectral import (
     BandSpectrum,
     FrequencyGrid,
     SpatialGrid,
+    band_inverse,
+    inverse_ft_at,
 )
 
 
@@ -225,21 +227,15 @@ def sample_band_signal(
     """Values ``g_m(x_n)`` at the interpolation nodes by quadrature inversion.
 
     A single band gives a vector over the nodes; a sequence of bands gives
-    one row per band, all sampled through one shared phase matrix. Each band
-    keeps its own matrix-vector product, so a row is bit-identical to
-    sampling that band alone.
+    one row per band (see `band_inverse`), each bit-identical to sampling
+    that band alone.
 
     No ``2*pi*m`` modulation is applied here; the modulation factor enters
     when the approximant is assembled.
     """
-    bands = [band] if isinstance(band, BandSpectrum) else list(band)
-    if not bands:
-        raise ContractError("at least one band is required")
-    if any(b.values.shape != grid.nodes.shape for b in bands):
-        raise ContractError("band size does not match grid size")
-    phase = np.exp(1j * np.outer(nodes.values, grid.nodes))
-    rows = [TWO_PI**-0.5 * (phase @ (grid.weights * b.values)) for b in bands]
-    return rows[0] if isinstance(band, BandSpectrum) else np.array(rows)
+    single = isinstance(band, BandSpectrum)
+    rows = band_inverse([band] if single else list(band), grid, nodes.values)
+    return rows[0] if single else rows
 
 
 def reassemble_check(
@@ -254,10 +250,5 @@ def reassemble_check(
     if signal.f is None:
         raise ContractError(f"signal {signal.signal_id!r} has no spatial evaluator")
     xs = x_grid.points
-    acc = np.zeros(xs.shape, dtype=complex)
-    phase = np.exp(1j * np.outer(xs, grid.nodes))
-    for m in range(-m_max, m_max + 1):
-        band = band_slice(signal, m, grid)
-        g_m = TWO_PI**-0.5 * (phase @ (grid.weights * band.values))
-        acc += np.exp(1j * TWO_PI * m * xs) * g_m
-    return float(np.max(np.abs(signal.f(xs) - acc)))
+    reassembled = inverse_ft_at(signal_spectrum(signal, grid, m_max), grid, xs)
+    return float(np.max(np.abs(signal.f(xs) - reassembled)))

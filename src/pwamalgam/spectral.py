@@ -21,6 +21,7 @@ Norms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +64,21 @@ class FrequencyGrid:
             raise ContractError("grid weights must sum to 2*pi")
 
 
+def gauss_legendre(
+    extent: float, panels: int, per_panel: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule ``(nodes, weights)`` on ``[-extent, extent]``.
+
+    Each of `panels` equal panels carries the `per_panel`-point rule, which is
+    exact for polynomials up to degree ``2 * per_panel - 1``.
+    """
+    xs, ws = np.polynomial.legendre.leggauss(per_panel)
+    edges = np.linspace(-extent, extent, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    return (half * xs + mid).ravel(), (half * ws).ravel()
+
+
 def frequency_grid(points_per_band: int = 256, panels: int = 2) -> FrequencyGrid:
     """Build the composite Gauss-Legendre rule on ``[-pi, pi]``.
 
@@ -82,20 +98,8 @@ def frequency_grid(points_per_band: int = 256, panels: int = 2) -> FrequencyGrid
         raise ContractError("points_per_band must be positive")
     if panels <= 0 or points_per_band % panels != 0:
         raise ContractError("points_per_band must be divisible by panels")
-    per_panel = points_per_band // panels
-    xs, ws = np.polynomial.legendre.leggauss(per_panel)
-    edges = np.linspace(-np.pi, np.pi, panels + 1)
-    nodes = []
-    weights = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        nodes.append(half * xs + 0.5 * (lo + hi))
-        weights.append(half * ws)
-    return FrequencyGrid(
-        points_per_band=points_per_band,
-        nodes=np.concatenate(nodes),
-        weights=np.concatenate(weights),
-    )
+    nodes, weights = gauss_legendre(np.pi, panels, points_per_band // panels)
+    return FrequencyGrid(points_per_band=points_per_band, nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)
@@ -191,12 +195,29 @@ def l2_norm_parseval(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
     return float(np.sqrt(total + spectrum.tail_estimate**2))
 
 
+def band_inverse(
+    bands: Sequence[BandSpectrum], grid: FrequencyGrid, x: np.ndarray
+) -> np.ndarray:
+    """Baseband pieces ``g_m(x) = (2*pi)^{-1/2} sum_k w_k values_{m,k} e^{i x xi_k}``.
+
+    Returns one row per band over the points `x`. All bands share one phase
+    matrix, but each keeps its own matrix-vector product, so a row is
+    bit-identical to inverting that band alone.
+    """
+    if not bands:
+        raise ContractError("at least one band is required")
+    if any(b.values.shape != grid.nodes.shape for b in bands):
+        raise ContractError("band size does not match grid size")
+    phase = np.exp(1j * np.outer(x, grid.nodes))
+    return np.array([TWO_PI**-0.5 * (phase @ (grid.weights * b.values)) for b in bands])
+
+
 def inverse_ft_at(
     spectrum: AmalgamSpectrum, grid: FrequencyGrid, x: float | np.ndarray
 ) -> complex | np.ndarray:
     """Inverse transform of a band-indexed spectrum at point(s) ``x``.
 
-    Computes ``(2*pi)^{-1/2} sum_m sum_k w_k values_{m,k} e^{i x (xi_k + 2 pi m)}``
+    Computes ``sum_m e^{2 pi i m x} g_m(x)`` from the `band_inverse` rows,
     with the fixed summation order ascending m then ascending k.
 
     Returns
@@ -205,12 +226,9 @@ def inverse_ft_at(
         Scalar for scalar `x`, array matching `x` otherwise.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    phase = np.exp(1j * np.outer(xs, grid.nodes))
     out = np.zeros(xs.shape, dtype=complex)
-    for band in spectrum.bands:
-        partial = phase @ (grid.weights * band.values)
-        out += np.exp(1j * TWO_PI * band.band_index * xs) * partial
-    out *= TWO_PI**-0.5
+    for band, g_m in zip(spectrum.bands, band_inverse(spectrum.bands, grid, xs)):
+        out += np.exp(1j * TWO_PI * band.band_index * xs) * g_m
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

@@ -335,6 +335,20 @@ def test_reconstruct_rejects_multi_alpha_and_bad_points(tmp_path):
     assert "eval-points" in err
 
 
+def test_reconstruct_rejects_non_finite_points(tmp_path):
+    # NaN and infinity parse as floats, but would write invalid JSON tokens
+    # and drop out of the manifest's max_pointwise_error.
+    cfg = write_config(tmp_path, {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}})
+    for i, points in enumerate(["0,nan,inf,0.4", "-Infinity", "0.2,NaN"]):
+        out = tmp_path / f"run{i}"
+        code, _, err = run_cli(
+            ["reconstruct", "--config", cfg, "--out", str(out), f"--eval-points={points}"]
+        )
+        assert code == 2
+        assert "eval-points must be finite" in err
+        assert not (out / "reconstruction.json").exists()
+
+
 def test_reconstruct_complex_signal_reports_both_parts(tmp_path):
     payload = {
         **RECONSTRUCT_BASE,

@@ -27,15 +27,55 @@ def test_empty_config_gets_full_defaults():
     assert len(config.alpha_values()) == 8
 
 
+# Every key of every section set away from its default; the sweep comes in
+# its two exclusive forms.
+NON_DEFAULT = {
+    "family": {"id": "poisson", "alpha_domain": [1.0, 8.0]},
+    "alpha_sweep": {"start": 1.0, "stop": 8.0, "count": 4, "spacing": "log"},
+    "nodes": {"N": 16, "d": 0.1, "seed": 3, "symmetric": False},
+    "bands": {"M_max": 2, "J_cap": 5, "points_per_band": 64},
+    "signal": {"id": "two_band"},
+    "spatial": {"T_int": 6.5, "density": 7},
+    "tolerances": {"solver": 1e-9, "quadrature_refinement": 3},
+    "output": {"directory": "runs/x", "formats": ["json"]},
+    "parallel": {"workers": 2},
+}
+
+
 def test_echo_round_trips():
-    config = parse_config(
-        {
-            "family": {"id": "poisson", "alpha_domain": [1.0, 8.0]},
-            "alpha_sweep": {"values": [1.0, 2.0, 4.0]},
-            "nodes": {"N": 16, "d": 0.1, "seed": 3, "symmetric": False},
-        }
-    )
-    assert parse_config(config.echo()) == config
+    for sweep in (NON_DEFAULT["alpha_sweep"], {"values": [1.0, 2.0, 4.0]}):
+        data = {**NON_DEFAULT, "alpha_sweep": sweep}
+        config = parse_config(data)
+        assert config.echo() == data
+        assert parse_config(config.echo()) == config
+        assert (config.family_id, config.alpha_domain) == ("poisson", (1.0, 8.0))
+        assert (config.nodes_N, config.nodes_d, config.nodes_seed) == (16, 0.1, 3)
+        assert config.nodes_symmetric is False
+        assert (config.m_max, config.j_cap, config.points_per_band) == (2, 5, 64)
+        assert (config.signal_id, config.t_int, config.density) == ("two_band", 6.5, 7)
+        assert (config.solver_tol, config.quadrature_refinement) == (1e-9, 3)
+        assert (config.out_directory, config.out_formats) == ("runs/x", ("json",))
+        assert config.workers == 2
+    listed = parse_config({**NON_DEFAULT, "alpha_sweep": {"values": [1.0, 2.0, 4.0]}})
+    assert listed.alpha_values() == [1.0, 2.0, 4.0]
+    assert listed.sweep_start is listed.sweep_count is listed.sweep_spacing is None
+    spaced = parse_config(NON_DEFAULT)
+    assert spaced.sweep_values is None
+    assert spaced.alpha_values() == pytest.approx([1.0, 2.0, 4.0, 8.0], rel=1e-14)
+
+
+def test_default_echo_is_complete():
+    assert parse_config({}).echo() == {
+        "family": {"id": "gaussian"},
+        "alpha_sweep": {"start": 0.75, "stop": 2.5, "count": 8, "spacing": "linear"},
+        "nodes": {"N": 32, "d": 0.0, "seed": 0, "symmetric": True},
+        "bands": {"M_max": 4, "J_cap": 6, "points_per_band": 256},
+        "signal": {"id": "gauss_pair"},
+        "spatial": {"T_int": 16.0, "density": 20},
+        "tolerances": {"solver": 1e-8, "quadrature_refinement": 2},
+        "output": {"directory": ".", "formats": ["csv", "json"]},
+        "parallel": {"workers": 1},
+    }
 
 
 def test_spaced_sweep_forms():
@@ -58,6 +98,33 @@ def test_unknown_keys_rejected_everywhere():
         parse_config({"nodes": {"N": 8, "dd": 0.1}})
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config({"tolerances": {"solver_tol": 1e-8}})
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "family",
+        "alpha_sweep",
+        "nodes",
+        "bands",
+        "signal",
+        "spatial",
+        "tolerances",
+        "output",
+        "parallel",
+    ],
+)
+def test_unknown_key_rejected_in_each_section(section):
+    with pytest.raises(ConfigError, match=rf"unknown key\(s\) \['bogus'\] in '{section}'"):
+        parse_config({section: {"bogus": 1}})
+
+
+def test_node_count_must_be_positive():
+    # N = 0 used to pass and then fail on spatial.T_int, a key nobody set.
+    for n in (0, -1):
+        with pytest.raises(ConfigError, match=r"nodes\.N must be >= 1"):
+            parse_config({"nodes": {"N": n}})
+    assert parse_config({"nodes": {"N": 1}}).t_int == 0.5
 
 
 def test_kadec_bound_named_at_config_time():

@@ -18,6 +18,7 @@ from pwamalgam import (
     signal_spectrum,
     spatial_grid,
 )
+from pwamalgam.spectral import gauss_legendre
 
 # Oracle values, frozen from independent closed forms:
 # int_{-pi}^{pi} e^{-xi^2} dxi = sqrt(pi) erf(pi), so the band L2 norm of
@@ -44,6 +45,21 @@ def test_grid_rejects_odd_split():
         frequency_grid(33)
     with pytest.raises(ContractError):
         frequency_grid(0)
+
+
+@pytest.mark.parametrize("extent", [np.pi, 2.5])
+@pytest.mark.parametrize("panels", [1, 2, 3, 7])
+@pytest.mark.parametrize("per_panel", [1, 4, 9])
+def test_gauss_legendre_exact_to_its_degree(extent, panels, per_panel):
+    nodes, weights = gauss_legendre(extent, panels, per_panel)
+    assert nodes.shape == weights.shape == (panels * per_panel,)
+    assert np.all(np.diff(nodes) > 0) and -extent < nodes[0] and nodes[-1] < extent
+    # Shifted monomials (x + c)^k, so that odd degrees are not zero by symmetry;
+    # closed form int_{-e}^{e} (x + c)^k dx = ((e + c)^{k+1} - (c - e)^{k+1}) / (k + 1).
+    c = 0.3 * extent
+    for k in range(2 * per_panel):
+        exact = ((extent + c) ** (k + 1) - (c - extent) ** (k + 1)) / (k + 1)
+        assert np.sum(weights * (nodes + c) ** k) == pytest.approx(exact, rel=1e-13)
 
 
 def test_band_norm_gaussian_oracle():
