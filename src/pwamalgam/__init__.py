@@ -13,12 +13,8 @@ __version__ = "0.1.0"
 from .config import ExperimentConfig, load_config, parse_config
 from .engine import (
     Approximant,
-    CoefficientSet,
-    SolveDiagnostics,
     collocation_matrix,
     evaluate_J,
-    interpolant_spatial,
-    interpolant_spectral,
     J_spectrum_band,
     reconstruct,
     solve_coefficients,
@@ -74,7 +70,6 @@ __all__ = [
     "AmalgamSpectrum",
     "Approximant",
     "BandSpectrum",
-    "CoefficientSet",
     "ConditioningError",
     "ConfigError",
     "ContractError",
@@ -88,7 +83,6 @@ __all__ = [
     "PwAmalgamError",
     "RegularityReport",
     "RegularityTolerances",
-    "SolveDiagnostics",
     "SpatialGrid",
     "TestSignal",
     "amalgam_norm",
@@ -102,8 +96,6 @@ __all__ = [
     "frequency_grid",
     "get_family",
     "get_signal",
-    "interpolant_spatial",
-    "interpolant_spectral",
     "inverse_ft_at",
     "l2_norm_parseval",
     "load_config",

@@ -132,7 +132,7 @@ _KEYS: tuple[tuple, ...] = (
             "{name}={v} violates the Kadec 1/4 bound (need 0 <= d < 0.25)",
         ),
     ),
-    ("nodes", "seed", "nodes_seed", _as_int, 0),
+    ("nodes", "seed", "nodes_seed", _as_int, 0, _at_least(0)),
     ("nodes", "symmetric", "nodes_symmetric", _as_bool, True),
     ("bands", "M_max", "m_max", _as_int, 4, _at_least(0)),
     (

@@ -6,9 +6,11 @@ the band interpolant ``I_alpha g_m(x) = sum_n a_{m,n} phi_alpha(x - x_n)``
 matches the sampled baseband piece at every node. The approximant is the
 modulated sum ``J_alpha f(x) = sum_m e^{2 pi i m x} I_alpha g_m(x)``.
 
-The collocation matrix depends on ``alpha`` and the nodes but not on the
-band, so each ``alpha`` builds it once, estimates its condition number once
-and factorizes it once; every band is then solved against that one factor.
+An `Approximant` holds the coefficients as one complex ``(2M+1, n)`` array:
+row ``m + M`` is band ``m`` and column ``k`` is node ``x_k``. The collocation
+matrix depends on ``alpha`` and the nodes but not on the band, so each
+``alpha`` builds it once, factorizes it once and carries one
+``condition_estimate``; every band is then solved against that one factor.
 Likewise `evaluate_J` builds the kernel matrix ``phi_alpha(x - x_n)`` once
 and applies it band by band. Per-band products and solves are kept (rather
 than one matrix-matrix product) because the rounding of the blocked BLAS
@@ -30,7 +32,6 @@ positive definiteness raises `ConditioningError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -46,51 +47,34 @@ PRECISION_CAP = 1e12
 
 
 @dataclass(frozen=True)
-class SolveDiagnostics:
-    """Conditioning and accuracy record of one collocation solve."""
-
-    condition_estimate: float
-    max_residual: float
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """Solved coefficients ``a_{m,n}`` for one band."""
-
-    alpha: float
-    band_index: int
-    node_ref: NodeSet
-    values: np.ndarray = field(repr=False)
-    diagnostics: SolveDiagnostics = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.values.shape != (self.node_ref.count,):
-            raise ContractError("coefficient count must match node count")
-        if not np.all(np.isfinite(self.values)):
-            raise ContractError("coefficients must be finite")
-
-
-@dataclass(frozen=True)
 class Approximant:
-    """Per-band coefficient sets assembling ``J_alpha f``."""
+    """Coefficients ``a_{m,n}`` of ``J_alpha f``: row ``m + M_max`` is band ``m``.
+
+    `condition_estimate` belongs to the one collocation matrix of this
+    ``alpha``; `residuals` holds each band's max-norm interpolation residual.
+    """
 
     alpha: float
     family: InterpolatorFamily
     nodes: NodeSet
-    coefficient_sets: tuple[CoefficientSet, ...]
+    coefficients: np.ndarray = field(repr=False)
+    condition_estimate: float
+    residuals: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        indices = [c.band_index for c in self.coefficient_sets]
-        m_max = (len(indices) - 1) // 2
-        if indices != list(range(-m_max, m_max + 1)):
-            raise ContractError("coefficient sets must cover exactly -M_max..M_max")
+        shape = self.coefficients.shape
+        if len(shape) != 2 or shape[0] % 2 == 0:
+            raise ContractError("coefficients need one row per band -M_max..M_max")
+        if shape[1] != self.nodes.count:
+            raise ContractError("coefficient count must match node count")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ContractError("coefficients must be finite")
+        if self.residuals.shape != (shape[0],):
+            raise ContractError("residuals need one value per band")
 
     @property
     def m_max(self) -> int:
-        return (len(self.coefficient_sets) - 1) // 2
-
-    def band(self, m: int) -> CoefficientSet:
-        return self.coefficient_sets[m + self.m_max]
+        return (self.coefficients.shape[0] - 1) // 2
 
 
 def collocation_matrix(
@@ -107,20 +91,17 @@ def solve_coefficients(
     nodes: NodeSet,
     samples: np.ndarray,
     tol: float = 1e-8,
-    band_index: int | Sequence[int] = 0,
-) -> CoefficientSet | tuple[CoefficientSet, ...]:
-    """Solve the collocation system for one band's samples, or for several.
+) -> Approximant:
+    """Solve the collocation system for a ``(2M+1, nodes)`` stack of band samples.
 
-    `samples` is either one band's vector over the nodes, with `band_index`
-    an int, or a ``(bands, nodes)`` stack with one band index per row; the
-    stack returns one `CoefficientSet` per row, in row order. The matrix is
-    built, its condition estimated and factorized once for all rows.
+    Row ``i`` of `samples` is band ``i - M``. The matrix is built, its
+    condition estimated and factorized once for all rows.
 
     All-zero samples short-circuit to exactly zero coefficients (the
     homogeneous system), preserving exact zeros for signals with empty bands;
     when every row is zero the matrix is not factorized. Each complex row is
     solved as two real systems against the one real factorization, so a row
-    is bit-identical to solving that band alone.
+    is bit-identical to a one-row solve of that band alone.
 
     Raises
     ------
@@ -132,11 +113,8 @@ def solve_coefficients(
         band in row order is named.
     """
     stacked = np.asarray(samples, dtype=complex)
-    single = stacked.ndim == 1
-    indices = [int(m) for m in np.atleast_1d(band_index)]
-    stacked = np.atleast_2d(stacked)
-    if stacked.shape != (len(indices), nodes.count):
-        raise ContractError("samples need one row per band index and one value per node")
+    if stacked.ndim != 2 or stacked.shape[0] % 2 == 0 or stacked.shape[1] != nodes.count:
+        raise ContractError("samples need one row per band -M..M and one value per node")
     family.check_alpha(alpha)
     matrix = collocation_matrix(family, alpha, nodes)
     # The matrix is exactly symmetric, so its singular values are the magnitudes
@@ -147,7 +125,7 @@ def solve_coefficients(
         condition = float(magnitudes.max() / magnitudes.min())
     nonzero = [i for i, row in enumerate(stacked) if np.any(row)]
     coeffs = np.zeros(stacked.shape, dtype=complex)
-    residuals = [0.0] * len(indices)
+    residuals = np.zeros(len(stacked))
     if nonzero:
         try:
             factor = cho_factor(matrix)
@@ -165,59 +143,16 @@ def solve_coefficients(
             coeffs[i] = cho_solve(factor, stacked[i].real) + 1j * cho_solve(
                 factor, stacked[i].imag
             )
-            residual = float(np.max(np.abs(complex_matrix @ coeffs[i] - stacked[i])))
+            residuals[i] = np.max(np.abs(complex_matrix @ coeffs[i] - stacked[i]))
             scale = 1.0 + float(np.max(np.abs(stacked[i])))
-            if residual > tol * scale and condition <= PRECISION_CAP:
+            if residuals[i] > tol * scale and condition <= PRECISION_CAP:
                 raise AccuracyError(
-                    f"interpolation residual {residual:.3e} exceeds tol*(1+max|samples|)"
-                    f"={tol * scale:.3e} for band {indices[i]} at alpha={alpha}",
-                    residual=residual,
+                    f"interpolation residual {residuals[i]:.3e} exceeds tol*(1+max|samples|)"
+                    f"={tol * scale:.3e} for band {i - len(stacked) // 2} at alpha={alpha}",
+                    residual=residuals[i],
                     condition_estimate=condition,
                 )
-            residuals[i] = residual
-    sets = tuple(
-        CoefficientSet(
-            alpha=alpha,
-            band_index=m,
-            node_ref=nodes,
-            values=values,
-            diagnostics=SolveDiagnostics(
-                condition_estimate=condition, max_residual=residual
-            ),
-        )
-        for m, values, residual in zip(indices, coeffs, residuals)
-    )
-    return sets[0] if single else sets
-
-
-def interpolant_spatial(
-    coeffs: CoefficientSet,
-    family: InterpolatorFamily,
-    nodes: NodeSet,
-    x: float | np.ndarray,
-) -> complex | np.ndarray:
-    """Evaluate ``sum_n a_n phi_alpha(x - x_n)`` at point(s) ``x``."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    kernel = phi_spatial(family, coeffs.alpha, xs[:, None] - nodes.values[None, :])
-    out = kernel @ coeffs.values
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return complex(out[0])
-    return out
-
-
-def interpolant_spectral(
-    coeffs: CoefficientSet,
-    family: InterpolatorFamily,
-    nodes: NodeSet,
-    xi: float | np.ndarray,
-) -> complex | np.ndarray:
-    """Exact transform of the interpolant: ``phi_hat(xi) sum_n a_n e^{-i x_n xi}``."""
-    zs = np.atleast_1d(np.asarray(xi, dtype=float))
-    phase = np.exp(-1j * np.outer(zs, nodes.values))
-    out = phi_spectral(family, coeffs.alpha, zs) * (phase @ coeffs.values)
-    if np.isscalar(xi) or np.asarray(xi).ndim == 0:
-        return complex(out[0])
-    return out
+    return Approximant(alpha, family, nodes, coeffs, condition, residuals)
 
 
 def reconstruct(
@@ -240,32 +175,29 @@ def reconstruct(
     ConditioningError, AccuracyError
         Propagated from the solve; an `AccuracyError` names the failing band.
     """
-    bands = signal_spectrum(signal, grid, m_max).bands
-    samples = sample_band_signal(bands, grid, nodes)
-    solved = solve_coefficients(
-        family, alpha, nodes, samples, tol=tol, band_index=[b.band_index for b in bands]
-    )
-    return Approximant(alpha=alpha, family=family, nodes=nodes, coefficient_sets=solved)
+    samples = sample_band_signal(signal_spectrum(signal, grid, m_max).bands, grid, nodes)
+    return solve_coefficients(family, alpha, nodes, samples, tol=tol)
 
 
 def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarray:
-    """Evaluate ``J_alpha f(x) = sum_m e^{2 pi i m x} I_alpha g_m(x)``.
+    """Evaluate ``J_alpha f(x) = sum_m e^{2 pi i m x} sum_n a_{m,n} phi_alpha(x - x_n)``.
 
     The kernel matrix ``phi_alpha(x - x_n)`` is built once and applied to
-    each non-empty band's coefficients in turn.
+    each non-empty band's coefficients in turn. A one-row approximant is the
+    baseband interpolant ``I_alpha g``.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.shape, dtype=complex)
-    bands = [c for c in approx.coefficient_sets if np.any(c.values)]  # ascending m
+    bands = [i for i, row in enumerate(approx.coefficients) if np.any(row)]  # ascending m
     if bands:
         # The differences stay a temporary: holding them while the complex
         # copy is made would add a third window-sized matrix to the peak.
         kernel = phi_spatial(
             approx.family, approx.alpha, xs[:, None] - approx.nodes.values[None, :]
         ).astype(complex)
-        for coeffs in bands:
-            part = kernel @ coeffs.values
-            out += np.exp(1j * TWO_PI * coeffs.band_index * xs) * part
+        for i in bands:
+            part = kernel @ approx.coefficients[i]
+            out += np.exp(1j * TWO_PI * (i - approx.m_max) * xs) * part
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out
@@ -274,14 +206,14 @@ def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarr
 def J_spectrum_band(approx: Approximant, j: int, grid: FrequencyGrid) -> BandSpectrum:
     """Band-``j`` spectrum of ``J_alpha f`` in baseband coordinates.
 
-    The modulation by ``e^{2 pi i m x}`` shifts each band interpolant's
-    spectrum by ``2 pi m``, so on band ``j`` the approximant's spectrum is
-    ``sum_m I_hat_m(xi + 2 pi (j - m))``.
+    Band ``m``'s interpolant has the exact transform
+    ``I_hat_m(xi) = phi_hat(xi) sum_n a_{m,n} e^{-i x_n xi}``; the modulation
+    by ``e^{2 pi i m x}`` shifts it by ``2 pi m``, so on band ``j`` the
+    approximant's spectrum is ``sum_m I_hat_m(xi + 2 pi (j - m))``.
     """
     values = np.zeros(grid.nodes.shape, dtype=complex)
-    for coeffs in approx.coefficient_sets:
-        if not np.any(coeffs.values):
-            continue
-        shifted = grid.nodes + TWO_PI * (j - coeffs.band_index)
-        values += interpolant_spectral(coeffs, approx.family, approx.nodes, shifted)
+    for i, row in enumerate(approx.coefficients):
+        shifted = grid.nodes + TWO_PI * (j - i + approx.m_max)
+        phase = np.exp(-1j * np.outer(shifted, approx.nodes.values))
+        values += phi_spectral(approx.family, approx.alpha, shifted) * (phase @ row)
     return BandSpectrum(band_index=j, values=values)

@@ -165,7 +165,7 @@ def error_report(
     ).tolist()
 
     tail_f = signal.tail_bound(m_max)
-    coeff_l1 = sum(float(np.sum(np.abs(c.values))) for c in approx.coefficient_sets)
+    coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)
     tail_J = (
         np.sqrt(TWO_PI) * coeff_l1 * mj_tail_bound(family, alpha, j_cap - m_max)
         if coeff_l1 > 0.0
@@ -187,7 +187,6 @@ def error_report(
         rhs += float(np.sqrt(np.sum(grid.weights * np.abs(weight * fj) ** 2)))
     rhs += signal.tail_bound(j_cap)
 
-    condition = max(c.diagnostics.condition_estimate for c in approx.coefficient_sets)
     return ErrorReport(
         alpha=float(alpha),
         l2_error=l2_error,
@@ -195,10 +194,10 @@ def error_report(
         sup_error=sup_error,
         rhs_bound=float(rhs),
         bound_ratio=float(amalgam_error / rhs) if rhs > 0.0 else 0.0,
-        condition_estimate=condition,
+        condition_estimate=approx.condition_estimate,
         tail_slack_f=float(tail_f),
         tail_slack_J=float(tail_J),
-        precision_limited=condition > PRECISION_CAP,
+        precision_limited=approx.condition_estimate > PRECISION_CAP,
     )
 
 

@@ -222,20 +222,17 @@ def signal_spectrum(
 
 
 def sample_band_signal(
-    band: BandSpectrum | Sequence[BandSpectrum], grid: FrequencyGrid, nodes: NodeSet
+    bands: Sequence[BandSpectrum], grid: FrequencyGrid, nodes: NodeSet
 ) -> np.ndarray:
     """Values ``g_m(x_n)`` at the interpolation nodes by quadrature inversion.
 
-    A single band gives a vector over the nodes; a sequence of bands gives
-    one row per band (see `band_inverse`), each bit-identical to sampling
-    that band alone.
+    Gives one row per band over the nodes (see `band_inverse`), each
+    bit-identical to sampling that band alone.
 
     No ``2*pi*m`` modulation is applied here; the modulation factor enters
     when the approximant is assembled.
     """
-    single = isinstance(band, BandSpectrum)
-    rows = band_inverse([band] if single else list(band), grid, nodes.values)
-    return rows[0] if single else rows
+    return band_inverse(list(bands), grid, nodes.values)
 
 
 def reassemble_check(

@@ -138,9 +138,6 @@ class AmalgamSpectrum:
         if self.tail_estimate < 0:
             raise ContractError("tail_estimate must be nonnegative")
 
-    def band(self, m: int) -> BandSpectrum:
-        return self.bands[m + self.truncation_bound]
-
 
 @dataclass(frozen=True)
 class SpatialGrid:

@@ -91,10 +91,10 @@ def test_criterion_03_interpolation_exactness():
     for signal in pw.builtin_signals():
         for m in range(-4, 5):
             band = pw.band_slice(signal, m, grid)
-            samples = pw.sample_band_signal(band, grid, nodes)
-            coeffs = pw.solve_coefficients(family, 1.0, nodes, samples, band_index=m)
-            values = pw.interpolant_spatial(coeffs, family, nodes, nodes.values)
-            residual = float(np.max(np.abs(values - samples)))
+            samples = pw.sample_band_signal([band], grid, nodes)
+            approx = pw.solve_coefficients(family, 1.0, nodes, samples)
+            values = pw.evaluate_J(approx, nodes.values)
+            residual = float(np.max(np.abs(values - samples[0])))
             ok = ok and residual <= 1e-9 * (1.0 + float(np.max(np.abs(samples))))
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 10.0
@@ -112,11 +112,9 @@ def test_criterion_04_solver_matches_iterative_oracle():
         matrix = pw.collocation_matrix(family, 1.0, nodes)
         for m in (0, 1):
             band = pw.band_slice(signal, m, grid)
-            samples = pw.sample_band_signal(band, grid, nodes)
-            dense = pw.solve_coefficients(
-                family, 1.0, nodes, samples, band_index=m
-            ).values
-            oracle = conjugate_gradient_complex(matrix, samples, tol=1e-14)
+            samples = pw.sample_band_signal([band], grid, nodes)
+            dense = pw.solve_coefficients(family, 1.0, nodes, samples).coefficients[0]
+            oracle = conjugate_gradient_complex(matrix, samples[0], tol=1e-14)
             rel = np.linalg.norm(dense - oracle) / np.linalg.norm(dense)
             ok = ok and rel <= 1e-8
     elapsed = time.monotonic() - start
@@ -151,17 +149,15 @@ def test_criterion_07_single_band_signal_reduces_to_one_interpolant():
     family = pw.get_family("gaussian")
     nodes = pw.uniform_nodes(32)
     grid = pw.frequency_grid(256)
-    approx = pw.reconstruct(
-        pw.get_signal("tri_band"), family, 1.0, nodes, grid, m_max=4
-    )
-    side_bands_zero = all(
-        np.all(cs.values == 0.0)
-        for cs in approx.coefficient_sets
-        if cs.band_index != 0
-    )
+    signal = pw.get_signal("tri_band")
+    approx = pw.reconstruct(signal, family, 1.0, nodes, grid, m_max=4)
+    side_bands_zero = np.all(np.delete(approx.coefficients, approx.m_max, axis=0) == 0.0)
+    # A one-row solve of band 0 alone is the baseband interpolant.
+    samples = pw.sample_band_signal([pw.band_slice(signal, 0, grid)], grid, nodes)
+    interpolant = pw.solve_coefficients(family, 1.0, nodes, samples)
     xs = pw.spatial_grid(16.0, 20).points
     assembled = pw.evaluate_J(approx, xs)
-    baseband = pw.interpolant_spatial(approx.band(0), family, nodes, xs)
+    baseband = pw.evaluate_J(interpolant, xs)
     identical = float(np.max(np.abs(assembled - baseband))) == 0.0
     ok = side_bands_zero and identical
     assert record(7, ok, "single-band signal reduces to the baseband interpolant")

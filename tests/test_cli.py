@@ -125,6 +125,16 @@ def test_config_error_exits_2_without_manifest(tmp_path):
     assert not (out / "convergence.csv").exists()
 
 
+def test_negative_seed_exits_2_without_output(tmp_path):
+    payload = {"nodes": {"N": 8, "d": 0.1, "seed": -1}, "alpha_sweep": {"values": [1.0]}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    code, _, err = run_cli(["reconstruct", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert "nodes.seed must be >= 0" in err
+    assert not (out / "reconstruction.json").exists()
+
+
 def test_missing_config_exits_2(tmp_path):
     code, _, err = run_cli(["sweep", "--config", str(tmp_path / "nope.json")])
     assert code == 2

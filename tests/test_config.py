@@ -127,6 +127,13 @@ def test_node_count_must_be_positive():
     assert parse_config({"nodes": {"N": 1}}).t_int == 0.5
 
 
+def test_node_seed_must_be_nonnegative():
+    # numpy's generator rejects a negative seed only when perturbed nodes are drawn.
+    with pytest.raises(ConfigError, match=r"nodes\.seed must be >= 0"):
+        parse_config({"nodes": {"N": 8, "d": 0.1, "seed": -1}})
+    assert parse_config({"nodes": {"seed": 0}}).nodes_seed == 0
+
+
 def test_kadec_bound_named_at_config_time():
     with pytest.raises(ConfigError, match="Kadec"):
         parse_config({"nodes": {"d": 0.3}})

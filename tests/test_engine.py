@@ -15,9 +15,8 @@ from pwamalgam import (
     frequency_grid,
     get_family,
     get_signal,
-    interpolant_spatial,
-    interpolant_spectral,
     perturbed_nodes,
+    phi_spatial,
     reconstruct,
     sample_band_signal,
     solve_coefficients,
@@ -31,8 +30,8 @@ POISSON = get_family("poisson")
 
 
 def band_samples(signal_id: str, m: int, nodes, grid):
-    band = band_slice(get_signal(signal_id), m, grid)
-    return sample_band_signal(band, grid, nodes)
+    """One band's samples as a one-row stack: the baseband of a one-row solve."""
+    return sample_band_signal([band_slice(get_signal(signal_id), m, grid)], grid, nodes)
 
 
 def test_collocation_matrix_structure():
@@ -48,20 +47,20 @@ def test_interpolation_conditions_hold():
     grid = frequency_grid(256)
     nodes = uniform_nodes(16)
     samples = band_samples("gauss_pair", 0, nodes, grid)
-    coeffs = solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
-    at_nodes = interpolant_spatial(coeffs, GAUSSIAN, nodes, nodes.values)
+    approx = solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
+    at_nodes = evaluate_J(approx, nodes.values)
     scale = 1.0 + float(np.max(np.abs(samples)))
-    assert np.max(np.abs(at_nodes - samples)) <= 1e-9 * scale
-    assert coeffs.diagnostics.max_residual <= 1e-9 * scale
-    assert coeffs.diagnostics.condition_estimate > 1.0
+    assert np.max(np.abs(at_nodes - samples[0])) <= 1e-9 * scale
+    assert approx.residuals[0] <= 1e-9 * scale
+    assert approx.condition_estimate > 1.0
 
 
 def test_zero_samples_give_exact_zero_coefficients():
     nodes = uniform_nodes(8)
-    samples = np.zeros(nodes.count, dtype=complex)
-    coeffs = solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
-    assert np.all(coeffs.values == 0.0)
-    assert coeffs.diagnostics.max_residual == 0.0
+    samples = np.zeros((3, nodes.count), dtype=complex)
+    approx = solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
+    assert np.all(approx.coefficients == 0.0)
+    assert np.all(approx.residuals == 0.0)
 
 
 def test_solve_is_linear_in_samples():
@@ -71,27 +70,44 @@ def test_solve_is_linear_in_samples():
     c = 1.5 - 2.0j
     base = solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
     scaled = solve_coefficients(GAUSSIAN, 1.0, nodes, c * samples)
-    assert np.max(np.abs(scaled.values - c * base.values)) < 1e-12 * np.max(
-        np.abs(base.values)
+    assert np.max(np.abs(scaled.coefficients - c * base.coefficients)) < 1e-12 * np.max(
+        np.abs(base.coefficients)
     )
 
 
 def test_sample_count_mismatch_rejected():
     nodes = uniform_nodes(4)
-    with pytest.raises(ContractError):
-        solve_coefficients(GAUSSIAN, 1.0, nodes, np.zeros(3, dtype=complex))
+    for shape in ((1, 3), (3, 10)):
+        with pytest.raises(ContractError):
+            solve_coefficients(GAUSSIAN, 1.0, nodes, np.zeros(shape, dtype=complex))
 
 
-def test_stacked_solve_needs_one_band_index_per_row():
-    grid = frequency_grid(128)
+@pytest.mark.parametrize("shape", [(9,), (2, 9)], ids=["1-D", "even-rows"])
+def test_solve_needs_odd_stack_of_bands(shape):
     nodes = uniform_nodes(4)
-    samples = np.array([band_samples("gauss_pair", m, nodes, grid) for m in (0, 1)])
-    solved = solve_coefficients(GAUSSIAN, 1.0, nodes, samples, band_index=[0, 1])
-    assert [c.band_index for c in solved] == [0, 1]
     with pytest.raises(ContractError):
-        solve_coefficients(GAUSSIAN, 1.0, nodes, samples, band_index=[0, 1, 2])
+        solve_coefficients(GAUSSIAN, 1.0, nodes, np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "rows, cols, residuals, bad",
+    [(2, 9, 2, False), (3, 8, 3, False), (3, 9, 2, False), (3, 9, 3, True)],
+    ids=["even-rows", "wrong-cols", "residual-length", "non-finite"],
+)
+def test_approximant_contract(rows, cols, residuals, bad):
+    nodes = uniform_nodes(4)
+    coefficients = np.zeros((rows, cols), dtype=complex)
+    if bad:
+        coefficients[1, 2] = np.nan
     with pytest.raises(ContractError):
-        solve_coefficients(GAUSSIAN, 1.0, nodes, samples, band_index=0)
+        Approximant(
+            alpha=1.0,
+            family=GAUSSIAN,
+            nodes=nodes,
+            coefficients=coefficients,
+            condition_estimate=1.0,
+            residuals=np.zeros(residuals),
+        )
 
 
 def test_conditioning_breakdown_raises():
@@ -111,8 +127,8 @@ def test_precision_limited_solves_return():
     grid = frequency_grid(128)
     nodes = uniform_nodes(32)
     samples = band_samples("gauss_pair", 0, nodes, grid)
-    coeffs = solve_coefficients(GAUSSIAN, 3.0, nodes, samples)
-    assert coeffs.diagnostics.condition_estimate > PRECISION_CAP
+    approx = solve_coefficients(GAUSSIAN, 3.0, nodes, samples)
+    assert approx.condition_estimate > PRECISION_CAP
 
 
 def test_accuracy_error_below_cap():
@@ -130,6 +146,15 @@ def test_accuracy_error_below_cap():
     assert excinfo.value.condition_estimate <= PRECISION_CAP
 
 
+def test_accuracy_error_names_band_not_row():
+    # With M_max=3 the first row over the forced tolerance is row 3, which
+    # holds band 0: the message must name the band.
+    grid = frequency_grid(128)
+    with pytest.raises(AccuracyError) as excinfo:
+        reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, uniform_nodes(8), grid, 3, tol=1e-15)
+    assert "for band 0 at alpha=1.0" in str(excinfo.value)
+
+
 @pytest.mark.parametrize(
     "family, alpha",
     [(GAUSSIAN, a) for a in (0.5, 1.75, 2.5, 3.0)] + [(POISSON, a) for a in (1.0, 4.0, 8.0)],
@@ -139,8 +164,8 @@ def test_condition_estimate_matches_svd(family, alpha, perturbed):
     # Oracle: the singular-value ratio of np.linalg.cond. Gaussian alpha=3
     # sits above PRECISION_CAP at N=32 and must stay there.
     nodes = perturbed_nodes(32, 0.2, 7, symmetric=False) if perturbed else uniform_nodes(32)
-    solved = solve_coefficients(family, alpha, nodes, np.zeros(nodes.count, dtype=complex))
-    estimate = solved.diagnostics.condition_estimate
+    solved = solve_coefficients(family, alpha, nodes, np.zeros((1, nodes.count), dtype=complex))
+    estimate = solved.condition_estimate
     condition = np.linalg.cond(collocation_matrix(family, alpha, nodes))
     eps = np.finfo(float).eps
     assert abs(estimate - condition) / condition <= 64 * eps * condition
@@ -153,8 +178,8 @@ def test_dense_solve_matches_cg_oracle():
     matrix = collocation_matrix(GAUSSIAN, 1.0, nodes)
     for m in (0, 1):
         samples = band_samples("gauss_pair", m, nodes, grid)
-        dense = solve_coefficients(GAUSSIAN, 1.0, nodes, samples).values
-        iterative = conjugate_gradient_complex(matrix, samples, tol=1e-13)
+        dense = solve_coefficients(GAUSSIAN, 1.0, nodes, samples).coefficients[0]
+        iterative = conjugate_gradient_complex(matrix, samples[0], tol=1e-13)
         rel = np.max(np.abs(dense - iterative)) / np.max(np.abs(dense))
         assert rel < 1e-8
 
@@ -164,8 +189,8 @@ def test_reconstruct_assembles_all_bands():
     nodes = uniform_nodes(8)
     approx = reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, nodes, grid, 2)
     assert approx.m_max == 2
-    assert [c.band_index for c in approx.coefficient_sets] == [-2, -1, 0, 1, 2]
-    assert approx.band(-2).band_index == -2
+    assert approx.coefficients.shape == (5, nodes.count)
+    assert approx.residuals.shape == (5,)
     with pytest.raises(ContractError):
         reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, nodes, grid, -1)
 
@@ -177,30 +202,14 @@ def test_batched_reconstruct_matches_single_band_solves():
     grid = frequency_grid(128)
     nodes = uniform_nodes(8)
     approx = reconstruct(get_signal("two_band"), GAUSSIAN, 1.0, nodes, grid, 3)
-    for coeffs in approx.coefficient_sets:
-        samples = band_samples("two_band", coeffs.band_index, nodes, grid)
-        single = solve_coefficients(
-            GAUSSIAN, 1.0, nodes, samples, band_index=coeffs.band_index
-        )
-        assert np.array_equal(coeffs.values, single.values)
-        assert coeffs.diagnostics == single.diagnostics
-    empty = [c for c in approx.coefficient_sets if c.band_index not in (0, 1)]
-    assert all(np.all(c.values == 0.0) for c in empty)
-
-
-def test_approximant_coverage_validated():
-    grid = frequency_grid(128)
-    nodes = uniform_nodes(4)
-    approx = reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, nodes, grid, 1)
-    shuffled = (
-        approx.coefficient_sets[1],
-        approx.coefficient_sets[0],
-        approx.coefficient_sets[2],
-    )
-    with pytest.raises(ContractError):
-        Approximant(
-            alpha=1.0, family=GAUSSIAN, nodes=nodes, coefficient_sets=shuffled
-        )
+    for i, row in enumerate(approx.coefficients):
+        samples = band_samples("two_band", i - approx.m_max, nodes, grid)
+        single = solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
+        assert np.array_equal(row, single.coefficients[0])
+        assert approx.residuals[i] == single.residuals[0]
+        assert approx.condition_estimate == single.condition_estimate
+    empty = [i for i in range(7) if i - approx.m_max not in (0, 1)]
+    assert np.all(approx.coefficients[empty] == 0.0)
 
 
 def test_evaluate_j_sums_modulated_bands():
@@ -208,34 +217,34 @@ def test_evaluate_j_sums_modulated_bands():
     nodes = uniform_nodes(8)
     approx = reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, nodes, grid, 2)
     xs = np.array([-0.9, 0.0, 1.3])
+    kernel = phi_spatial(GAUSSIAN, 1.0, xs[:, None] - nodes.values[None, :])
     manual = np.zeros(3, dtype=complex)
-    for coeffs in approx.coefficient_sets:
-        part = interpolant_spatial(coeffs, GAUSSIAN, nodes, xs)
-        manual += np.exp(2j * np.pi * coeffs.band_index * xs) * part
+    for i, row in enumerate(approx.coefficients):
+        manual += np.exp(2j * np.pi * (i - approx.m_max) * xs) * (kernel @ row)
     assert np.max(np.abs(evaluate_J(approx, xs) - manual)) < 1e-14
     scalar = evaluate_J(approx, 0.0)
     assert isinstance(scalar, complex)
     assert scalar == evaluate_J(approx, np.array([0.0]))[0]
 
 
-def test_interpolant_spectral_matches_spatial_quadrature():
-    # The closed-form transform of the interpolant agrees with a direct
+def test_j_spectrum_band_matches_spatial_quadrature():
+    # The closed-form transform of a band interpolant agrees with a direct
     # windowed transform of its spatial values; the gaussian tails beyond
-    # |x| = 40 are far below the tolerance.
+    # |x| = 40 are far below the tolerance. A one-row approximant is that
+    # interpolant, and its band-j spectrum samples the transform at xi + 2 pi j.
     grid = frequency_grid(128)
     nodes = uniform_nodes(4)
-    samples = band_samples("gauss_pair", 0, nodes, grid)
-    coeffs = solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
+    approx = solve_coefficients(GAUSSIAN, 1.0, nodes, band_samples("gauss_pair", 0, nodes, grid))
     xs, ws = np.polynomial.legendre.leggauss(800)
     xs = 40.0 * xs
     ws = 40.0 * ws
-    spatial_values = interpolant_spatial(coeffs, GAUSSIAN, nodes, xs)
-    for xi in (0.0, 1.0, np.pi - 0.1):
-        direct = (2 * np.pi) ** -0.5 * np.sum(
-            ws * spatial_values * np.exp(-1j * xi * xs)
-        )
-        closed = interpolant_spectral(coeffs, GAUSSIAN, nodes, xi)
-        assert abs(direct - closed) < 1e-6
+    spatial_values = evaluate_J(approx, xs)
+    for j in (-1, 0, 1):
+        closed = J_spectrum_band(approx, j, grid).values
+        for k in (0, 40, 64, 100, 127):
+            xi = grid.nodes[k] + 2 * np.pi * j
+            direct = (2 * np.pi) ** -0.5 * np.sum(ws * spatial_values * np.exp(-1j * xi * xs))
+            assert abs(direct - closed[k]) < 1e-6
 
 
 def test_j_spectrum_band_consistent_with_spatial_values():

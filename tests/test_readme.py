@@ -1,0 +1,26 @@
+"""The README's Quick start runs against the current API."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.DOTALL)
+    assert len(blocks) == 1, "Quick start must hold exactly one python block"
+    return blocks[0]
+
+
+def test_quick_start_runs():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(quick_start_block(), str(README), "exec"), {"__name__": "quick_start"})
+    lines = out.getvalue().splitlines()
+    # One pointwise error, then one line per alpha of the sweep.
+    assert len(lines) == 1 + 4
+    assert float(lines[0]) < 1e-3

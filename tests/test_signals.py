@@ -147,7 +147,7 @@ def test_sample_band_signal_oracle():
     grid = frequency_grid(256)
     nodes = uniform_nodes(4)
     band = band_slice(get_signal("gauss_pair"), 0, grid)
-    samples = sample_band_signal(band, grid, nodes)
+    samples = sample_band_signal([band], grid, nodes)[0]
     assert samples[4] == pytest.approx(GAUSS_SAMPLE_0, rel=1e-12)
     # Real even band: samples are real and even in the node index.
     assert np.max(np.abs(samples.imag)) < 1e-15
@@ -161,7 +161,7 @@ def test_stacked_sampling_matches_single_bands():
     stacked = sample_band_signal(bands, grid, nodes)
     assert stacked.shape == (5, nodes.count)
     for row, band in zip(stacked, bands):
-        assert np.array_equal(row, sample_band_signal(band, grid, nodes))
+        assert np.array_equal(row, sample_band_signal([band], grid, nodes)[0])
     with pytest.raises(ContractError):
         sample_band_signal([], grid, nodes)
 
@@ -170,7 +170,7 @@ def test_sample_band_grid_mismatch():
     grid = frequency_grid(64)
     band = band_slice(get_signal("gauss_pair"), 0, frequency_grid(32))
     with pytest.raises(ContractError):
-        sample_band_signal(band, grid, uniform_nodes(2))
+        sample_band_signal([band], grid, uniform_nodes(2))
 
 
 def test_reassembly_closed_forms():
