@@ -32,11 +32,13 @@ from .kernels import (
     RegularityReport,
     RegularityTolerances,
     big_M,
+    condition_bound,
     get_family,
     m_alpha,
     mj_tail_bound,
     phi_spatial,
     phi_spectral,
+    precision_boundary,
     regularity_verdict,
     verify_regularity,
 )
@@ -91,6 +93,7 @@ __all__ = [
     "big_M",
     "builtin_signals",
     "collocation_matrix",
+    "condition_bound",
     "error_report",
     "evaluate_J",
     "frequency_grid",
@@ -105,6 +108,7 @@ __all__ = [
     "perturbed_nodes",
     "phi_spatial",
     "phi_spectral",
+    "precision_boundary",
     "reassemble_check",
     "reconstruct",
     "regularity_verdict",

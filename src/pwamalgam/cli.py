@@ -29,6 +29,12 @@ written exactly when the run completes, whether clean or with flagged rows.
 The ``output.formats`` list gates the data tables: ``"csv"`` enables the CSV
 files, ``"json"`` enables JSON mirrors of the same rows; the manifest and
 ``reconstruction.json`` are always written when their run completes.
+
+Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
+``alpha`` in the family's domain where the Toeplitz condition bound crosses
+the precision cap (null if it never does), and ``sweep`` and ``reconstruct``
+record ``condition_source``, where the condition estimates came from
+(``"toeplitz_symbol"`` on integer nodes, ``"eigvalsh"`` otherwise).
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .engine import evaluate_J, reconstruct
+from .engine import PRECISION_CAP, condition_source, evaluate_J, reconstruct
 from .errors import (
     AccuracyError,
     ConditioningError,
@@ -55,7 +61,12 @@ from .errors import (
     ContractError,
     DomainError,
 )
-from .kernels import RegularityTolerances, regularity_verdict, verify_regularity
+from .kernels import (
+    RegularityTolerances,
+    precision_boundary,
+    regularity_verdict,
+    verify_regularity,
+)
 from .metrics import sweep as run_sweep
 from .metrics import truncated_signal_values
 from .signals import builtin_signals, signal_spectrum
@@ -169,7 +180,7 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
 
     xi_grid = list(reports[0].h3_profile)
     header = (
-        ["alpha", "delta_estimate", "m_alpha", "h2_ratio"]
+        ["alpha", "delta_estimate", "m_alpha", "h2_ratio", "condition_bound"]
         + [f"h3_ratio_at_{xi!r}" for xi in xi_grid]
         + ["pass_A2", "pass_A3", "pass_H2", "pass_H3"]
     )
@@ -179,6 +190,7 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
             report.delta_estimate,
             report.m_alpha,
             report.h2_ratio,
+            report.condition_bound,
             *[report.h3_profile[xi] for xi in xi_grid],
             report.pass_a2,
             report.pass_a3,
@@ -196,7 +208,11 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
         _write_json(outdir / "regularity.json", payload)
         files.append("regularity.json")
     files.append("manifest.json")
-    checks = {**verdict, "all_pass": all(verdict.values())}
+    checks = {
+        **verdict,
+        "all_pass": all(verdict.values()),
+        "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
+    }
     _write_manifest(outdir, "verify-family", config, files, checks)
     return 0 if checks["all_pass"] else 1
 
@@ -219,11 +235,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     timer = _StageTimer()
     config = load_config(args.config)
     outdir = _outdir(args, config)
+    nodes = config.make_nodes()
     inputs = (
         config.make_signal(),
         config.make_family(),
         config.alpha_values(),
-        config.make_nodes(),
+        nodes,
         config.make_grid(),
         config.make_spatial_grid(),
     )
@@ -245,6 +262,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "failed_rows": sum(1 for r in reports if r.flags),
         "precision_limited_rows": sum(1 for r in reports if r.precision_limited),
         "excluded_rows": len(reports) - len(trusted),
+        "condition_source": condition_source(nodes),
         "embedding_l2_le_amalgam": all(
             r.l2_error <= r.amalgam_error + 1e-10 for r in trusted
         ),
@@ -335,6 +353,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "alpha": alphas[0],
         "points": len(xs),
         "max_pointwise_error": max(errors, default=0.0),
+        "condition_source": condition_source(nodes),
         "quadrature_refinement_factor": config.quadrature_refinement,
         "quadrature_drift": _quadrature_drift(config),
     }

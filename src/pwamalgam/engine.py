@@ -18,15 +18,22 @@ kernels differs from the per-vector ones, and near the precision cap the
 sweep amplifies such differences far beyond machine precision.
 
 Numerical policy: the matrix is factorized by Cholesky; its 2-norm condition
-number is always estimated and reported. Because the matrix is symmetric, the
-estimate is ``max|lambda| / min|lambda|`` over its eigenvalues (one
-``eigvalsh`` per ``alpha``), which equals the singular-value ratio; beyond
-about 1e15 it is rounding noise and only serves to flag the row. Runs whose condition estimate
-exceeds ``PRECISION_CAP`` are flagged "precision_limited" downstream rather
-than failed, and the interpolation-residual tolerance is not enforced there
-(the attainable residual scales with the condition number, so enforcement
-would turn a reporting concern into a spurious hard failure). Loss of
-positive definiteness raises `ConditioningError`.
+number is always estimated and reported, from one of two sources (see
+`condition_source`). On the integer nodes ``x_n = n`` the matrix
+``phi_alpha(j - k)`` is Toeplitz: it is built from one row of ``2N+1`` kernel
+values, and the estimate is the symbol ratio ``sigma(0) / sigma(pi)`` of
+`kernels.condition_bound`, an upper bound that needs no decomposition and
+does not saturate near ``1/eps``. It is conservative for small ``N`` (up to
+about twice the true value at ``N = 32``). On perturbed nodes, whose Kadec
+bounds are not explicit, the estimate is ``max|lambda| / min|lambda|`` over
+the eigenvalues (one ``eigvalsh`` per ``alpha``), which equals the
+singular-value ratio; beyond about 1e15 it is rounding noise and only serves
+to flag the row. Runs whose condition estimate exceeds ``PRECISION_CAP`` are
+flagged "precision_limited" downstream rather than failed, and the
+interpolation-residual tolerance is not enforced there (the attainable
+residual scales with the condition number, so enforcement would turn a
+reporting concern into a spurious hard failure). Loss of positive
+definiteness raises `ConditioningError`.
 """
 
 from __future__ import annotations
@@ -34,10 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
 
 from .errors import AccuracyError, ConditioningError, ContractError
-from .kernels import InterpolatorFamily, phi_spatial, phi_spectral
+from .kernels import InterpolatorFamily, condition_bound, phi_spatial, phi_spectral
 from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
 from .spectral import TWO_PI, BandSpectrum, FrequencyGrid
@@ -80,9 +87,21 @@ class Approximant:
 def collocation_matrix(
     family: InterpolatorFamily, alpha: float, nodes: NodeSet
 ) -> np.ndarray:
-    """The symmetric positive-definite matrix ``phi_alpha(x_j - x_k)``."""
-    diffs = nodes.values[:, None] - nodes.values[None, :]
-    return phi_spatial(family, alpha, diffs)
+    """The symmetric positive-definite matrix ``phi_alpha(x_j - x_k)``.
+
+    On integer nodes it is the Toeplitz matrix of ``phi_alpha(0..2N)``:
+    ``j - k`` is exact and both kernels are exactly even, so this equals the
+    difference build bit for bit.
+    """
+    values = nodes.values
+    if nodes.is_uniform:
+        return toeplitz(phi_spatial(family, alpha, values - values[0]))
+    return phi_spatial(family, alpha, values[:, None] - values[None, :])
+
+
+def condition_source(nodes: NodeSet) -> str:
+    """Where `solve_coefficients` takes its condition estimate from on `nodes`."""
+    return "toeplitz_symbol" if nodes.is_uniform else "eigvalsh"
 
 
 def solve_coefficients(
@@ -95,7 +114,8 @@ def solve_coefficients(
     """Solve the collocation system for a ``(2M+1, nodes)`` stack of band samples.
 
     Row ``i`` of `samples` is band ``i - M``. The matrix is built, its
-    condition estimated and factorized once for all rows.
+    condition estimated (from the source `condition_source` names) and
+    factorized once for all rows.
 
     All-zero samples short-circuit to exactly zero coefficients (the
     homogeneous system), preserving exact zeros for signals with empty bands;
@@ -117,12 +137,16 @@ def solve_coefficients(
         raise ContractError("samples need one row per band -M..M and one value per node")
     family.check_alpha(alpha)
     matrix = collocation_matrix(family, alpha, nodes)
-    # The matrix is exactly symmetric, so its singular values are the magnitudes
-    # of its eigenvalues: max|lambda| / min|lambda| is the 2-norm condition number
-    # at about half the cost of an SVD. A zero eigenvalue gives inf, silently.
-    magnitudes = np.abs(np.linalg.eigvalsh(matrix))
-    with np.errstate(divide="ignore"):
-        condition = float(magnitudes.max() / magnitudes.min())
+    if nodes.is_uniform:
+        condition = condition_bound(family, alpha)
+    else:
+        # The matrix is exactly symmetric, so its singular values are the
+        # magnitudes of its eigenvalues: max|lambda| / min|lambda| is the 2-norm
+        # condition number at about half the cost of an SVD. A zero eigenvalue
+        # gives inf, silently.
+        magnitudes = np.abs(np.linalg.eigvalsh(matrix))
+        with np.errstate(divide="ignore"):
+            condition = float(magnitudes.max() / magnitudes.min())
     nonzero = [i for i, row in enumerate(stacked) if np.any(row)]
     coeffs = np.zeros(stacked.shape, dtype=complex)
     residuals = np.zeros(len(stacked))

@@ -15,6 +15,15 @@ infimum, the summability of the band suprema (explicit head plus analytic
 tail), the ratio ``sum_{j!=0} M_j / m_alpha``, and the decay of the weight
 ``m_alpha / phi_hat_alpha(xi)`` over a grid of interior frequencies.
 
+On the integer nodes ``x_n = n`` the collocation matrix ``phi_alpha(j - k)``
+is a finite section of a Toeplitz matrix whose symbol, by Poisson summation,
+is ``sigma(xi) = sqrt(2 pi) sum_j phi_hat_alpha(xi + 2 pi j)``. For these
+even, decreasing spectra the symbol is largest at ``xi = 0`` and smallest at
+``xi = pi``, where ``sigma(pi) = sqrt(2 pi) 2 sum_{j>=1} M_j``. Every
+eigenvalue of every finite section lies in ``[sigma(pi), sigma(0)]``
+(Grenander-Szego), so `condition_bound` returns ``sigma(0) / sigma(pi)`` as
+an upper bound on its 2-norm condition number.
+
 Integrability and continuity of the kernels and their transforms are analytic
 facts of the two families, documented here and not machine-checked.
 """
@@ -106,7 +115,8 @@ _FAMILIES = {
     "gaussian": InterpolatorFamily(
         family_id="gaussian",
         # Domain top motivated by conditioning: the collocation symbol ratio
-        # grows like e^{alpha pi^2} and crosses 1e12 just above alpha = 3.
+        # grows like e^{alpha pi^2}; it crosses 1e12 at alpha ~ 2.870 and
+        # reads 3.6e12 at alpha = 3.
         alpha_domain=(0.5, 3.0),
         _spatial=_gaussian_spatial,
         _spectral=_gaussian_spectral,
@@ -114,6 +124,9 @@ _FAMILIES = {
     ),
     "poisson": InterpolatorFamily(
         family_id="poisson",
+        # The symbol ratio is cosh(alpha pi): it crosses 1e12 at
+        # acosh(1e12) / pi ~ 9.016, and at alpha = 16 (3.4e21) the Cholesky
+        # factorization of the collocation matrix breaks down (N = 32).
         alpha_domain=(0.5, 16.0),
         _spatial=_poisson_spatial,
         _spectral=_poisson_spectral,
@@ -185,6 +198,47 @@ def mj_tail_bound(family: InterpolatorFamily, alpha: float, j_max: int) -> float
     return family._mj_tail(alpha, j_max)
 
 
+def condition_bound(
+    family: InterpolatorFamily, alpha: float, j_max: int = DEFAULT_J_MAX
+) -> float:
+    """Upper bound ``sigma(0) / sigma(pi)`` on the condition number on integer nodes.
+
+    Holds for the collocation matrix ``phi_alpha(j - k)`` of any size; the
+    common factor ``sqrt(2 pi)`` cancels. Both symbol values sum the explicit
+    head ``|j| <= j_max``, and the analytic tail bound is added to
+    ``sigma(0)`` only (``phi_hat(2 pi j) <= M_j``), so the ratio stays an upper
+    bound. A ``sigma(pi)`` that underflows gives inf, silently.
+    """
+    shifts = 2.0 * np.pi * np.arange(1, j_max + 1)
+    top = phi_spectral(family, alpha, 0.0) + 2.0 * float(
+        np.sum(phi_spectral(family, alpha, shifts))
+    )
+    bottom = 2.0 * sum(big_M(family, alpha, j) for j in range(1, j_max + 1))
+    with np.errstate(divide="ignore"):
+        return float(np.float64(top + mj_tail_bound(family, alpha, j_max)) / bottom)
+
+
+def precision_boundary(family: InterpolatorFamily, cap: float) -> float | None:
+    """The ``alpha`` in the family's domain where `condition_bound` crosses `cap`.
+
+    The bound increases with ``alpha``, so bisection brackets the crossing to
+    rounding. Returns the domain bottom when the bound already exceeds `cap`
+    there, and None when it stays at or below `cap` over the whole domain.
+    """
+    lo, hi = family.alpha_domain
+    if condition_bound(family, hi) <= cap:
+        return None
+    if condition_bound(family, lo) > cap:
+        return float(lo)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if condition_bound(family, mid) > cap:
+            hi = mid
+        else:
+            lo = mid
+    return float(hi)
+
+
 @dataclass(frozen=True)
 class RegularityTolerances:
     """Thresholds used when certifying a family at one alpha."""
@@ -199,6 +253,8 @@ class RegularityTolerances:
 class RegularityReport:
     """Numeric certificate for one alpha.
 
+    `condition_bound` bounds the condition number of the collocation matrix
+    on integer nodes (see `condition_bound`).
     `h3_profile` maps each grid frequency to ``m_alpha / phi_hat_alpha(xi)``;
     `pass_h3` means every profile entry strictly decreased from the previous
     alpha in the sweep (vacuously true for the first report). The final-value
@@ -211,6 +267,7 @@ class RegularityReport:
     m_values: dict[int, float]
     mj_tail: float
     h2_ratio: float
+    condition_bound: float
     h3_profile: dict[float, float]
     pass_a2: bool
     pass_a3: bool
@@ -230,7 +287,8 @@ def verify_regularity(
     Per alpha: the base-band infimum is estimated on a uniform grid and
     cross-checked against the analytic edge value (agreement to 1e-12
     relative is enforced), the band suprema are summed explicitly up to
-    `j_max` with the analytic tail bound, and the decay weight is profiled
+    `j_max` with the analytic tail bound, the Toeplitz condition bound is
+    taken from the same suprema and tail, and the decay weight is profiled
     over `xi_grid`.
 
     Returns
@@ -269,6 +327,7 @@ def verify_regularity(
                 m_values=m_values,
                 mj_tail=tail,
                 h2_ratio=float(h2_ratio),
+                condition_bound=condition_bound(family, alpha, j_max),
                 h3_profile=profile,
                 pass_a2=delta_estimate > 0.0,
                 pass_a3=tail < tolerances.a3_tail_rel * head,

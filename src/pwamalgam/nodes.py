@@ -42,6 +42,17 @@ class NodeSet:
     def count(self) -> int:
         return 2 * self.half_width + 1
 
+    @property
+    def is_uniform(self) -> bool:
+        """True when the nodes are exactly the integers ``-N..N``.
+
+        Exact equality, not ``perturbation_bound == 0``: the constructor
+        allows 1e-15 of slack, and only exact integers make the collocation
+        matrix Toeplitz.
+        """
+        n = np.arange(-self.half_width, self.half_width + 1)
+        return bool(np.array_equal(self.values, n))
+
 
 def uniform_nodes(half_width: int) -> NodeSet:
     """Integer nodes ``x_n = n`` for ``|n| <= half_width``."""

@@ -7,8 +7,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from pwamalgam import parse_config
+from pwamalgam import condition_bound, get_family, parse_config
 from pwamalgam.cli import main
+
+GAUSSIAN = get_family("gaussian")
 
 SMALL_SWEEP = {
     "family": {"id": "gaussian"},
@@ -219,15 +221,38 @@ def test_verify_family_passes_full_domain(tmp_path):
     code, _, _ = run_cli(["verify-family", "--config", cfg, "--out", str(out)])
     assert code == 0
     header, rows = csv_rows(out / "regularity.csv")
-    assert header[:4] == ["alpha", "delta_estimate", "m_alpha", "h2_ratio"]
+    assert header[:5] == ["alpha", "delta_estimate", "m_alpha", "h2_ratio", "condition_bound"]
     assert header[-4:] == ["pass_A2", "pass_A3", "pass_H2", "pass_H3"]
     assert any(column.startswith("h3_ratio_at_") for column in header)
     for row in rows:
         assert row["pass_A2"] == "True"
         assert float(row["delta_estimate"]) > 0
+        assert float(row["condition_bound"]) == condition_bound(GAUSSIAN, float(row["alpha"]))
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["checks"]["all_pass"] is True
     assert "regularity.json" not in manifest["files"]  # csv-only config
+
+
+@pytest.mark.parametrize(
+    "family, low, high",
+    [
+        ({"id": "gaussian"}, 2.86, 2.88),
+        ({"id": "poisson"}, np.arccosh(1e12) / np.pi - 1e-12, np.arccosh(1e12) / np.pi + 1e-12),
+        ({"id": "gaussian", "alpha_domain": [0.5, 2.0]}, None, None),
+    ],
+    ids=["gaussian", "poisson", "below-cap"],
+)
+def test_verify_family_reports_precision_boundary(tmp_path, family, low, high):
+    payload = {"family": family, "alpha_sweep": {"values": [0.5, 1.0]}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    run_cli(["verify-family", "--config", cfg, "--out", str(out)])
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    boundary = manifest["checks"]["precision_boundary_alpha"]
+    if low is None:
+        assert boundary is None
+    else:
+        assert low < boundary < high
 
 
 def test_verify_family_shallow_sweep_fails(tmp_path):
@@ -374,6 +399,25 @@ def test_reconstruct_complex_signal_reports_both_parts(tmp_path):
     (point,) = json.loads((out / "reconstruction.json").read_text(encoding="utf-8"))
     assert point["f"][1] != 0.0  # genuinely complex reference
     assert point["error"] < 1e-2
+
+
+@pytest.mark.parametrize("d, source", [(0.0, "toeplitz_symbol"), (0.1, "eigvalsh")])
+def test_manifest_records_condition_source(tmp_path, d, source):
+    nodes = {"N": 16, "d": d, "seed": 3}
+    sweep_cfg = write_config(tmp_path, {**SMALL_SWEEP, "nodes": nodes})
+    rec_payload = {**RECONSTRUCT_BASE, "nodes": nodes, "alpha_sweep": {"values": [1.0]}}
+    rec_cfg = write_config(tmp_path, rec_payload, "rec.json")
+    runs = {
+        "sweep": ["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "sweep")],
+        "reconstruct": [
+            "reconstruct", "--config", rec_cfg, "--out", str(tmp_path / "reconstruct"),
+            "--eval-points", "0",
+        ],
+    }
+    for name, args in runs.items():
+        assert run_cli(args)[0] == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["checks"]["condition_source"] == source
 
 
 def test_manifest_records_stage_timings(tmp_path):

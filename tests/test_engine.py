@@ -11,6 +11,7 @@ from pwamalgam import (
     J_spectrum_band,
     band_slice,
     collocation_matrix,
+    condition_bound,
     evaluate_J,
     frequency_grid,
     get_family,
@@ -41,6 +42,18 @@ def test_collocation_matrix_structure():
     assert np.array_equal(matrix, matrix.T)
     assert np.all(np.diag(matrix) == 1.0)
     assert matrix[0, 1] == pytest.approx(np.exp(-0.25), rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "family, alpha", [(GAUSSIAN, 1.0), (GAUSSIAN, 3.0), (POISSON, 0.5), (POISSON, 16.0)]
+)
+@pytest.mark.parametrize("half_width", [0, 1, 8, 32, 256])
+def test_toeplitz_build_matches_difference_build(family, alpha, half_width):
+    # Integer nodes take the one-row Toeplitz build; it must equal the dense
+    # build from all (2N+1)^2 differences bit for bit.
+    values = uniform_nodes(half_width).values
+    dense = phi_spatial(family, alpha, values[:, None] - values[None, :])
+    assert np.array_equal(collocation_matrix(family, alpha, uniform_nodes(half_width)), dense)
 
 
 def test_interpolation_conditions_hold():
@@ -118,7 +131,10 @@ def test_conditioning_breakdown_raises():
     samples = band_samples("gauss_pair", 0, nodes, grid)
     with pytest.raises(ConditioningError) as excinfo:
         solve_coefficients(POISSON, 16.0, nodes, samples)
-    assert excinfo.value.condition_estimate > 1e15
+    # On integer nodes the estimate is the poisson symbol ratio cosh(alpha pi),
+    # not the rounding noise an eigenvalue solver returns at this size.
+    expected = np.cosh(16.0 * np.pi)
+    assert abs(excinfo.value.condition_estimate - expected) <= 1e-12 * expected
 
 
 def test_precision_limited_solves_return():
@@ -138,12 +154,15 @@ def test_accuracy_error_below_cap():
     with pytest.raises(AccuracyError) as excinfo:
         solve_coefficients(GAUSSIAN, 2.5, nodes, samples, tol=1e-15)
     assert excinfo.value.residual > 0
-    # The estimate comes from the eigenvalues, not an SVD: both give the
-    # 2-norm condition number, to rounding that grows like eps * cond.
+    # On integer nodes the estimate is the Toeplitz symbol bound: at or above
+    # the 2-norm condition number (to rounding that grows like eps * cond),
+    # and still below the cap, so the residual tolerance is enforced.
+    estimate = excinfo.value.condition_estimate
+    assert estimate == condition_bound(GAUSSIAN, 2.5)
     condition = np.linalg.cond(collocation_matrix(GAUSSIAN, 2.5, nodes))
     eps = np.finfo(float).eps
-    assert abs(excinfo.value.condition_estimate - condition) / condition <= 64 * eps * condition
-    assert excinfo.value.condition_estimate <= PRECISION_CAP
+    assert estimate >= condition * (1 - 64 * eps * condition)
+    assert estimate <= PRECISION_CAP
 
 
 def test_accuracy_error_names_band_not_row():
@@ -161,15 +180,49 @@ def test_accuracy_error_names_band_not_row():
 )
 @pytest.mark.parametrize("perturbed", [False, True])
 def test_condition_estimate_matches_svd(family, alpha, perturbed):
-    # Oracle: the singular-value ratio of np.linalg.cond. Gaussian alpha=3
-    # sits above PRECISION_CAP at N=32 and must stay there.
-    nodes = perturbed_nodes(32, 0.2, 7, symmetric=False) if perturbed else uniform_nodes(32)
-    solved = solve_coefficients(family, alpha, nodes, np.zeros((1, nodes.count), dtype=complex))
-    estimate = solved.condition_estimate
-    condition = np.linalg.cond(collocation_matrix(family, alpha, nodes))
+    # Oracle: the singular-value ratio of np.linalg.cond. Perturbed nodes take
+    # the eigenvalue ratio, which agrees to rounding. Integer nodes take the
+    # Toeplitz symbol bound: never below the oracle (every case here has
+    # cond < 1e14, where the oracle is still trustworthy), and within 5% of it
+    # at N=256. Gaussian alpha=3 sits above PRECISION_CAP at N=32 and must
+    # stay there; these alphas keep both numbers on the same side of the cap.
     eps = np.finfo(float).eps
-    assert abs(estimate - condition) / condition <= 64 * eps * condition
-    assert (estimate > PRECISION_CAP) == (condition > PRECISION_CAP)
+    for half_width in (32,) if perturbed else (32, 128, 256):
+        if perturbed:
+            nodes = perturbed_nodes(half_width, 0.2, 7, symmetric=False)
+        else:
+            nodes = uniform_nodes(half_width)
+        zeros = np.zeros((1, nodes.count), dtype=complex)
+        estimate = solve_coefficients(family, alpha, nodes, zeros).condition_estimate
+        condition = np.linalg.cond(collocation_matrix(family, alpha, nodes))
+        assert (estimate > PRECISION_CAP) == (condition > PRECISION_CAP)
+        if perturbed:
+            assert abs(estimate - condition) / condition <= 64 * eps * condition
+        else:
+            assert estimate >= condition * (1 - 64 * eps * condition)
+            if half_width == 256:
+                assert estimate <= 1.05 * condition
+
+
+def test_condition_path_follows_the_nodes(monkeypatch):
+    # Integer nodes need no eigendecomposition; perturbed nodes need one per
+    # alpha. Only the solve is counted: building a frequency grid calls
+    # eigvalsh too, inside leggauss.
+    grid = frequency_grid(128)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return eigvalsh(matrix)
+
+    for nodes, expected in ((uniform_nodes(16), 0), (perturbed_nodes(16, 0.2, 7), 1)):
+        samples = band_samples("gauss_pair", 0, nodes, grid)
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
+        monkeypatch.undo()
+        assert len(calls) == expected
 
 
 def test_dense_solve_matches_cg_oracle():

@@ -10,11 +10,13 @@ from pwamalgam import (
     DomainError,
     RegularityTolerances,
     big_M,
+    condition_bound,
     get_family,
     m_alpha,
     mj_tail_bound,
     phi_spatial,
     phi_spectral,
+    precision_boundary,
     regularity_verdict,
     verify_regularity,
 )
@@ -116,6 +118,37 @@ def test_spatial_closed_forms():
     assert phi_spatial(get_family("poisson"), 2.0, 2.0) == pytest.approx(
         0.25, rel=1e-14
     )
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 4.0, 8.0, 12.0, 16.0])
+def test_condition_bound_poisson_closed_form(alpha):
+    # sigma(0) = pi coth(alpha pi) and sigma(pi) = pi / sinh(alpha pi), so the
+    # symbol ratio is cosh(alpha pi) across the whole domain.
+    expected = np.cosh(alpha * np.pi)
+    assert abs(condition_bound(get_family("poisson"), alpha) - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0, 1.75])
+def test_condition_bound_gaussian_spatial_oracle(alpha):
+    # The spatial side of Poisson summation: sigma(xi) = sum_k phi(k) e^{-ik xi}.
+    # The alternating sum for sigma(pi) cancels to about 1/cond of its terms,
+    # so rounding limits this oracle to alpha <= 1.75 at 1e-9.
+    family = get_family("gaussian")
+    k = np.arange(-100, 101)
+    values = phi_spatial(family, alpha, k.astype(float))
+    expected = np.sum(values) / np.sum((-1.0) ** k * values)
+    assert abs(condition_bound(family, alpha) - expected) <= 1e-9 * expected
+
+
+def test_precision_boundary():
+    cap = 1e12
+    poisson = precision_boundary(get_family("poisson"), cap)
+    assert abs(poisson - np.arccosh(cap) / np.pi) <= 1e-12
+    assert 2.86 < precision_boundary(get_family("gaussian"), cap) < 2.88
+    # A domain wholly below the crossing has none; one wholly above it
+    # crosses at its bottom.
+    assert precision_boundary(get_family("gaussian", (0.5, 2.0)), cap) is None
+    assert precision_boundary(get_family("gaussian", (3.0, 3.5)), cap) == 3.0
 
 
 def test_h2_ratio_values():

@@ -17,6 +17,16 @@ def test_uniform_nodes_are_integers():
         uniform_nodes(-1)
 
 
+def test_uniform_means_exact_integers():
+    # perturbation_bound 0 still admits 1e-15 of slack; only exact integers
+    # count as uniform (they make the collocation matrix Toeplitz).
+    assert uniform_nodes(4).is_uniform
+    assert perturbed_nodes(4, 0.0, seed=1).is_uniform
+    assert not perturbed_nodes(4, 0.1, seed=1).is_uniform
+    slack = NodeSet(half_width=1, values=np.array([-1.0, 1e-16, 1.0]), perturbation_bound=0.0)
+    assert not slack.is_uniform
+
+
 def test_kadec_bound_named_in_rejection():
     with pytest.raises(DomainError, match="Kadec"):
         perturbed_nodes(8, 0.3, seed=0)
