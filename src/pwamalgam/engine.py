@@ -23,8 +23,14 @@ number is always estimated and reported, from one of two sources (see
 ``phi_alpha(j - k)`` is Toeplitz: it is built from one row of ``2N+1`` kernel
 values, and the estimate is the symbol ratio ``sigma(0) / sigma(pi)`` of
 `kernels.condition_bound`, an upper bound that needs no decomposition and
-does not saturate near ``1/eps``. It is conservative for small ``N`` (up to
-about twice the true value at ``N = 32``). On perturbed nodes, whose Kadec
+does not saturate near ``1/eps``. It does not depend on ``N``, so it
+overestimates the condition number of a small matrix, and the more so the
+smaller ``N``: about twice the true value at ``N = 32``, seventeen times at
+``N = 16`` and without limit as ``N`` shrinks (gaussian ``alpha = 3`` reads
+3.6e12 at every ``N``, while its ``3 x 3`` matrix at ``N = 1`` has condition
+about 300). A small uniform run can therefore be flagged precision-limited,
+with its residual tolerance unenforced, although its matrix is well
+conditioned. On perturbed nodes, whose Kadec
 bounds are not explicit, the estimate is ``max|lambda| / min|lambda|`` over
 the eigenvalues (one ``eigvalsh`` per ``alpha``), which equals the
 singular-value ratio; beyond about 1e15 it is rounding noise and only serves
@@ -137,7 +143,7 @@ def solve_coefficients(
         raise ContractError("samples need one row per band -M..M and one value per node")
     family.check_alpha(alpha)
     matrix = collocation_matrix(family, alpha, nodes)
-    if nodes.is_uniform:
+    if condition_source(nodes) == "toeplitz_symbol":
         condition = condition_bound(family, alpha)
     else:
         # The matrix is exactly symmetric, so its singular values are the

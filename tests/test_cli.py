@@ -7,8 +7,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from pwamalgam import condition_bound, get_family, parse_config
+from pwamalgam import condition_bound, get_family, parse_config, precision_boundary
 from pwamalgam.cli import main
+from pwamalgam.engine import PRECISION_CAP
 
 GAUSSIAN = get_family("gaussian")
 
@@ -230,29 +231,10 @@ def test_verify_family_passes_full_domain(tmp_path):
         assert float(row["condition_bound"]) == condition_bound(GAUSSIAN, float(row["alpha"]))
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["checks"]["all_pass"] is True
-    assert "regularity.json" not in manifest["files"]  # csv-only config
-
-
-@pytest.mark.parametrize(
-    "family, low, high",
-    [
-        ({"id": "gaussian"}, 2.86, 2.88),
-        ({"id": "poisson"}, np.arccosh(1e12) / np.pi - 1e-12, np.arccosh(1e12) / np.pi + 1e-12),
-        ({"id": "gaussian", "alpha_domain": [0.5, 2.0]}, None, None),
-    ],
-    ids=["gaussian", "poisson", "below-cap"],
-)
-def test_verify_family_reports_precision_boundary(tmp_path, family, low, high):
-    payload = {"family": family, "alpha_sweep": {"values": [0.5, 1.0]}}
-    cfg = write_config(tmp_path, payload)
-    out = tmp_path / "run"
-    run_cli(["verify-family", "--config", cfg, "--out", str(out)])
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    # The crossing itself is checked against its oracles in test_kernels.
     boundary = manifest["checks"]["precision_boundary_alpha"]
-    if low is None:
-        assert boundary is None
-    else:
-        assert low < boundary < high
+    assert boundary == precision_boundary(GAUSSIAN, PRECISION_CAP)
+    assert "regularity.json" not in manifest["files"]  # csv-only config
 
 
 def test_verify_family_shallow_sweep_fails(tmp_path):

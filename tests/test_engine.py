@@ -147,6 +147,20 @@ def test_precision_limited_solves_return():
     assert approx.condition_estimate > PRECISION_CAP
 
 
+def test_small_uniform_solve_is_flagged_by_the_size_free_bound():
+    # The symbol bound does not depend on N. For the 3x3 matrix at N=1,
+    # gaussian alpha=3, it reads 3.6e12 against a true condition number of
+    # about 300, so the solve is flagged precision-limited and its residual
+    # tolerance is not enforced (with tol=0 any nonzero residual would raise
+    # below the cap). Kept on purpose: the estimate needs no decomposition.
+    nodes = uniform_nodes(1)
+    samples = np.array([[1.0, -2.0, 0.5]])
+    approx = solve_coefficients(GAUSSIAN, 3.0, nodes, samples, tol=0.0)
+    assert approx.condition_estimate == condition_bound(GAUSSIAN, 3.0)
+    assert approx.condition_estimate > PRECISION_CAP
+    assert np.linalg.cond(collocation_matrix(GAUSSIAN, 3.0, nodes)) < 1e3
+
+
 def test_accuracy_error_below_cap():
     grid = frequency_grid(128)
     nodes = uniform_nodes(32)
