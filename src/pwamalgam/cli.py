@@ -18,14 +18,17 @@ success), 1 on numeric failure (a solve broke down or a sweep row failed),
 
 Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
 line endings, and shortest round-trip float formatting (``repr``), so two
-runs with the same config produce byte-identical tables. ``manifest.json``
-records the normalized config echo, library version, timestamp, environment
-(Python, numpy and scipy versions and the BLAS library), file listing,
-run-level checks and, for ``sweep`` and ``reconstruct``, the wall seconds of
-three stages under ``timings``: ``build`` (config and inputs), ``compute``
-(the sweep, or the reconstruction and its evaluation, plus the run checks)
-and ``write`` (the data files; the manifest itself is not timed). It is
-written exactly when the run completes, whether clean or with flagged rows.
+runs with the same config produce byte-identical tables. The JSON data files
+(``regularity.json``, ``convergence.json``, ``reconstruction.json``) hold a
+JSON array with one object per line, keys sorted. ``manifest.json`` is
+indented; it records the normalized config echo, library version,
+timestamp, environment (Python, numpy and scipy versions and the BLAS
+library), file listing, run-level checks and, for ``sweep`` and
+``reconstruct``, the wall seconds of three stages under ``timings``:
+``build`` (config and inputs), ``compute`` (the sweep, or the reconstruction
+and its evaluation, plus the run checks) and ``write`` (the data files; the
+manifest itself is not timed). It is written exactly when the run completes,
+whether clean or with flagged rows.
 The ``output.formats`` list gates the data tables: ``"csv"`` enables the CSV
 files, ``"json"`` enables JSON mirrors of the same rows; the manifest and
 ``reconstruction.json`` are always written when their run completes.
@@ -69,8 +72,8 @@ from .kernels import (
 )
 from .metrics import sweep as run_sweep
 from .metrics import truncated_signal_values
-from .signals import builtin_signals, signal_spectrum
-from .spectral import amalgam_norm, frequency_grid
+from .signals import TestSignal, builtin_signals, signal_spectrum
+from .spectral import FrequencyGrid, amalgam_norm, frequency_grid
 
 
 def _cell(value: object) -> str:
@@ -102,6 +105,17 @@ def _jsonable(value: object) -> object:
 
 def _write_json(path: Path, payload: object) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+# One encoder for every row: `json.dumps` with `indent` falls back to the
+# pure-Python encoder, and with keyword arguments builds a new encoder per call.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+def _write_rows(path: Path, rows: list[dict]) -> None:
+    """Write a data table as a JSON array with one object per line."""
+    body = ",\n".join(map(_ROW_ENCODER.encode, rows))
+    _write_text(path, f"[\n{body}\n]\n" if rows else "[]\n")
 
 
 def _environment() -> dict:
@@ -154,10 +168,11 @@ def _write_manifest(
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _quadrature_drift(config: ExperimentConfig) -> float:
-    """One-shot self-check: amalgam norm drift under grid refinement."""
-    signal = config.make_signal()
-    coarse = frequency_grid(config.points_per_band)
+def _quadrature_drift(
+    config: ExperimentConfig, signal: TestSignal, coarse: FrequencyGrid
+) -> float:
+    """One-shot self-check: amalgam norm drift from the run's `coarse` grid
+    to one refined by ``config.quadrature_refinement``."""
     fine = frequency_grid(config.points_per_band * config.quadrature_refinement)
     a = amalgam_norm(signal_spectrum(signal, coarse, config.m_max), coarse)
     b = amalgam_norm(signal_spectrum(signal, fine, config.m_max), fine)
@@ -205,7 +220,7 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
         files.append("regularity.csv")
     if "json" in config.out_formats:
         payload = [dict(zip(header, map(_jsonable, row))) for row in rows]
-        _write_json(outdir / "regularity.json", payload)
+        _write_rows(outdir / "regularity.json", payload)
         files.append("regularity.json")
     files.append("manifest.json")
     checks = {
@@ -235,13 +250,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     timer = _StageTimer()
     config = load_config(args.config)
     outdir = _outdir(args, config)
+    signal = config.make_signal()
     nodes = config.make_nodes()
+    grid = config.make_grid()
     inputs = (
-        config.make_signal(),
+        signal,
         config.make_family(),
         config.alpha_values(),
         nodes,
-        config.make_grid(),
+        grid,
         config.make_spatial_grid(),
     )
     timer.lap("build")
@@ -268,7 +285,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ),
         "errors_strictly_decreasing": decreasing,
         "quadrature_refinement_factor": config.quadrature_refinement,
-        "quadrature_drift": _quadrature_drift(config),
+        "quadrature_drift": _quadrature_drift(config, signal, grid),
     }
     timer.lap("compute")
     rows: list[list[object]] = [
@@ -295,7 +312,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             {**dict(zip(_SWEEP_HEADER, map(_jsonable, row))), "flags": list(r.flags)}
             for row, r in zip(rows, reports)
         ]
-        _write_json(outdir / "convergence.json", payload)
+        _write_rows(outdir / "convergence.json", payload)
         files.append("convergence.json")
     files.append("manifest.json")
     timer.lap("write")
@@ -324,7 +341,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         )
     outdir = _outdir(args, config)
     if args.eval_points is None:
-        xs = [float(x) for x in config.make_spatial_grid().points]
+        xs = config.make_spatial_grid().points.tolist()
     else:
         xs = _parse_eval_points(args.eval_points)
     xs.sort()
@@ -348,26 +365,29 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             f_vals = np.asarray(signal.f(xs_arr), dtype=complex)
         else:
             f_vals = truncated_signal_values(signal, grid, config.m_max, xs_arr)
-    errors = [float(abs(fv - jv)) for fv, jv in zip(f_vals, j_vals)]
+    errors = np.abs(f_vals - j_vals)
     checks = {
         "alpha": alphas[0],
         "points": len(xs),
-        "max_pointwise_error": max(errors, default=0.0),
+        "max_pointwise_error": float(errors.max(initial=0.0)),
         "condition_source": condition_source(nodes),
         "quadrature_refinement_factor": config.quadrature_refinement,
-        "quadrature_drift": _quadrature_drift(config),
+        "quadrature_drift": _quadrature_drift(config, signal, grid),
     }
     timer.lap("compute")
+    columns = zip(
+        xs,
+        f_vals.real.tolist(),
+        f_vals.imag.tolist(),
+        j_vals.real.tolist(),
+        j_vals.imag.tolist(),
+        errors.tolist(),
+    )
     points = [
-        {
-            "x": float(x),
-            "f": [float(fv.real), float(fv.imag)],
-            "J": [float(jv.real), float(jv.imag)],
-            "error": error,
-        }
-        for x, fv, jv, error in zip(xs, f_vals, j_vals, errors)
+        {"x": x, "f": [f_re, f_im], "J": [j_re, j_im], "error": error}
+        for x, f_re, f_im, j_re, j_im, error in columns
     ]
-    _write_json(outdir / "reconstruction.json", points)
+    _write_rows(outdir / "reconstruction.json", points)
     files = ["reconstruction.json", "manifest.json"]
     timer.lap("write")
     _write_manifest(outdir, "reconstruct", config, files, checks, timer.seconds)

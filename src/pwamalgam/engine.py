@@ -14,8 +14,10 @@ matrix depends on ``alpha`` and the nodes but not on the band, so each
 Likewise `evaluate_J` builds the kernel matrix ``phi_alpha(x - x_n)`` once
 and applies it band by band. Per-band products and solves are kept (rather
 than one matrix-matrix product) because the rounding of the blocked BLAS
-kernels differs from the per-vector ones, and near the precision cap the
-sweep amplifies such differences far beyond machine precision.
+kernels differs from the per-vector ones, and large coefficients magnify
+that difference: at ``N = 256`` and gaussian ``alpha = 2.5`` the
+coefficients' l1 mass is 3.1e8, and one real product over all bands in
+`evaluate_J` moved the sweep's ``amalgam_error`` by 1.49e-6 relative.
 
 Numerical policy: the matrix is factorized by Cholesky; its 2-norm condition
 number is always estimated and reported, from one of two sources (see

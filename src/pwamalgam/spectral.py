@@ -199,14 +199,19 @@ def band_inverse(
 
     Returns one row per band over the points `x`. All bands share one phase
     matrix, but each keeps its own matrix-vector product, so a row is
-    bit-identical to inverting that band alone.
+    bit-identical to inverting that band alone. An all-zero band gets a row
+    of exact zeros and no product.
     """
     if not bands:
         raise ContractError("at least one band is required")
     if any(b.values.shape != grid.nodes.shape for b in bands):
         raise ContractError("band size does not match grid size")
     phase = np.exp(1j * np.outer(x, grid.nodes))
-    return np.array([TWO_PI**-0.5 * (phase @ (grid.weights * b.values)) for b in bands])
+    rows = np.zeros((len(bands), len(phase)), dtype=complex)
+    for i, band in enumerate(bands):
+        if np.any(band.values):
+            rows[i] = TWO_PI**-0.5 * (phase @ (grid.weights * band.values))
+    return rows
 
 
 def inverse_ft_at(

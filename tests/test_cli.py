@@ -7,9 +7,17 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from pwamalgam import condition_bound, get_family, parse_config, precision_boundary
+from pwamalgam import (
+    condition_bound,
+    evaluate_J,
+    get_family,
+    parse_config,
+    precision_boundary,
+    reconstruct,
+)
 from pwamalgam.cli import main
 from pwamalgam.engine import PRECISION_CAP
+from pwamalgam.metrics import truncated_signal_values
 
 GAUSSIAN = get_family("gaussian")
 
@@ -78,6 +86,39 @@ def test_sweep_outputs_and_manifest(tmp_path):
     # JSON mirror carries the same rows.
     mirror = json.loads((out / "convergence.json").read_text(encoding="utf-8"))
     assert [row["alpha"] for row in mirror] == [0.75, 1.25]
+
+
+def json_rows(path):
+    """The objects of a one-object-per-line JSON array, each parsed alone."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "[" and lines[-2:] == ["]", ""]
+    rows = [json.loads(line.removesuffix(",")) for line in lines[1:-2]]
+    assert all(line.endswith(",") for line in lines[1:-3])
+    assert json.loads("\n".join(lines)) == rows
+    return rows
+
+
+def test_convergence_json_is_one_row_per_line(tmp_path):
+    payload = {
+        **SMALL_SWEEP,
+        "family": {"id": "poisson"},
+        "alpha_sweep": {"values": [8.0, 16.0]},
+        "nodes": {"N": 32},
+        "bands": {"M_max": 1, "points_per_band": 128},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    assert run_cli(["sweep", "--config", cfg, "--out", str(out)])[0] == 1
+    rows = json_rows(out / "convergence.json")
+    _, csv = csv_rows(out / "convergence.csv")
+    assert len(rows) == len(csv) == 2
+    for row, line in zip(rows, csv):
+        assert list(row) == sorted([*line, "flags"])
+        for key, text in line.items():
+            value = float(text) if text not in ("True", "False") else text == "True"
+            assert row[key] == value or (row[key] is None and text == "nan")
+    assert rows[0]["flags"] == []
+    assert rows[1]["flags"] and rows[1]["amalgam_error"] is None
 
 
 def test_csv_bytes_are_deterministic(tmp_path):
@@ -324,6 +365,36 @@ def test_reconstruct_pointwise_error_shrinks_with_alpha(tmp_path):
     assert all(v < 1e-8 for v in floors.values())
 
 
+def test_reconstruction_json_is_one_point_per_line(tmp_path):
+    payload = {
+        **RECONSTRUCT_BASE,
+        "alpha_sweep": {"values": [1.5]},
+        "nodes": {"N": 32, "d": 0.2, "seed": 4},
+        "signal": {"id": "two_band"},
+        "spatial": {"T_int": 4.0, "density": 10},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    assert run_cli(["reconstruct", "--config", cfg, "--out", str(out)])[0] == 0
+    text = (out / "reconstruction.json").read_text(encoding="utf-8")
+    rows = json_rows(out / "reconstruction.json")
+    assert len(rows) == 81 and len(text.splitlines()) == 81 + 2
+    assert all(list(row) == ["J", "error", "f", "x"] for row in rows)
+
+    config = parse_config(payload)
+    signal, grid = config.make_signal(), config.make_grid()
+    approx = reconstruct(
+        signal, config.make_family(), 1.5, config.make_nodes(), grid, config.m_max
+    )
+    xs = config.make_spatial_grid().points
+    J = evaluate_J(approx, xs)
+    f = truncated_signal_values(signal, grid, config.m_max, xs)  # no closed form
+    assert [row["x"] for row in rows] == xs.tolist()
+    assert [row["J"] for row in rows] == np.column_stack([J.real, J.imag]).tolist()
+    assert [row["f"] for row in rows] == np.column_stack([f.real, f.imag]).tolist()
+    assert [row["error"] for row in rows] == np.abs(f - J).tolist()
+
+
 def test_reconstruct_empty_points(tmp_path):
     payload = {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}}
     cfg = write_config(tmp_path, payload)
@@ -332,7 +403,7 @@ def test_reconstruct_empty_points(tmp_path):
         ["reconstruct", "--config", cfg, "--out", str(out), "--eval-points", ""]
     )
     assert code == 0
-    assert json.loads((out / "reconstruction.json").read_text(encoding="utf-8")) == []
+    assert (out / "reconstruction.json").read_text(encoding="utf-8") == "[]\n"
 
 
 def test_reconstruct_rejects_multi_alpha_and_bad_points(tmp_path):
@@ -420,3 +491,21 @@ def test_manifest_records_stage_timings(tmp_path):
         timings = manifest["timings"]
         assert set(timings) == {"build", "compute", "write"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+
+def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
+    # The drift check compares the run's grid against one refined twice; it
+    # must not build the run's grid a second time.
+    degrees = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(degree):
+        degrees.append(degree)
+        return leggauss(degree)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    payload = {"family": {"id": "gaussian"}, "alpha_sweep": {"values": [1.0]}}
+    cfg = write_config(tmp_path, payload)
+    args = ["reconstruct", "--config", cfg, "--out", str(tmp_path / "run"), "--eval-points", "0"]
+    assert run_cli(args)[0] == 0
+    assert sorted(degrees) == [128, 256]

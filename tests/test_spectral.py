@@ -18,7 +18,7 @@ from pwamalgam import (
     signal_spectrum,
     spatial_grid,
 )
-from pwamalgam.spectral import gauss_legendre
+from pwamalgam.spectral import TWO_PI, band_inverse, gauss_legendre
 
 # Oracle values, frozen from independent closed forms:
 # int_{-pi}^{pi} e^{-xi^2} dxi = sqrt(pi) erf(pi), so the band L2 norm of
@@ -140,6 +140,24 @@ def test_inverse_ft_scalar_matches_vector():
     vector = inverse_ft_at(spectrum, grid, np.array([0.7]))
     assert isinstance(scalar, complex)
     assert scalar == vector[0]
+
+
+def test_band_inverse_skips_zero_bands():
+    grid = frequency_grid(256)
+    xs = np.linspace(-8.0, 8.0, 161)
+    phase = np.exp(1j * np.outer(xs, grid.nodes))
+    bands = signal_spectrum(get_signal("two_band"), grid, 4).bands
+    rows = band_inverse(bands, grid, xs)
+    nonzero = [i for i, band in enumerate(bands) if np.any(band.values)]
+    assert len(nonzero) == 2
+    for i, band in enumerate(bands):
+        if i in nonzero:
+            expected = TWO_PI**-0.5 * (phase @ (grid.weights * band.values))
+            assert np.array_equal(rows[i], expected)
+        else:
+            assert not np.any(rows[i])
+    zero = band_inverse(signal_spectrum(get_signal("zero"), grid, 4).bands, grid, xs)
+    assert zero.shape == (9, xs.size) and not np.any(zero)
 
 
 def test_spatial_grid_shape():
