@@ -46,20 +46,17 @@ from .metrics import ErrorReport, error_report, sweep, truncated_signal_values
 from .nodes import NodeSet, perturbed_nodes, uniform_nodes
 from .signals import (
     TestSignal,
-    band_slice,
     builtin_signals,
     get_signal,
-    reassemble_check,
     sample_band_signal,
     signal_spectrum,
 )
 from .spectral import (
     AmalgamSpectrum,
-    BandSpectrum,
     FrequencyGrid,
     SpatialGrid,
     amalgam_norm,
-    band_l2_norm,
+    band_norms,
     frequency_grid,
     inverse_ft_at,
     l2_norm_parseval,
@@ -71,7 +68,6 @@ __all__ = [
     "AccuracyError",
     "AmalgamSpectrum",
     "Approximant",
-    "BandSpectrum",
     "ConditioningError",
     "ConfigError",
     "ContractError",
@@ -88,8 +84,7 @@ __all__ = [
     "SpatialGrid",
     "TestSignal",
     "amalgam_norm",
-    "band_l2_norm",
-    "band_slice",
+    "band_norms",
     "big_M",
     "builtin_signals",
     "collocation_matrix",
@@ -109,7 +104,6 @@ __all__ = [
     "phi_spatial",
     "phi_spectral",
     "precision_boundary",
-    "reassemble_check",
     "reconstruct",
     "regularity_verdict",
     "sample_band_signal",

@@ -181,7 +181,10 @@ def _quadrature_drift(
 
 def _outdir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     outdir = Path(args.out) if args.out else Path(config.out_directory)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {outdir}: {exc.strerror}") from exc
     return outdir
 
 

@@ -271,6 +271,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             data = json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -55,7 +55,7 @@ from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import InterpolatorFamily, condition_bound, phi_spatial, phi_spectral
 from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
-from .spectral import TWO_PI, BandSpectrum, FrequencyGrid
+from .spectral import TWO_PI, FrequencyGrid
 
 # Condition estimate beyond which solves are flagged instead of failed.
 PRECISION_CAP = 1e12
@@ -207,7 +207,7 @@ def reconstruct(
     ConditioningError, AccuracyError
         Propagated from the solve; an `AccuracyError` names the failing band.
     """
-    samples = sample_band_signal(signal_spectrum(signal, grid, m_max).bands, grid, nodes)
+    samples = sample_band_signal(signal_spectrum(signal, grid, m_max).values, grid, nodes)
     return solve_coefficients(family, alpha, nodes, samples, tol=tol)
 
 
@@ -235,8 +235,8 @@ def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarr
     return out
 
 
-def J_spectrum_band(approx: Approximant, j: int, grid: FrequencyGrid) -> BandSpectrum:
-    """Band-``j`` spectrum of ``J_alpha f`` in baseband coordinates.
+def J_spectrum_band(approx: Approximant, j: int, grid: FrequencyGrid) -> np.ndarray:
+    """Band-``j`` spectrum of ``J_alpha f`` in baseband coordinates, on `grid`.
 
     Band ``m``'s interpolant has the exact transform
     ``I_hat_m(xi) = phi_hat(xi) sum_n a_{m,n} e^{-i x_n xi}``; the modulation
@@ -248,4 +248,4 @@ def J_spectrum_band(approx: Approximant, j: int, grid: FrequencyGrid) -> BandSpe
         shifted = grid.nodes + TWO_PI * (j - i + approx.m_max)
         phase = np.exp(-1j * np.outer(shifted, approx.nodes.values))
         values += phi_spectral(approx.family, approx.alpha, shifted) * (phase @ row)
-    return BandSpectrum(band_index=j, values=values)
+    return values

@@ -124,9 +124,10 @@ _FAMILIES = {
     ),
     "poisson": InterpolatorFamily(
         family_id="poisson",
-        # The symbol ratio is cosh(alpha pi): it crosses 1e12 at
-        # acosh(1e12) / pi ~ 9.016, and at alpha = 16 (3.4e21) the Cholesky
-        # factorization of the collocation matrix breaks down (N = 32).
+        # The symbol ratio cosh(alpha pi) crosses 1e12 at acosh(1e12) / pi ~
+        # 9.016, so rows above are precision-limited. verify-family certifies
+        # the top, but from alpha ~ 13.25 (6e17) Cholesky breaks down and solves
+        # can raise ConditioningError (N = 32, 128, 256; perturbed N = 128).
         alpha_domain=(0.5, 16.0),
         _spatial=_poisson_spatial,
         _spectral=_poisson_spectral,

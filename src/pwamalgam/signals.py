@@ -18,21 +18,13 @@ always be accounted explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError
 from .nodes import NodeSet
-from .spectral import (
-    TWO_PI,
-    AmalgamSpectrum,
-    BandSpectrum,
-    FrequencyGrid,
-    SpatialGrid,
-    band_inverse,
-    inverse_ft_at,
-)
+from .spectral import TWO_PI, AmalgamSpectrum, FrequencyGrid, band_inverse
 
 
 @dataclass(frozen=True)
@@ -206,46 +198,24 @@ def get_signal(signal_id: str) -> TestSignal:
     raise ContractError(f"unknown signal {signal_id!r}")
 
 
-def band_slice(signal: TestSignal, m: int, grid: FrequencyGrid) -> BandSpectrum:
-    """Baseband piece of the signal's spectrum on band ``m``."""
-    return BandSpectrum(band_index=m, values=signal.fhat(grid.nodes + TWO_PI * m))
-
-
 def signal_spectrum(
     signal: TestSignal, grid: FrequencyGrid, m_max: int
 ) -> AmalgamSpectrum:
-    """Band-indexed spectrum of the signal truncated to ``|m| <= m_max``."""
-    bands = tuple(band_slice(signal, m, grid) for m in range(-m_max, m_max + 1))
-    return AmalgamSpectrum(
-        bands=bands, truncation_bound=m_max, tail_estimate=signal.tail_bound(m_max)
-    )
+    """The signal's spectrum truncated to ``|m| <= m_max`` (see `AmalgamSpectrum`)."""
+    xi = grid.nodes + TWO_PI * np.arange(-m_max, m_max + 1)[:, None]
+    return AmalgamSpectrum(signal.fhat(xi), signal.tail_bound(m_max))
 
 
 def sample_band_signal(
-    bands: Sequence[BandSpectrum], grid: FrequencyGrid, nodes: NodeSet
+    values: np.ndarray, grid: FrequencyGrid, nodes: NodeSet
 ) -> np.ndarray:
     """Values ``g_m(x_n)`` at the interpolation nodes by quadrature inversion.
 
-    Gives one row per band over the nodes (see `band_inverse`), each
-    bit-identical to sampling that band alone.
+    `values` holds one band per row, as in `AmalgamSpectrum`; the result holds
+    the same rows over the nodes (see `band_inverse`), each bit-identical to
+    sampling that band alone.
 
     No ``2*pi*m`` modulation is applied here; the modulation factor enters
     when the approximant is assembled.
     """
-    return band_inverse(list(bands), grid, nodes.values)
-
-
-def reassemble_check(
-    signal: TestSignal, grid: FrequencyGrid, m_max: int, x_grid: SpatialGrid
-) -> float:
-    """Max reassembly defect ``|f(x) - sum_m e^{2 pi i m x} g_m(x)|`` on the grid.
-
-    A discretization-floor diagnostic: with adequate quadrature and band
-    truncation the modulated baseband pieces must reproduce the closed-form
-    signal. Requires a signal with a spatial evaluator.
-    """
-    if signal.f is None:
-        raise ContractError(f"signal {signal.signal_id!r} has no spatial evaluator")
-    xs = x_grid.points
-    reassembled = inverse_ft_at(signal_spectrum(signal, grid, m_max), grid, xs)
-    return float(np.max(np.abs(signal.f(xs) - reassembled)))
+    return band_inverse(values, grid, nodes.values)

@@ -1,19 +1,21 @@
-"""Frequency grids, band-indexed spectra, and the three spectral norms.
+"""Frequency grids, truncated band spectra, and the three spectral norms.
 
 The Fourier convention throughout the library is
 
 .. math:: \\hat{g}(\\xi) = (2\\pi)^{-1/2} \\int g(x) e^{-ix\\xi} dx,
 
 with inversion using the conjugate kernel under the same normalization.
-Spectra are represented band by band: band ``m`` holds samples of the baseband
-function ``g_m(xi) = fhat(xi + 2*pi*m)`` for ``xi`` in ``[-pi, pi]``, so every
+A spectrum truncated to ``|m| <= M`` is one ``(2M+1, K)`` array on the
+``K``-point grid, laid out like the coefficients of an `Approximant`: row
+``m + M`` holds samples of the baseband function
+``g_m(xi) = fhat(xi + 2*pi*m)`` for ``xi`` in ``[-pi, pi]``, so every
 band-level computation happens in the same coordinates. Note that the slicing
 definition reads the sliced function as the Fourier transform ``fhat``; the
 band values are always frequency-side samples.
 
 Norms:
 
-- band L2 norm: quadrature of ``|g_m|^2`` over the base band,
+- band L2 norms: quadrature of ``|g_m|^2`` over the base band, one per row,
 - amalgam norm: sum of band L2 norms plus an analytic tail estimate,
 - Parseval L2 norm: root of the sum of squared band norms.
 """
@@ -21,7 +23,6 @@ Norms:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -103,40 +104,30 @@ def frequency_grid(points_per_band: int = 256, panels: int = 2) -> FrequencyGrid
 
 
 @dataclass(frozen=True)
-class BandSpectrum:
-    """Complex samples of one baseband piece ``g_m`` on a frequency grid.
-
-    `values[k]` is ``fhat(grid.nodes[k] + 2*pi*band_index)``, already shifted
-    to baseband coordinates.
-    """
-
-    band_index: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.values)):
-            raise ContractError("band values must be finite")
-
-
-@dataclass(frozen=True)
 class AmalgamSpectrum:
-    """Band-indexed spectrum truncated to ``|m| <= truncation_bound``.
+    """Spectrum truncated to ``|m| <= M``: row ``m + M`` of `values` is band ``m``.
 
-    `tail_estimate` is an analytic upper bound on the summed band L2 norms
-    beyond the truncation; it must come from the signal's known decay and is
-    never silently zero for signals with unbounded spectral support.
+    `values[m + M, k]` is ``fhat(grid.nodes[k] + 2*pi*m)``, already shifted
+    to baseband coordinates. `tail_estimate` is an analytic upper bound on
+    the summed band L2 norms beyond the truncation; it must come from the
+    signal's known decay and is never silently zero for signals with
+    unbounded spectral support.
     """
 
-    bands: tuple[BandSpectrum, ...]
-    truncation_bound: int
+    values: np.ndarray = field(repr=False)
     tail_estimate: float
 
     def __post_init__(self) -> None:
-        expected = list(range(-self.truncation_bound, self.truncation_bound + 1))
-        if [b.band_index for b in self.bands] != expected:
-            raise ContractError("bands must cover exactly -M_max..M_max in order")
+        if self.values.ndim != 2 or self.values.shape[0] % 2 == 0:
+            raise ContractError("values need one row per band -M..M")
+        if not np.all(np.isfinite(self.values)):
+            raise ContractError("band values must be finite")
         if self.tail_estimate < 0:
             raise ContractError("tail_estimate must be nonnegative")
+
+    @property
+    def m_max(self) -> int:
+        return (self.values.shape[0] - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -169,55 +160,50 @@ def spatial_grid(extent: float, density: int = 20) -> SpatialGrid:
     return SpatialGrid(extent=float(extent), points=np.linspace(-extent, extent, count))
 
 
-def band_l2_norm(spectrum: BandSpectrum, grid: FrequencyGrid) -> float:
-    """L2 norm of one band, ``sqrt(sum_k w_k |values_k|^2)``."""
-    if spectrum.values.shape != grid.nodes.shape:
+def band_norms(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> np.ndarray:
+    """L2 norm of each band, ``sqrt(sum_k w_k |values_{m,k}|^2)``, in row order."""
+    if spectrum.values.shape[1] != grid.points_per_band:
         raise ContractError("band size does not match grid size")
-    return float(np.sqrt(np.sum(grid.weights * np.abs(spectrum.values) ** 2)))
+    return np.sqrt(np.sum(grid.weights * np.abs(spectrum.values) ** 2, axis=1))
 
 
 def amalgam_norm(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
     """Amalgam norm: band L2 norms summed in ascending band order plus tail."""
     total = 0.0
-    for band in spectrum.bands:  # ascending m, fixed reduction order
-        total += band_l2_norm(band, grid)
+    for norm in band_norms(spectrum, grid):  # ascending m, fixed reduction order
+        total += float(norm)
     return total + spectrum.tail_estimate
 
 
 def l2_norm_parseval(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
     """Global L2 norm via Parseval: ``sqrt(sum_m ||g_m||^2 + tail^2)``."""
-    total = 0.0
-    for band in spectrum.bands:
-        total += band_l2_norm(band, grid) ** 2
-    return float(np.sqrt(total + spectrum.tail_estimate**2))
+    squares = np.sum(band_norms(spectrum, grid) ** 2)
+    return float(np.sqrt(squares + spectrum.tail_estimate**2))
 
 
-def band_inverse(
-    bands: Sequence[BandSpectrum], grid: FrequencyGrid, x: np.ndarray
-) -> np.ndarray:
+def band_inverse(values: np.ndarray, grid: FrequencyGrid, x: np.ndarray) -> np.ndarray:
     """Baseband pieces ``g_m(x) = (2*pi)^{-1/2} sum_k w_k values_{m,k} e^{i x xi_k}``.
 
-    Returns one row per band over the points `x`. All bands share one phase
-    matrix, but each keeps its own matrix-vector product, so a row is
-    bit-identical to inverting that band alone. An all-zero band gets a row
-    of exact zeros and no product.
+    `values` holds one band per row, as in `AmalgamSpectrum`; the result holds
+    the same rows over the points `x`. All bands share one phase matrix, but
+    each keeps its own matrix-vector product, so a row is bit-identical to
+    inverting that band alone. An all-zero band gets a row of exact zeros and
+    no product.
     """
-    if not bands:
-        raise ContractError("at least one band is required")
-    if any(b.values.shape != grid.nodes.shape for b in bands):
-        raise ContractError("band size does not match grid size")
+    if values.ndim != 2 or len(values) == 0 or values.shape[1] != grid.points_per_band:
+        raise ContractError("values need at least one band row of grid size")
     phase = np.exp(1j * np.outer(x, grid.nodes))
-    rows = np.zeros((len(bands), len(phase)), dtype=complex)
-    for i, band in enumerate(bands):
-        if np.any(band.values):
-            rows[i] = TWO_PI**-0.5 * (phase @ (grid.weights * band.values))
+    rows = np.zeros((len(values), len(phase)), dtype=complex)
+    for i, band in enumerate(values):
+        if np.any(band):
+            rows[i] = TWO_PI**-0.5 * (phase @ (grid.weights * band))
     return rows
 
 
 def inverse_ft_at(
     spectrum: AmalgamSpectrum, grid: FrequencyGrid, x: float | np.ndarray
 ) -> complex | np.ndarray:
-    """Inverse transform of a band-indexed spectrum at point(s) ``x``.
+    """Inverse transform of a truncated spectrum at point(s) ``x``.
 
     Computes ``sum_m e^{2 pi i m x} g_m(x)`` from the `band_inverse` rows,
     with the fixed summation order ascending m then ascending k.
@@ -229,8 +215,8 @@ def inverse_ft_at(
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.shape, dtype=complex)
-    for band, g_m in zip(spectrum.bands, band_inverse(spectrum.bands, grid, xs)):
-        out += np.exp(1j * TWO_PI * band.band_index * xs) * g_m
+    for m, g_m in enumerate(band_inverse(spectrum.values, grid, xs), -spectrum.m_max):
+        out += np.exp(1j * TWO_PI * m * xs) * g_m
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

@@ -89,9 +89,9 @@ def test_criterion_03_interpolation_exactness():
     grid = pw.frequency_grid(128)
     ok = True
     for signal in pw.builtin_signals():
+        bands = pw.signal_spectrum(signal, grid, 4).values
         for m in range(-4, 5):
-            band = pw.band_slice(signal, m, grid)
-            samples = pw.sample_band_signal([band], grid, nodes)
+            samples = pw.sample_band_signal(bands[m + 4 : m + 5], grid, nodes)
             approx = pw.solve_coefficients(family, 1.0, nodes, samples)
             values = pw.evaluate_J(approx, nodes.values)
             residual = float(np.max(np.abs(values - samples[0])))
@@ -105,14 +105,13 @@ def test_criterion_04_solver_matches_iterative_oracle():
     start = time.monotonic()
     family = pw.get_family("gaussian")
     grid = pw.frequency_grid(128)
-    signal = pw.get_signal("gauss_pair")
+    bands = pw.signal_spectrum(pw.get_signal("gauss_pair"), grid, 1).values
     ok = True
     for half_width in (8, 32):
         nodes = pw.uniform_nodes(half_width)
         matrix = pw.collocation_matrix(family, 1.0, nodes)
         for m in (0, 1):
-            band = pw.band_slice(signal, m, grid)
-            samples = pw.sample_band_signal([band], grid, nodes)
+            samples = pw.sample_band_signal(bands[m + 1 : m + 2], grid, nodes)
             dense = pw.solve_coefficients(family, 1.0, nodes, samples).coefficients[0]
             oracle = conjugate_gradient_complex(matrix, samples[0], tol=1e-14)
             rel = np.linalg.norm(dense - oracle) / np.linalg.norm(dense)
@@ -153,7 +152,8 @@ def test_criterion_07_single_band_signal_reduces_to_one_interpolant():
     approx = pw.reconstruct(signal, family, 1.0, nodes, grid, m_max=4)
     side_bands_zero = np.all(np.delete(approx.coefficients, approx.m_max, axis=0) == 0.0)
     # A one-row solve of band 0 alone is the baseband interpolant.
-    samples = pw.sample_band_signal([pw.band_slice(signal, 0, grid)], grid, nodes)
+    band0 = pw.signal_spectrum(signal, grid, 0).values
+    samples = pw.sample_band_signal(band0, grid, nodes)
     interpolant = pw.solve_coefficients(family, 1.0, nodes, samples)
     xs = pw.spatial_grid(16.0, 20).points
     assembled = pw.evaluate_J(approx, xs)

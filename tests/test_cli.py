@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +184,21 @@ def test_missing_config_exits_2(tmp_path):
     code, _, err = run_cli(["sweep", "--config", str(tmp_path / "nope.json")])
     assert code == 2
     assert "not found" in err
+
+
+@pytest.mark.parametrize("case", ["config-is-directory", "config-not-utf8", "out-is-file"])
+def test_unreadable_config_or_unusable_out_exits_2(tmp_path, case):
+    cfg = write_config(tmp_path, SMALL_SWEEP)
+    out = tmp_path / "run"
+    if case == "config-is-directory":
+        cfg = str(tmp_path)
+    elif case == "config-not-utf8":
+        Path(cfg).write_bytes(b'{"signal": {"id": "gauss_pair\xff"}}')
+    else:
+        out.write_text("not a directory", encoding="utf-8")
+    code, _, err = run_cli(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert err.startswith("error:")
 
 
 def test_solver_breakdown_rows_exit_1(tmp_path):

@@ -9,7 +9,6 @@ from pwamalgam import (
     ConditioningError,
     ContractError,
     J_spectrum_band,
-    band_slice,
     collocation_matrix,
     condition_bound,
     evaluate_J,
@@ -20,6 +19,7 @@ from pwamalgam import (
     phi_spatial,
     reconstruct,
     sample_band_signal,
+    signal_spectrum,
     solve_coefficients,
     uniform_nodes,
 )
@@ -32,7 +32,9 @@ POISSON = get_family("poisson")
 
 def band_samples(signal_id: str, m: int, nodes, grid):
     """One band's samples as a one-row stack: the baseband of a one-row solve."""
-    return sample_band_signal([band_slice(get_signal(signal_id), m, grid)], grid, nodes)
+    row = m + abs(m)  # band m of a spectrum truncated at |m|
+    values = signal_spectrum(get_signal(signal_id), grid, abs(m)).values
+    return sample_band_signal(values[row : row + 1], grid, nodes)
 
 
 def test_collocation_matrix_structure():
@@ -125,16 +127,18 @@ def test_approximant_contract(rows, cols, residuals, bad):
 
 def test_conditioning_breakdown_raises():
     # Deep in the poisson domain the collocation matrix loses numerical
-    # positive definiteness and the factorization must fail loudly.
+    # positive definiteness and the factorization must fail loudly: at the
+    # domain top, and from alpha ~ 13.25 below it (README, Conditioning).
     grid = frequency_grid(128)
-    nodes = uniform_nodes(32)
-    samples = band_samples("gauss_pair", 0, nodes, grid)
-    with pytest.raises(ConditioningError) as excinfo:
-        solve_coefficients(POISSON, 16.0, nodes, samples)
-    # On integer nodes the estimate is the poisson symbol ratio cosh(alpha pi),
-    # not the rounding noise an eigenvalue solver returns at this size.
-    expected = np.cosh(16.0 * np.pi)
-    assert abs(excinfo.value.condition_estimate - expected) <= 1e-12 * expected
+    for half_width, alpha in ((32, 16.0), (128, 14.0)):
+        nodes = uniform_nodes(half_width)
+        samples = band_samples("gauss_pair", 0, nodes, grid)
+        with pytest.raises(ConditioningError) as excinfo:
+            solve_coefficients(POISSON, alpha, nodes, samples)
+        # On integer nodes the estimate is the poisson symbol ratio
+        # cosh(alpha pi), not the rounding noise an eigenvalue solver returns.
+        expected = np.cosh(alpha * np.pi)
+        assert abs(excinfo.value.condition_estimate - expected) <= 1e-12 * expected
 
 
 def test_precision_limited_solves_return():
@@ -307,7 +311,7 @@ def test_j_spectrum_band_matches_spatial_quadrature():
     ws = 40.0 * ws
     spatial_values = evaluate_J(approx, xs)
     for j in (-1, 0, 1):
-        closed = J_spectrum_band(approx, j, grid).values
+        closed = J_spectrum_band(approx, j, grid)
         for k in (0, 40, 64, 100, 127):
             xi = grid.nodes[k] + 2 * np.pi * j
             direct = (2 * np.pi) ** -0.5 * np.sum(ws * spatial_values * np.exp(-1j * xi * xs))
@@ -327,5 +331,5 @@ def test_j_spectrum_band_consistent_with_spatial_values():
         for j in range(-j_cap, j_cap + 1):
             band = J_spectrum_band(approx, j, grid)
             phases = np.exp(1j * x * (grid.nodes + 2 * np.pi * j))
-            total += (2 * np.pi) ** -0.5 * np.sum(grid.weights * band.values * phases)
+            total += (2 * np.pi) ** -0.5 * np.sum(grid.weights * band * phases)
         assert abs(total - evaluate_J(approx, x)) < 1e-6

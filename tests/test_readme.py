@@ -1,4 +1,4 @@
-"""The README's Quick start runs against the current API."""
+"""The README's Quick start and the package export list match the current API."""
 
 import contextlib
 import io
@@ -24,3 +24,13 @@ def test_quick_start_runs():
     # One pointwise error, then one line per alpha of the sweep.
     assert len(lines) == 1 + 4
     assert float(lines[0]) < 1e-3
+
+
+def test_star_import_binds_every_exported_name():
+    import pwamalgam
+
+    namespace: dict[str, object] = {}
+    exec("from pwamalgam import *", namespace)
+    missing = [name for name in pwamalgam.__all__ if name not in namespace]
+    assert not missing
+    assert len(set(pwamalgam.__all__)) == len(pwamalgam.__all__)

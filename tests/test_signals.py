@@ -1,4 +1,4 @@
-"""Signal catalog: closed forms, band slicing, tails, reassembly."""
+"""Signal catalog: closed forms, band spectra, tails, sampling."""
 
 import numpy as np
 import pytest
@@ -8,17 +8,16 @@ from scipy.integrate import quad
 
 from pwamalgam import (
     ContractError,
-    band_l2_norm,
-    band_slice,
+    band_norms,
     builtin_signals,
     frequency_grid,
     get_signal,
-    reassemble_check,
     sample_band_signal,
     signal_spectrum,
     spatial_grid,
     uniform_nodes,
 )
+from pwamalgam.metrics import truncated_signal_values
 from pwamalgam.signals import _cauchy_band_norm_sq
 
 # Frozen closed-form values.
@@ -66,27 +65,18 @@ def test_real_signals_have_real_even_spectra(xi):
         assert plus == np.conj(minus)
 
 
-def test_band_slice_coordinates():
-    grid = frequency_grid(64)
-    sig = get_signal("cauchy_decay")
-    band = band_slice(sig, 3, grid)
-    assert band.band_index == 3
-    expected = sig.fhat(grid.nodes + 6 * np.pi)
-    assert np.array_equal(band.values, expected)
-
-
 def test_two_band_support():
-    grid = frequency_grid(128)
+    values = signal_spectrum(get_signal("two_band"), frequency_grid(128), 3).values
     for m in (-3, -2, -1, 2, 3):
-        assert not np.any(band_slice(get_signal("two_band"), m, grid).values)
+        assert not np.any(values[m + 3])
     for m in (0, 1):
-        assert np.any(band_slice(get_signal("two_band"), m, grid).values)
+        assert np.any(values[m + 3])
 
 
 def test_two_band_tail_bound_dominates_band_one():
     grid = frequency_grid(256)
     sig = get_signal("two_band")
-    norm_band1 = band_l2_norm(band_slice(sig, 1, grid), grid)
+    norm_band1 = band_norms(signal_spectrum(sig, grid, 1), grid)[2]
     assert sig.tail_bound(0) >= norm_band1
     assert sig.tail_bound(1) == 0.0
 
@@ -119,9 +109,7 @@ def test_cauchy_tail_bound_properties():
         assert sig.tail_bound(m_max) >= explicit
     # Amalgam membership at the default working truncation: the unseen tail
     # is below one percent of the total.
-    head = sum(
-        band_l2_norm(band_slice(sig, m, grid), grid) for m in range(-8, 9)
-    )
+    head = sum(band_norms(signal_spectrum(sig, grid, 8), grid))
     tail = sig.tail_bound(8)
     assert tail / (head + tail) < 0.01
 
@@ -138,16 +126,16 @@ def test_gauss_tail_bound_decays():
 def test_signal_spectrum_assembly():
     grid = frequency_grid(64)
     spectrum = signal_spectrum(get_signal("gauss_pair"), grid, 3)
-    assert spectrum.truncation_bound == 3
-    assert [b.band_index for b in spectrum.bands] == list(range(-3, 4))
+    assert spectrum.m_max == 3
+    assert spectrum.values.shape == (7, 64)
     assert spectrum.tail_estimate == get_signal("gauss_pair").tail_bound(3)
 
 
 def test_sample_band_signal_oracle():
     grid = frequency_grid(256)
     nodes = uniform_nodes(4)
-    band = band_slice(get_signal("gauss_pair"), 0, grid)
-    samples = sample_band_signal([band], grid, nodes)[0]
+    band = signal_spectrum(get_signal("gauss_pair"), grid, 0).values
+    samples = sample_band_signal(band, grid, nodes)[0]
     assert samples[4] == pytest.approx(GAUSS_SAMPLE_0, rel=1e-12)
     # Real even band: samples are real and even in the node index.
     assert np.max(np.abs(samples.imag)) < 1e-15
@@ -157,33 +145,43 @@ def test_sample_band_signal_oracle():
 def test_stacked_sampling_matches_single_bands():
     grid = frequency_grid(128)
     nodes = uniform_nodes(8)
-    bands = [band_slice(get_signal("two_band"), m, grid) for m in range(-2, 3)]
-    stacked = sample_band_signal(bands, grid, nodes)
+    values = signal_spectrum(get_signal("two_band"), grid, 2).values
+    stacked = sample_band_signal(values, grid, nodes)
     assert stacked.shape == (5, nodes.count)
-    for row, band in zip(stacked, bands):
-        assert np.array_equal(row, sample_band_signal([band], grid, nodes)[0])
+    for i, row in enumerate(stacked):
+        assert np.array_equal(row, sample_band_signal(values[i : i + 1], grid, nodes)[0])
     with pytest.raises(ContractError):
-        sample_band_signal([], grid, nodes)
+        sample_band_signal(values[:0], grid, nodes)
+    with pytest.raises(ContractError):
+        sample_band_signal(values[0], grid, nodes)
 
 
 def test_sample_band_grid_mismatch():
     grid = frequency_grid(64)
-    band = band_slice(get_signal("gauss_pair"), 0, frequency_grid(32))
+    band = signal_spectrum(get_signal("gauss_pair"), frequency_grid(32), 0).values
     with pytest.raises(ContractError):
-        sample_band_signal([band], grid, uniform_nodes(2))
+        sample_band_signal(band, grid, uniform_nodes(2))
 
 
 def test_reassembly_closed_forms():
     grid = frequency_grid(256)
-    x_grid = spatial_grid(4.0, 10)
+    x_grid = spatial_grid(4.0, 10).points
+
+    def defect(signal_id, m_max):
+        # The band-truncated signal against the closed spatial form.
+        signal = get_signal(signal_id)
+        values = truncated_signal_values(signal, grid, m_max, x_grid)
+        return np.max(np.abs(signal.f(x_grid) - values))
+
     # Compactly supported and rapidly decaying spectra reassemble to the
     # closed spatial forms at quadrature accuracy.
-    assert reassemble_check(get_signal("tri_band"), grid, 4, x_grid) < 1e-8
-    assert reassemble_check(get_signal("gauss_pair"), grid, 4, x_grid) < 1e-6
-    assert reassemble_check(get_signal("zero"), grid, 2, x_grid) == 0.0
+    assert defect("tri_band", 4) < 1e-8
+    assert defect("gauss_pair", 4) < 1e-6
+    assert defect("zero", 2) == 0.0
     # Polynomial decay converges slowly; the defect shrinks with the cut.
-    d4 = reassemble_check(get_signal("cauchy_decay"), grid, 4, x_grid)
-    d8 = reassemble_check(get_signal("cauchy_decay"), grid, 8, x_grid)
+    d4 = defect("cauchy_decay", 4)
+    d8 = defect("cauchy_decay", 8)
     assert d8 < d4 < 0.05
-    with pytest.raises(ContractError):
-        reassemble_check(get_signal("two_band"), grid, 2, x_grid)
+    # two_band is given only by its spectrum: there is no closed form to
+    # reassemble against.
+    assert get_signal("two_band").f is None

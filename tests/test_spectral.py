@@ -1,4 +1,4 @@
-"""Frequency grids, band spectra, and the three spectral norms."""
+"""Frequency grids, truncated band spectra, and the three spectral norms."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from pwamalgam import (
     AmalgamSpectrum,
-    BandSpectrum,
     ContractError,
     amalgam_norm,
-    band_l2_norm,
+    band_norms,
+    builtin_signals,
     frequency_grid,
     get_signal,
     inverse_ft_at,
@@ -18,6 +18,7 @@ from pwamalgam import (
     signal_spectrum,
     spatial_grid,
 )
+from pwamalgam.metrics import truncated_signal_values
 from pwamalgam.spectral import TWO_PI, band_inverse, gauss_legendre
 
 # Oracle values, frozen from independent closed forms:
@@ -64,30 +65,52 @@ def test_gauss_legendre_exact_to_its_degree(extent, panels, per_panel):
 
 def test_band_norm_gaussian_oracle():
     grid = frequency_grid(256)
-    band = BandSpectrum(band_index=0, values=np.exp(-grid.nodes**2 / 2.0) + 0j)
-    assert band_l2_norm(band, grid) == pytest.approx(GAUSS_BAND0_NORM, rel=1e-12)
+    values = (np.exp(-grid.nodes**2 / 2.0) + 0j)[None, :]
+    norms = band_norms(AmalgamSpectrum(values=values, tail_estimate=0.0), grid)
+    assert norms.shape == (1,)
+    assert norms[0] == pytest.approx(GAUSS_BAND0_NORM, rel=1e-12)
 
 
 def test_band_norm_constant_band():
     grid = frequency_grid(64)
-    band = BandSpectrum(band_index=3, values=np.ones(64, dtype=complex))
-    assert band_l2_norm(band, grid) == pytest.approx(SQRT_TWO_PI, rel=1e-13)
+    spectrum = AmalgamSpectrum(values=np.ones((7, 64), dtype=complex), tail_estimate=0.0)
+    assert band_norms(spectrum, grid)[6] == pytest.approx(SQRT_TWO_PI, rel=1e-13)
+    with pytest.raises(ContractError):
+        band_norms(spectrum, frequency_grid(32))
+
+
+@pytest.mark.parametrize("signal", builtin_signals(), ids=lambda s: s.signal_id)
+@pytest.mark.parametrize("points", [64, 256])
+def test_signal_spectrum_rows_are_band_slices(signal, points):
+    # Row m + M is band m: fhat on the grid shifted by 2 pi m, bit for bit,
+    # and its norm is the one-band reduction of that row.
+    grid = frequency_grid(points)
+    for m_max in (0, 1, 4, 8):
+        spectrum = signal_spectrum(signal, grid, m_max)
+        assert spectrum.values.shape == (2 * m_max + 1, points)
+        assert spectrum.m_max == m_max
+        norms = band_norms(spectrum, grid)
+        for m in range(-m_max, m_max + 1):
+            row = spectrum.values[m + m_max]
+            assert np.array_equal(row, signal.fhat(grid.nodes + TWO_PI * m))
+            assert norms[m + m_max] == np.sqrt(np.sum(grid.weights * np.abs(row) ** 2))
 
 
 def test_amalgam_spectrum_validates_band_cover():
-    grid = frequency_grid(32)
-    bands = tuple(
-        BandSpectrum(band_index=m, values=np.zeros(32, dtype=complex)) for m in (0, 1)
-    )
+    # Rows must cover -M..M: a 2-D array with an odd row count.
+    for values in (np.zeros(32, dtype=complex), np.zeros((2, 32), dtype=complex)):
+        with pytest.raises(ContractError):
+            AmalgamSpectrum(values=values, tail_estimate=0.0)
     with pytest.raises(ContractError):
-        AmalgamSpectrum(bands=bands, truncation_bound=1, tail_estimate=0.0)
-    with pytest.raises(ContractError):
-        AmalgamSpectrum(bands=bands[:1], truncation_bound=0, tail_estimate=-1.0)
+        AmalgamSpectrum(values=np.zeros((3, 32), dtype=complex), tail_estimate=-1.0)
 
 
 def test_band_values_must_be_finite():
-    with pytest.raises(ContractError):
-        BandSpectrum(band_index=0, values=np.array([1.0, np.inf], dtype=complex))
+    for bad in (np.nan, np.inf):
+        values = np.zeros((3, 32), dtype=complex)
+        values[1, 5] = bad
+        with pytest.raises(ContractError):
+            AmalgamSpectrum(values=values, tail_estimate=0.0)
 
 
 @given(
@@ -102,11 +125,8 @@ def test_band_values_must_be_finite():
 def test_parseval_below_amalgam(scales, tail):
     # l1-l2 inequality on band norms extends to the tail accounting.
     grid = frequency_grid(32)
-    bands = tuple(
-        BandSpectrum(band_index=m - 1, values=scales[m] * np.ones(32, dtype=complex))
-        for m in range(3)
-    )
-    spectrum = AmalgamSpectrum(bands=bands, truncation_bound=1, tail_estimate=tail)
+    values = np.array(scales, dtype=complex)[:, None] * np.ones(32)
+    spectrum = AmalgamSpectrum(values=values, tail_estimate=tail)
     assert l2_norm_parseval(spectrum, grid) <= amalgam_norm(spectrum, grid) + 1e-12
 
 
@@ -114,9 +134,7 @@ def test_amalgam_norm_includes_tail():
     grid = frequency_grid(32)
     spectrum = signal_spectrum(get_signal("zero"), grid, 1)
     assert amalgam_norm(spectrum, grid) == 0.0
-    with_tail = AmalgamSpectrum(
-        bands=spectrum.bands, truncation_bound=1, tail_estimate=0.25
-    )
+    with_tail = AmalgamSpectrum(values=spectrum.values, tail_estimate=0.25)
     assert amalgam_norm(with_tail, grid) == pytest.approx(0.25)
     assert l2_norm_parseval(with_tail, grid) == pytest.approx(0.25)
 
@@ -126,11 +144,9 @@ def test_inverse_ft_matches_closed_forms():
     xs = np.array([-1.5, 0.0, 0.4, 2.0])
     for signal_id in ("gauss_pair", "tri_band"):
         signal = get_signal(signal_id)
-        spectrum = signal_spectrum(signal, grid, 8)
-        values = inverse_ft_at(spectrum, grid, xs)
-        expected = signal.f(xs)
+        values = truncated_signal_values(signal, grid, 8, xs)
         # Mass beyond |m| = 8 is negligible for both signals.
-        assert np.max(np.abs(values - expected)) < 1e-10
+        assert np.max(np.abs(signal.f(xs) - values)) < 1e-10
 
 
 def test_inverse_ft_scalar_matches_vector():
@@ -146,17 +162,17 @@ def test_band_inverse_skips_zero_bands():
     grid = frequency_grid(256)
     xs = np.linspace(-8.0, 8.0, 161)
     phase = np.exp(1j * np.outer(xs, grid.nodes))
-    bands = signal_spectrum(get_signal("two_band"), grid, 4).bands
-    rows = band_inverse(bands, grid, xs)
-    nonzero = [i for i, band in enumerate(bands) if np.any(band.values)]
+    values = signal_spectrum(get_signal("two_band"), grid, 4).values
+    rows = band_inverse(values, grid, xs)
+    nonzero = [i for i, band in enumerate(values) if np.any(band)]
     assert len(nonzero) == 2
-    for i, band in enumerate(bands):
+    for i, band in enumerate(values):
         if i in nonzero:
-            expected = TWO_PI**-0.5 * (phase @ (grid.weights * band.values))
+            expected = TWO_PI**-0.5 * (phase @ (grid.weights * band))
             assert np.array_equal(rows[i], expected)
         else:
             assert not np.any(rows[i])
-    zero = band_inverse(signal_spectrum(get_signal("zero"), grid, 4).bands, grid, xs)
+    zero = band_inverse(signal_spectrum(get_signal("zero"), grid, 4).values, grid, xs)
     assert zero.shape == (9, xs.size) and not np.any(zero)
 
 
