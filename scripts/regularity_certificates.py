@@ -14,13 +14,7 @@ import sys
 
 import numpy as np
 
-from pwamalgam import (
-    RegularityTolerances,
-    get_family,
-    precision_boundary,
-    regularity_verdict,
-    verify_regularity,
-)
+from pwamalgam import get_family, precision_boundary, regularity_verdict, verify_regularity
 from pwamalgam.engine import PRECISION_CAP
 
 
@@ -28,9 +22,8 @@ def run_family(family_id: str, count: int) -> bool:
     family = get_family(family_id)
     lo, hi = family.alpha_domain
     sweep = [float(a) for a in np.linspace(lo, hi, count)]
-    tolerances = RegularityTolerances()
-    reports = verify_regularity(family, sweep, tolerances=tolerances)
-    verdict = regularity_verdict(reports, tolerances)
+    reports = verify_regularity(family, sweep)
+    verdict = regularity_verdict(reports)
 
     print(f"\n{family_id}: alpha in [{lo}, {hi}], {count} points")
     print(

@@ -30,7 +30,6 @@ from .errors import (
 from .kernels import (
     InterpolatorFamily,
     RegularityReport,
-    RegularityTolerances,
     big_M,
     condition_bound,
     get_family,
@@ -80,7 +79,6 @@ __all__ = [
     "NodeSet",
     "PwAmalgamError",
     "RegularityReport",
-    "RegularityTolerances",
     "SpatialGrid",
     "TestSignal",
     "amalgam_norm",

@@ -37,7 +37,9 @@ Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
 ``alpha`` in the family's domain where the Toeplitz condition bound crosses
 the precision cap (null if it never does), and ``sweep`` and ``reconstruct``
 record ``condition_source``, where the condition estimates came from
-(``"toeplitz_symbol"`` on integer nodes, ``"eigvalsh"`` otherwise).
+(``"toeplitz_symbol"`` on integer nodes, ``"eigvalsh"`` otherwise), and
+``quadrature_drift``, the signal's amalgam-norm change on a frequency grid
+refined by the fixed ``quadrature_refinement_factor`` (2).
 """
 
 from __future__ import annotations
@@ -64,12 +66,7 @@ from .errors import (
     ContractError,
     DomainError,
 )
-from .kernels import (
-    RegularityTolerances,
-    precision_boundary,
-    regularity_verdict,
-    verify_regularity,
-)
+from .kernels import precision_boundary, regularity_verdict, verify_regularity
 from .metrics import sweep as run_sweep
 from .metrics import truncated_signal_values
 from .signals import TestSignal, builtin_signals, signal_spectrum
@@ -168,12 +165,15 @@ def _write_manifest(
     _write_json(outdir / "manifest.json", manifest)
 
 
+QUADRATURE_REFINEMENT = 2
+
+
 def _quadrature_drift(
     config: ExperimentConfig, signal: TestSignal, coarse: FrequencyGrid
 ) -> float:
     """One-shot self-check: amalgam norm drift from the run's `coarse` grid
-    to one refined by ``config.quadrature_refinement``."""
-    fine = frequency_grid(config.points_per_band * config.quadrature_refinement)
+    to one refined by `QUADRATURE_REFINEMENT`."""
+    fine = frequency_grid(config.points_per_band * QUADRATURE_REFINEMENT)
     a = amalgam_norm(signal_spectrum(signal, coarse, config.m_max), coarse)
     b = amalgam_norm(signal_spectrum(signal, fine, config.m_max), fine)
     return abs(a - b) / (abs(b) or 1.0)
@@ -192,9 +192,8 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     outdir = _outdir(args, config)
     family = config.make_family()
-    tolerances = RegularityTolerances()
-    reports = verify_regularity(family, config.alpha_values(), tolerances=tolerances)
-    verdict = regularity_verdict(reports, tolerances)
+    reports = verify_regularity(family, config.alpha_values())
+    verdict = regularity_verdict(reports)
 
     xi_grid = list(reports[0].h3_profile)
     header = (
@@ -265,7 +264,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config.make_spatial_grid(),
     )
     timer.lap("build")
-    reports = run_sweep(*inputs, config.m_max, config.j_cap, tol=config.solver_tol)
+    reports = run_sweep(*inputs, config.m_max, config.j_cap)
     # The monotone checks read only trustworthy rows: failed rows carry no
     # errors, and precision-limited rows carry rounding noise.
     trusted = [r for r in reports if not r.flags and not r.precision_limited]
@@ -287,7 +286,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             r.l2_error <= r.amalgam_error + 1e-10 for r in trusted
         ),
         "errors_strictly_decreasing": decreasing,
-        "quadrature_refinement_factor": config.quadrature_refinement,
+        "quadrature_refinement_factor": QUADRATURE_REFINEMENT,
         "quadrature_drift": _quadrature_drift(config, signal, grid),
     }
     timer.lap("compute")
@@ -354,9 +353,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     nodes = config.make_nodes()
     grid = config.make_grid()
     timer.lap("build")
-    approx = reconstruct(
-        signal, family, alphas[0], nodes, grid, config.m_max, tol=config.solver_tol
-    )
+    approx = reconstruct(signal, family, alphas[0], nodes, grid, config.m_max)
     xs_arr = np.asarray(xs, dtype=float)
     f_vals = j_vals = np.zeros(0, dtype=complex)
     if xs:
@@ -374,7 +371,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "points": len(xs),
         "max_pointwise_error": float(errors.max(initial=0.0)),
         "condition_source": condition_source(nodes),
-        "quadrature_refinement_factor": config.quadrature_refinement,
+        "quadrature_refinement_factor": QUADRATURE_REFINEMENT,
         "quadrature_drift": _quadrature_drift(config, signal, grid),
     }
     timer.lap("compute")

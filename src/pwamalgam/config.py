@@ -1,8 +1,8 @@
 """Experiment configuration: a single strict JSON document.
 
 Every section is optional and falls back to documented defaults, but unknown
-keys anywhere are hard errors rather than warnings, so a typo in a tolerance
-name cannot silently run with the default. Validation messages name the
+keys anywhere are hard errors rather than warnings, so a typo in a key name
+cannot silently run with the default. Validation messages name the
 violated rule (the node perturbation check names the Kadec 1/4 bound).
 
 ``alpha_sweep`` takes one of two exclusive forms: a spaced generator
@@ -149,12 +149,8 @@ _KEYS: tuple[tuple, ...] = (
         (lambda v, c: v <= c["nodes_N"] / 2.0, "{name} must not exceed N/2 (interior window)"),
     ),
     ("spatial", "density", "density", _as_int, 20, _at_least(1)),
-    ("tolerances", "solver", "solver_tol", _as_number, 1e-8, _POSITIVE),
-    ("tolerances", "quadrature_refinement", "quadrature_refinement", _as_int, 2, _at_least(1)),
     ("output", "directory", "out_directory", _as_string, "."),
     ("output", "formats", "out_formats", _list_of(_one_of("csv", "json")), ("csv", "json")),
-    # Parsed and echoed only; execution does not depend on it.
-    ("parallel", "workers", "workers", _as_int, 1, _at_least(1)),
 )
 _SECTIONS = tuple(dict.fromkeys(row[0] for row in _KEYS))
 
@@ -180,11 +176,8 @@ class ExperimentConfig:
     signal_id: str
     t_int: float
     density: int
-    solver_tol: float
-    quadrature_refinement: int
     out_directory: str
     out_formats: tuple[str, ...]
-    workers: int
 
     def alpha_values(self) -> list[float]:
         """The resolved sweep, ascending."""

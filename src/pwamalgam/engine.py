@@ -37,10 +37,10 @@ bounds are not explicit, the estimate is ``max|lambda| / min|lambda|`` over
 the eigenvalues (one ``eigvalsh`` per ``alpha``), which equals the
 singular-value ratio; beyond about 1e15 it is rounding noise and only serves
 to flag the row. Runs whose condition estimate exceeds ``PRECISION_CAP`` are
-flagged "precision_limited" downstream rather than failed, and the
-interpolation-residual tolerance is not enforced there (the attainable
-residual scales with the condition number, so enforcement would turn a
-reporting concern into a spurious hard failure). Loss of positive
+flagged "precision_limited" downstream rather than failed, and the residual
+tolerance ``SOLVER_TOL * (1 + max|samples|)`` is not enforced there (the
+attainable residual scales with the condition number, so enforcement would
+turn a reporting concern into a spurious hard failure). Loss of positive
 definiteness raises `ConditioningError`.
 """
 
@@ -59,6 +59,8 @@ from .spectral import TWO_PI, FrequencyGrid
 
 # Condition estimate beyond which solves are flagged instead of failed.
 PRECISION_CAP = 1e12
+# Absolute interpolation-residual tolerance, scaled by ``1 + max|samples|``.
+SOLVER_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,6 @@ def solve_coefficients(
     alpha: float,
     nodes: NodeSet,
     samples: np.ndarray,
-    tol: float = 1e-8,
 ) -> Approximant:
     """Solve the collocation system for a ``(2M+1, nodes)`` stack of band samples.
 
@@ -136,9 +137,9 @@ def solve_coefficients(
     ConditioningError
         If the Cholesky factorization fails (matrix numerically indefinite).
     AccuracyError
-        If a band's interpolation residual exceeds ``tol * (1 + max|samples|)``
-        while the condition estimate is below `PRECISION_CAP`; the first such
-        band in row order is named.
+        If a band's interpolation residual exceeds
+        ``SOLVER_TOL * (1 + max|samples|)`` while the condition estimate is
+        below `PRECISION_CAP`; the first such band in row order is named.
     """
     stacked = np.asarray(samples, dtype=complex)
     if stacked.ndim != 2 or stacked.shape[0] % 2 == 0 or stacked.shape[1] != nodes.count:
@@ -177,10 +178,11 @@ def solve_coefficients(
             )
             residuals[i] = np.max(np.abs(complex_matrix @ coeffs[i] - stacked[i]))
             scale = 1.0 + float(np.max(np.abs(stacked[i])))
-            if residuals[i] > tol * scale and condition <= PRECISION_CAP:
+            if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
                 raise AccuracyError(
-                    f"interpolation residual {residuals[i]:.3e} exceeds tol*(1+max|samples|)"
-                    f"={tol * scale:.3e} for band {i - len(stacked) // 2} at alpha={alpha}",
+                    f"interpolation residual {residuals[i]:.3e} exceeds "
+                    f"SOLVER_TOL*(1+max|samples|)={SOLVER_TOL * scale:.3e} "
+                    f"for band {i - len(stacked) // 2} at alpha={alpha}",
                     residual=residuals[i],
                     condition_estimate=condition,
                 )
@@ -194,7 +196,6 @@ def reconstruct(
     nodes: NodeSet,
     grid: FrequencyGrid,
     m_max: int,
-    tol: float = 1e-8,
 ) -> Approximant:
     """Slice, sample, and solve every band ``|m| <= m_max``.
 
@@ -208,7 +209,7 @@ def reconstruct(
         Propagated from the solve; an `AccuracyError` names the failing band.
     """
     samples = sample_band_signal(signal_spectrum(signal, grid, m_max).values, grid, nodes)
-    return solve_coefficients(family, alpha, nodes, samples, tol=tol)
+    return solve_coefficients(family, alpha, nodes, samples)
 
 
 def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarray:

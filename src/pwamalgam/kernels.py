@@ -13,7 +13,8 @@ infimum ``m_alpha`` is attained at ``xi = pi`` and the shifted-band suprema
 `verify_regularity` certifies, per alpha, the positivity of the base-band
 infimum, the summability of the band suprema (explicit head plus analytic
 tail), the ratio ``sum_{j!=0} M_j / m_alpha``, and the decay of the weight
-``m_alpha / phi_hat_alpha(xi)`` over a grid of interior frequencies.
+``m_alpha / phi_hat_alpha(xi)`` over a grid of interior frequencies. The
+head length, the frequency grid and the pass thresholds are module constants.
 
 On the integer nodes ``x_n = n`` the collocation matrix ``phi_alpha(j - k)``
 is a finite section of a Toeplitz matrix whose symbol, by Poisson summation,
@@ -37,14 +38,14 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 
-# Default head length for explicit M_j sums; tails beyond are bounded
-# analytically. Ten terms keep the poisson tail below 1e-12 of the head even
-# at the domain bottom alpha = 0.5, where each extra term only gains e^{-pi}.
-DEFAULT_J_MAX = 10
-# Default interior frequencies for the decay-weight profile. The largest |xi|
-# is 2*pi/3 so the weight still clears tight thresholds at the top of the
+# Head length for explicit M_j sums; tails beyond are bounded analytically.
+# Ten terms keep the poisson tail below 1e-12 of the head even at the domain
+# bottom alpha = 0.5, where each extra term only gains e^{-pi}.
+J_MAX = 10
+# Interior frequencies for the decay-weight profile. The largest |xi| is
+# 2*pi/3 so the weight still clears tight thresholds at the top of the
 # poisson alpha domain (the weight at xi decays like exp(-alpha (pi - |xi|))).
-DEFAULT_XI_GRID = (
+XI_GRID = (
     0.0,
     np.pi / 4,
     -np.pi / 4,
@@ -53,6 +54,11 @@ DEFAULT_XI_GRID = (
     2 * np.pi / 3,
     -2 * np.pi / 3,
 )
+# Certification thresholds, read by `verify_regularity` and `regularity_verdict`.
+INFIMUM_GRID_POINTS = 4096
+H2_CAP = 2.5
+A3_TAIL_REL = 1e-12
+H3_FINAL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -204,7 +210,7 @@ def condition_bound(family: InterpolatorFamily, alpha: float) -> float:
 
     Holds for the collocation matrix ``phi_alpha(j - k)`` of any size; the
     common factor ``sqrt(2 pi)`` cancels. Both symbol values sum the explicit
-    head ``|j| <= DEFAULT_J_MAX``, and the analytic tail bound is added to
+    head ``|j| <= J_MAX``, and the analytic tail bound is added to
     ``sigma(0)`` only (``phi_hat(2 pi j) <= M_j``), so the ratio stays an upper
     bound. A ``sigma(pi)`` that underflows gives inf, silently.
 
@@ -214,12 +220,12 @@ def condition_bound(family: InterpolatorFamily, alpha: float) -> float:
     ``N = 256``, 2x at ``N = 32``, 17x at ``N = 16``, 2e3 at ``N = 8`` and
     1e10 at ``N = 1`` (the ``1 x 1`` section, ``N = 0``, has condition 1).
     """
-    shifts = 2.0 * np.pi * np.arange(1, DEFAULT_J_MAX + 1)
+    shifts = 2.0 * np.pi * np.arange(1, J_MAX + 1)
     top = phi_spectral(family, alpha, 0.0) + 2.0 * float(
         np.sum(phi_spectral(family, alpha, shifts))
     )
-    top += mj_tail_bound(family, alpha, DEFAULT_J_MAX)
-    bottom = 2.0 * sum(big_M(family, alpha, j) for j in range(1, DEFAULT_J_MAX + 1))
+    top += mj_tail_bound(family, alpha, J_MAX)
+    bottom = 2.0 * sum(big_M(family, alpha, j) for j in range(1, J_MAX + 1))
     with np.errstate(divide="ignore"):
         return float(np.float64(top) / bottom)
 
@@ -243,16 +249,6 @@ def precision_boundary(family: InterpolatorFamily, cap: float) -> float | None:
         else:
             lo = mid
     return float(hi)
-
-
-@dataclass(frozen=True)
-class RegularityTolerances:
-    """Thresholds used when certifying a family at one alpha."""
-
-    h2_cap: float = 2.5
-    h3_final: float = 1e-3
-    a3_tail_rel: float = 1e-12
-    grid_points: int = 4096
 
 
 @dataclass(frozen=True)
@@ -282,20 +278,16 @@ class RegularityReport:
 
 
 def verify_regularity(
-    family: InterpolatorFamily,
-    alpha_sweep: list[float],
-    j_max: int = DEFAULT_J_MAX,
-    xi_grid: tuple[float, ...] = DEFAULT_XI_GRID,
-    tolerances: RegularityTolerances = RegularityTolerances(),
+    family: InterpolatorFamily, alpha_sweep: list[float]
 ) -> list[RegularityReport]:
     """Certify the family's interpolator axioms numerically over a sweep.
 
     Per alpha: the base-band infimum is estimated on a uniform grid and
     cross-checked against the analytic edge value (agreement to 1e-12
     relative is enforced), the band suprema are summed explicitly up to
-    `j_max` with the analytic tail bound, the Toeplitz condition bound of
+    `J_MAX` with the analytic tail bound, the Toeplitz condition bound of
     `condition_bound` is recorded, and the decay weight is profiled over
-    `xi_grid`.
+    `XI_GRID`.
 
     Returns
     -------
@@ -308,19 +300,19 @@ def verify_regularity(
     prev_profile: dict[float, float] | None = None
     for alpha in alpha_sweep:
         family.check_alpha(alpha)
-        grid = np.linspace(-np.pi, np.pi, tolerances.grid_points + 1)
+        grid = np.linspace(-np.pi, np.pi, INFIMUM_GRID_POINTS + 1)
         delta_estimate = float(np.min(phi_spectral(family, alpha, grid)))
         m_a = m_alpha(family, alpha)
         if not np.isclose(delta_estimate, m_a, rtol=1e-12, atol=0.0):
             raise ContractError(
                 f"grid infimum {delta_estimate} disagrees with edge value {m_a}"
             )
-        m_values = {j: big_M(family, alpha, j) for j in range(1, j_max + 1)}
-        tail = mj_tail_bound(family, alpha, j_max)
+        m_values = {j: big_M(family, alpha, j) for j in range(1, J_MAX + 1)}
+        tail = mj_tail_bound(family, alpha, J_MAX)
         head = 2.0 * sum(m_values.values())
         h2_ratio = (head + tail) / m_a
         profile = {
-            float(xi): m_a / float(phi_spectral(family, alpha, xi)) for xi in xi_grid
+            float(xi): m_a / float(phi_spectral(family, alpha, xi)) for xi in XI_GRID
         }
         pass_h3 = prev_profile is None or all(
             profile[xi] < prev_profile[xi] for xi in profile
@@ -336,8 +328,8 @@ def verify_regularity(
                 condition_bound=condition_bound(family, alpha),
                 h3_profile=profile,
                 pass_a2=delta_estimate > 0.0,
-                pass_a3=tail < tolerances.a3_tail_rel * head,
-                pass_h2=h2_ratio <= tolerances.h2_cap,
+                pass_a3=tail < A3_TAIL_REL * head,
+                pass_h2=h2_ratio <= H2_CAP,
                 pass_h3=pass_h3,
             )
         )
@@ -345,15 +337,12 @@ def verify_regularity(
     return reports
 
 
-def regularity_verdict(
-    reports: list[RegularityReport],
-    tolerances: RegularityTolerances = RegularityTolerances(),
-) -> dict[str, bool]:
+def regularity_verdict(reports: list[RegularityReport]) -> dict[str, bool]:
     """Sweep-level pass/fail summary over a list of regularity reports.
 
     The per-report flags aggregate by conjunction; the decay-weight check
-    additionally requires the final report's profile to fall below the
-    configured threshold at every grid frequency.
+    additionally requires the final report's profile to fall below
+    `H3_FINAL` at every grid frequency.
     """
     final = reports[-1]
     return {
@@ -361,5 +350,5 @@ def regularity_verdict(
         "A3": all(r.pass_a3 for r in reports),
         "H2": all(r.pass_h2 for r in reports),
         "H3_monotone": all(r.pass_h3 for r in reports),
-        "H3_final": all(v < tolerances.h3_final for v in final.h3_profile.values()),
+        "H3_final": all(v < H3_FINAL for v in final.h3_profile.values()),
     }

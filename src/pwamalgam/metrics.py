@@ -42,7 +42,16 @@ from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import InterpolatorFamily, m_alpha, mj_tail_bound, phi_spectral
 from .nodes import NodeSet
 from .signals import TestSignal, signal_spectrum
-from .spectral import TWO_PI, FrequencyGrid, SpatialGrid, gauss_legendre, inverse_ft_at
+from .spectral import (
+    TWO_PI,
+    AmalgamSpectrum,
+    FrequencyGrid,
+    SpatialGrid,
+    amalgam_norm,
+    gauss_legendre,
+    inverse_ft_at,
+    l2_norm_parseval,
+)
 
 
 @dataclass(frozen=True)
@@ -160,9 +169,6 @@ def error_report(
         -1j * TWO_PI * np.outer(xq, js)
     )
     transforms = TWO_PI**-0.5 * (np.exp(-1j * np.outer(grid.nodes, xq)) @ modulated)
-    band_norms = np.sqrt(
-        np.sum(grid.weights[:, None] * np.abs(transforms) ** 2, axis=0)
-    ).tolist()
 
     tail_f = signal.tail_bound(m_max)
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)
@@ -172,20 +178,16 @@ def error_report(
         else 0.0
     )
 
-    amalgam_error = float(sum(band_norms) + tail_f + tail_J)
-    l2_error = float(
-        np.sqrt(sum(v**2 for v in band_norms) + (tail_f + tail_J) ** 2)
-    )
+    residual = AmalgamSpectrum(transforms.T, float(tail_f + tail_J))
+    amalgam_error = float(amalgam_norm(residual, grid))
+    l2_error = l2_norm_parseval(residual, grid)
 
     residual_s = target.on_grid - evaluate_J(approx, x_grid.points)
     sup_error = float(np.max(np.abs(residual_s)))
 
     weight = m_alpha(family, alpha) / phi_spectral(family, alpha, grid.nodes)
-    rhs = 0.0
-    for j in range(-j_cap, j_cap + 1):
-        fj = signal.fhat(grid.nodes + TWO_PI * j)
-        rhs += float(np.sqrt(np.sum(grid.weights * np.abs(weight * fj) ** 2)))
-    rhs += signal.tail_bound(j_cap)
+    bands = signal_spectrum(signal, grid, j_cap)
+    rhs = amalgam_norm(AmalgamSpectrum(weight * bands.values, bands.tail_estimate), grid)
 
     return ErrorReport(
         alpha=float(alpha),
@@ -227,7 +229,6 @@ def sweep(
     x_grid: SpatialGrid,
     m_max: int,
     j_cap: int,
-    tol: float = 1e-8,
 ) -> list[ErrorReport]:
     """One `error_report` per alpha, in sweep order.
 
@@ -245,7 +246,7 @@ def sweep(
     reports = []
     for alpha in alpha_values:
         try:
-            approx = reconstruct(signal, family, alpha, nodes, grid, m_max, tol=tol)
+            approx = reconstruct(signal, family, alpha, nodes, grid, m_max)
             reports.append(
                 error_report(signal, approx, grid, x_grid, j_cap, _target=target)
             )

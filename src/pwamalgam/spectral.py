@@ -80,26 +80,24 @@ def gauss_legendre(
     return (half * xs + mid).ravel(), (half * ws).ravel()
 
 
-def frequency_grid(points_per_band: int = 256, panels: int = 2) -> FrequencyGrid:
-    """Build the composite Gauss-Legendre rule on ``[-pi, pi]``.
+def frequency_grid(points_per_band: int = 256) -> FrequencyGrid:
+    """Build the two-panel composite Gauss-Legendre rule on ``[-pi, pi]``.
+
+    The panel boundary at 0 keeps spectral accuracy for spectra with a kink
+    there.
 
     Parameters
     ----------
     points_per_band : int
-        Total node count ``K``; must be positive and divisible by `panels`.
-    panels : int
-        Number of equal panels. The default 2 places a panel boundary at 0,
-        which keeps spectral accuracy for spectra with a kink there.
+        Total node count ``K``; must be positive and even.
 
     Returns
     -------
     FrequencyGrid
     """
-    if points_per_band <= 0:
-        raise ContractError("points_per_band must be positive")
-    if panels <= 0 or points_per_band % panels != 0:
-        raise ContractError("points_per_band must be divisible by panels")
-    nodes, weights = gauss_legendre(np.pi, panels, points_per_band // panels)
+    if points_per_band <= 0 or points_per_band % 2 != 0:
+        raise ContractError("points_per_band must be positive and even")
+    nodes, weights = gauss_legendre(np.pi, 2, points_per_band // 2)
     return FrequencyGrid(points_per_band=points_per_band, nodes=nodes, weights=weights)
 
 

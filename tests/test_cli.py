@@ -130,13 +130,24 @@ def test_csv_bytes_are_deterministic(tmp_path):
         assert run_cli(["sweep", "--config", cfg, "--out", str(out)])[0] == 0
         outs.append((out / "convergence.csv").read_bytes())
     assert outs[0] == outs[1]
-    # Parallel band execution must not change a byte.
-    parallel_cfg = write_config(
-        tmp_path, {**SMALL_SWEEP, "parallel": {"workers": 3}}, "parallel.json"
-    )
-    out = tmp_path / "c"
-    assert run_cli(["sweep", "--config", parallel_cfg, "--out", str(out)])[0] == 0
-    assert (out / "convergence.csv").read_bytes() == outs[0]
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"parallel": {"workers": 1}},
+        {"tolerances": {"solver": 1e-8, "quadrature_refinement": 2}},
+    ],
+    ids=["parallel", "tolerances"],
+)
+def test_removed_section_exits_2(tmp_path, section):
+    # Configs written while these sections existed must stop, not run on.
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, **section})
+    out = tmp_path / "run"
+    code, _, err = run_cli(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 2
+    assert "unknown key(s)" in err
+    assert not out.exists()
 
 
 def test_csv_uses_lf_and_headers(tmp_path):

@@ -1,6 +1,7 @@
 """Strict config parsing: defaults, rejection rules, echo round-trip."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +21,7 @@ def test_empty_config_gets_full_defaults():
     assert config.signal_id == "gauss_pair"
     assert config.t_int == 16.0
     assert config.density == 20
-    assert config.solver_tol == 1e-8
-    assert config.quadrature_refinement == 2
     assert config.out_formats == ("csv", "json")
-    assert config.workers == 1
     assert len(config.alpha_values()) == 8
 
 
@@ -36,9 +34,7 @@ NON_DEFAULT = {
     "bands": {"M_max": 2, "J_cap": 5, "points_per_band": 64},
     "signal": {"id": "two_band"},
     "spatial": {"T_int": 6.5, "density": 7},
-    "tolerances": {"solver": 1e-9, "quadrature_refinement": 3},
     "output": {"directory": "runs/x", "formats": ["json"]},
-    "parallel": {"workers": 2},
 }
 
 
@@ -53,9 +49,7 @@ def test_echo_round_trips():
         assert config.nodes_symmetric is False
         assert (config.m_max, config.j_cap, config.points_per_band) == (2, 5, 64)
         assert (config.signal_id, config.t_int, config.density) == ("two_band", 6.5, 7)
-        assert (config.solver_tol, config.quadrature_refinement) == (1e-9, 3)
         assert (config.out_directory, config.out_formats) == ("runs/x", ("json",))
-        assert config.workers == 2
     listed = parse_config({**NON_DEFAULT, "alpha_sweep": {"values": [1.0, 2.0, 4.0]}})
     assert listed.alpha_values() == [1.0, 2.0, 4.0]
     assert listed.sweep_start is listed.sweep_count is listed.sweep_spacing is None
@@ -72,9 +66,7 @@ def test_default_echo_is_complete():
         "bands": {"M_max": 4, "J_cap": 6, "points_per_band": 256},
         "signal": {"id": "gauss_pair"},
         "spatial": {"T_int": 16.0, "density": 20},
-        "tolerances": {"solver": 1e-8, "quadrature_refinement": 2},
         "output": {"directory": ".", "formats": ["csv", "json"]},
-        "parallel": {"workers": 1},
     }
 
 
@@ -97,7 +89,7 @@ def test_unknown_keys_rejected_everywhere():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config({"nodes": {"N": 8, "dd": 0.1}})
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config({"tolerances": {"solver_tol": 1e-8}})
+        parse_config({"output": {"format": ["csv"]}})
 
 
 @pytest.mark.parametrize(
@@ -109,9 +101,7 @@ def test_unknown_keys_rejected_everywhere():
         "bands",
         "signal",
         "spatial",
-        "tolerances",
         "output",
-        "parallel",
     ],
 )
 def test_unknown_key_rejected_in_each_section(section):
@@ -128,10 +118,13 @@ def test_node_count_must_be_positive():
 
 
 def test_node_seed_must_be_nonnegative():
-    # numpy's generator rejects a negative seed only when perturbed nodes are drawn.
-    with pytest.raises(ConfigError, match=r"nodes\.seed must be >= 0"):
-        parse_config({"nodes": {"N": 8, "d": 0.1, "seed": -1}})
+    # numpy's generator rejects a negative seed only when perturbed nodes are
+    # drawn; the config rejects it whatever d is.
+    for nodes in ({"seed": -1}, {"N": 8, "d": 0.1, "seed": -1}):
+        with pytest.raises(ConfigError, match=r"nodes\.seed must be >= 0"):
+            parse_config({"nodes": nodes})
     assert parse_config({"nodes": {"seed": 0}}).nodes_seed == 0
+    assert parse_config({"nodes": {"d": 0.1, "seed": 0}}).make_nodes().count == 65
 
 
 def test_kadec_bound_named_at_config_time():
@@ -197,8 +190,6 @@ def test_type_strictness():
     with pytest.raises(ConfigError):
         parse_config({"output": {"formats": []}})
     with pytest.raises(ConfigError):
-        parse_config({"parallel": {"workers": 0}})
-    with pytest.raises(ConfigError):
         parse_config({"signal": {"id": "unknown"}})
     with pytest.raises(ConfigError):
         parse_config([])
@@ -234,3 +225,14 @@ def test_load_config_errors(tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"nodes": {"N": 8}}), encoding="utf-8")
     assert load_config(good).nodes_N == 8
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_committed_config_loads_and_echo_round_trips(path):
+    config = load_config(path)
+    assert parse_config(config.echo()) == config
+    # The echo as the manifest stores it: through JSON and back.
+    assert parse_config(json.loads(json.dumps(config.echo()))) == config

@@ -23,6 +23,7 @@ from pwamalgam import (
     solve_coefficients,
     uniform_nodes,
 )
+from pwamalgam import engine
 from pwamalgam.engine import PRECISION_CAP
 from .oracles import conjugate_gradient_complex
 
@@ -151,26 +152,28 @@ def test_precision_limited_solves_return():
     assert approx.condition_estimate > PRECISION_CAP
 
 
-def test_small_uniform_solve_is_flagged_by_the_size_free_bound():
+def test_small_uniform_solve_is_flagged_by_the_size_free_bound(monkeypatch):
     # The symbol bound does not depend on N. For the 3x3 matrix at N=1,
     # gaussian alpha=3, it reads 3.6e12 against a true condition number of
     # about 300, so the solve is flagged precision-limited and its residual
-    # tolerance is not enforced (with tol=0 any nonzero residual would raise
-    # below the cap). Kept on purpose: the estimate needs no decomposition.
+    # tolerance is not enforced (with SOLVER_TOL=0 any nonzero residual would
+    # raise below the cap). Kept on purpose: the estimate needs no decomposition.
+    monkeypatch.setattr(engine, "SOLVER_TOL", 0.0)
     nodes = uniform_nodes(1)
     samples = np.array([[1.0, -2.0, 0.5]])
-    approx = solve_coefficients(GAUSSIAN, 3.0, nodes, samples, tol=0.0)
+    approx = solve_coefficients(GAUSSIAN, 3.0, nodes, samples)
     assert approx.condition_estimate == condition_bound(GAUSSIAN, 3.0)
     assert approx.condition_estimate > PRECISION_CAP
     assert np.linalg.cond(collocation_matrix(GAUSSIAN, 3.0, nodes)) < 1e3
 
 
-def test_accuracy_error_below_cap():
+def test_accuracy_error_below_cap(monkeypatch):
+    monkeypatch.setattr(engine, "SOLVER_TOL", 1e-15)
     grid = frequency_grid(128)
     nodes = uniform_nodes(32)
     samples = band_samples("gauss_pair", 0, nodes, grid)
     with pytest.raises(AccuracyError) as excinfo:
-        solve_coefficients(GAUSSIAN, 2.5, nodes, samples, tol=1e-15)
+        solve_coefficients(GAUSSIAN, 2.5, nodes, samples)
     assert excinfo.value.residual > 0
     # On integer nodes the estimate is the Toeplitz symbol bound: at or above
     # the 2-norm condition number (to rounding that grows like eps * cond),
@@ -183,12 +186,13 @@ def test_accuracy_error_below_cap():
     assert estimate <= PRECISION_CAP
 
 
-def test_accuracy_error_names_band_not_row():
+def test_accuracy_error_names_band_not_row(monkeypatch):
     # With M_max=3 the first row over the forced tolerance is row 3, which
     # holds band 0: the message must name the band.
+    monkeypatch.setattr(engine, "SOLVER_TOL", 1e-15)
     grid = frequency_grid(128)
     with pytest.raises(AccuracyError) as excinfo:
-        reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, uniform_nodes(8), grid, 3, tol=1e-15)
+        reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, uniform_nodes(8), grid, 3)
     assert "for band 0 at alpha=1.0" in str(excinfo.value)
 
 

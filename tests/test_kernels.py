@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from pwamalgam import (
     ContractError,
     DomainError,
-    RegularityTolerances,
     big_M,
     condition_bound,
     get_family,
@@ -20,6 +19,7 @@ from pwamalgam import (
     regularity_verdict,
     verify_regularity,
 )
+from pwamalgam import cli, engine, kernels
 from .oracles import transform_by_quadrature
 
 # Frozen closed-form oracle values.
@@ -190,7 +190,10 @@ def test_verify_regularity_rejects_empty_sweep():
 
 
 def test_default_tolerances():
-    tolerances = RegularityTolerances()
-    assert tolerances.h2_cap == 2.5
-    assert tolerances.h3_final == 1e-3
-    assert tolerances.a3_tail_rel == 1e-12
+    assert kernels.H2_CAP == 2.5
+    assert kernels.H3_FINAL == 1e-3
+    assert kernels.A3_TAIL_REL == 1e-12
+    assert kernels.INFIMUM_GRID_POINTS == 4096
+    assert kernels.J_MAX == 10
+    assert engine.SOLVER_TOL == 1e-8
+    assert cli.QUADRATURE_REFINEMENT == 2

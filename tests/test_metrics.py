@@ -17,6 +17,7 @@ from pwamalgam import (
     sweep,
     uniform_nodes,
 )
+from pwamalgam import engine
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.metrics import truncated_signal_values, window_quadrature
 
@@ -158,13 +159,13 @@ def test_sweep_records_breakdown_and_continues():
     assert broken.condition_estimate > 1e15
 
 
-def test_sweep_keeps_condition_estimate_on_accuracy_failures():
+def test_sweep_keeps_condition_estimate_on_accuracy_failures(monkeypatch):
+    monkeypatch.setattr(engine, "SOLVER_TOL", 1e-15)
     grid = frequency_grid(128)
     nodes = uniform_nodes(32)
     x_grid = spatial_grid(8.0, density=10)
     (report,) = sweep(
-        get_signal("gauss_pair"), GAUSSIAN, [2.5], nodes, grid, x_grid, 1, 3,
-        tol=1e-15,
+        get_signal("gauss_pair"), GAUSSIAN, [2.5], nodes, grid, x_grid, 1, 3
     )
     assert report.flags and "residual" in report.flags[0]
     assert np.isnan(report.amalgam_error)
