@@ -11,13 +11,15 @@ row ``m + M`` is band ``m`` and column ``k`` is node ``x_k``. The collocation
 matrix depends on ``alpha`` and the nodes but not on the band, so each
 ``alpha`` builds it once, factorizes it once and carries one
 ``condition_estimate``; every band is then solved against that one factor.
-Likewise `evaluate_J` builds the kernel matrix ``phi_alpha(x - x_n)`` once
-and applies it band by band. Per-band products and solves are kept (rather
-than one matrix-matrix product) because the rounding of the blocked BLAS
-kernels differs from the per-vector ones, and large coefficients magnify
-that difference: at ``N = 256`` and gaussian ``alpha = 2.5`` the
-coefficients' l1 mass is 3.1e8, and one real product over all bands in
-`evaluate_J` moved the sweep's ``amalgam_error`` by 1.49e-6 relative.
+Likewise `evaluate_J` builds the complex kernel matrix ``phi_alpha(x - x_n)``
+once, ``_ROW_BLOCK`` rows at a time into its real part, so that no real copy
+of the whole matrix exists beside it, and applies it band by band. Per-band
+products and solves are kept (rather than one matrix-matrix product) because
+the rounding of the blocked BLAS kernels differs from the per-vector ones,
+and large coefficients magnify that difference: at ``N = 256`` and gaussian
+``alpha = 2.5`` the coefficients' l1 mass is 3.1e8, and one real product
+over all bands in `evaluate_J` moved the sweep's ``amalgam_error`` by
+1.49e-6 relative.
 
 Numerical policy: the matrix is factorized by Cholesky; its 2-norm condition
 number is always estimated and reported, from one of two sources (see
@@ -55,12 +57,14 @@ from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import InterpolatorFamily, condition_bound, phi_spatial, phi_spectral
 from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
-from .spectral import TWO_PI, FrequencyGrid
+from .spectral import TWO_PI, FrequencyGrid, cis
 
 # Condition estimate beyond which solves are flagged instead of failed.
 PRECISION_CAP = 1e12
 # Absolute interpolation-residual tolerance, scaled by ``1 + max|samples|``.
 SOLVER_TOL = 1e-8
+# Rows of the kernel matrix that `evaluate_J` evaluates per kernel call.
+_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -134,6 +138,8 @@ def solve_coefficients(
 
     Raises
     ------
+    ContractError
+        If `samples` is misshapen or holds a non-finite value.
     ConditioningError
         If the Cholesky factorization fails (matrix numerically indefinite).
     AccuracyError
@@ -144,6 +150,8 @@ def solve_coefficients(
     stacked = np.asarray(samples, dtype=complex)
     if stacked.ndim != 2 or stacked.shape[0] % 2 == 0 or stacked.shape[1] != nodes.count:
         raise ContractError("samples need one row per band -M..M and one value per node")
+    if not np.all(np.isfinite(stacked)):
+        raise ContractError("samples must be finite")
     family.check_alpha(alpha)
     matrix = collocation_matrix(family, alpha, nodes)
     if condition_source(nodes) == "toeplitz_symbol":
@@ -170,12 +178,17 @@ def solve_coefficients(
             ) from exc
         complex_matrix = matrix.astype(complex)
         for i in nonzero:
-            # One triangular solve pair per band: a multi-column solve lets
-            # BLAS reblock (OpenBLAS does from 12 columns at 513 nodes) and
-            # changes the rounding of every band.
-            coeffs[i] = cho_solve(factor, stacked[i].real) + 1j * cho_solve(
-                factor, stacked[i].imag
+            # One two-column solve per band, real and imaginary part. OpenBLAS
+            # solves each column alike below 12 columns, so two columns round
+            # as two one-column solves do; all bands in one call would cross
+            # 12 and reblock, changing the rounding of every band. The matrix
+            # and samples were checked finite above.
+            parts = cho_solve(
+                factor,
+                np.column_stack([stacked[i].real, stacked[i].imag]),
+                check_finite=False,
             )
+            coeffs[i] = parts[:, 0] + 1j * parts[:, 1]
             residuals[i] = np.max(np.abs(complex_matrix @ coeffs[i] - stacked[i]))
             scale = 1.0 + float(np.max(np.abs(stacked[i])))
             if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
@@ -223,14 +236,15 @@ def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarr
     out = np.zeros(xs.shape, dtype=complex)
     bands = [i for i, row in enumerate(approx.coefficients) if np.any(row)]  # ascending m
     if bands:
-        # The differences stay a temporary: holding them while the complex
-        # copy is made would add a third window-sized matrix to the peak.
-        kernel = phi_spatial(
-            approx.family, approx.alpha, xs[:, None] - approx.nodes.values[None, :]
-        ).astype(complex)
+        kernel = np.zeros((len(xs), approx.nodes.count), dtype=complex)
+        for start in range(0, len(xs), _ROW_BLOCK):
+            rows = slice(start, start + _ROW_BLOCK)
+            kernel.real[rows] = phi_spatial(
+                approx.family, approx.alpha, xs[rows, None] - approx.nodes.values
+            )
         for i in bands:
             part = kernel @ approx.coefficients[i]
-            out += np.exp(1j * TWO_PI * (i - approx.m_max) * xs) * part
+            out += cis(TWO_PI * (i - approx.m_max) * xs) * part
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out
@@ -247,6 +261,6 @@ def J_spectrum_band(approx: Approximant, j: int, grid: FrequencyGrid) -> np.ndar
     values = np.zeros(grid.nodes.shape, dtype=complex)
     for i, row in enumerate(approx.coefficients):
         shifted = grid.nodes + TWO_PI * (j - i + approx.m_max)
-        phase = np.exp(-1j * np.outer(shifted, approx.nodes.values))
+        phase = cis(-np.outer(shifted, approx.nodes.values))
         values += phi_spectral(approx.family, approx.alpha, shifted) * (phase @ row)
     return values

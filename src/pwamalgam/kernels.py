@@ -59,6 +59,11 @@ INFIMUM_GRID_POINTS = 4096
 H2_CAP = 2.5
 A3_TAIL_REL = 1e-12
 H3_FINAL = 1e-3
+# Exponents at or below this give exactly 0.0 from exp: e^{-746} ~ 2.0e-324 is
+# under half the smallest subnormal (2.47e-324), so it rounds to zero. Most
+# gaussian kernel entries at N = 256 are such zeros, and exp's slow path on
+# them dominated the kernel build.
+_EXP_ZERO = -746.0
 
 
 @dataclass(frozen=True)
@@ -88,7 +93,15 @@ class InterpolatorFamily:
 
 
 def _gaussian_spatial(alpha: float, x: np.ndarray) -> np.ndarray:
-    return np.exp(-(x**2) / (4.0 * alpha))
+    # The exponent is built in one buffer (``out=`` keeps 0-d input an array),
+    # and exp runs only where its result is not already known to be 0.
+    exponent = np.square(x, out=np.empty_like(x))
+    np.negative(exponent, out=exponent)
+    exponent /= 4.0 * alpha
+    zero = exponent <= _EXP_ZERO
+    np.exp(exponent, out=exponent, where=~zero)
+    np.copyto(exponent, 0.0, where=zero)
+    return exponent
 
 
 def _gaussian_spectral(alpha: float, xi: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from .spectral import (
     FrequencyGrid,
     SpatialGrid,
     amalgam_norm,
+    cis,
     gauss_legendre,
     inverse_ft_at,
     l2_norm_parseval,
@@ -165,10 +166,8 @@ def error_report(
     # residual columns.
     residual_q = target.on_window - evaluate_J(approx, xq)
     js = np.arange(-j_cap, j_cap + 1)
-    modulated = (target.wq * residual_q)[:, None] * np.exp(
-        -1j * TWO_PI * np.outer(xq, js)
-    )
-    transforms = TWO_PI**-0.5 * (np.exp(-1j * np.outer(grid.nodes, xq)) @ modulated)
+    modulated = (target.wq * residual_q)[:, None] * cis(-TWO_PI * np.outer(xq, js))
+    transforms = TWO_PI**-0.5 * (cis(-np.outer(grid.nodes, xq)) @ modulated)
 
     tail_f = signal.tail_bound(m_max)
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)

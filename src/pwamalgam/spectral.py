@@ -31,6 +31,18 @@ from .errors import ContractError
 TWO_PI = 2.0 * np.pi
 
 
+def cis(angles: np.ndarray) -> np.ndarray:
+    """``e^{i angles} = cos(angles) + i sin(angles)``, filled part by part.
+
+    Equal bit for bit to ``np.exp(1j * angles)`` (numpy's complex exp of a
+    purely imaginary argument is ``cos + i sin``), at about half its cost.
+    """
+    out = np.empty(angles.shape, dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
+    return out
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Composite Gauss-Legendre quadrature rule on the base band ``[-pi, pi]``.
@@ -190,7 +202,7 @@ def band_inverse(values: np.ndarray, grid: FrequencyGrid, x: np.ndarray) -> np.n
     """
     if values.ndim != 2 or len(values) == 0 or values.shape[1] != grid.points_per_band:
         raise ContractError("values need at least one band row of grid size")
-    phase = np.exp(1j * np.outer(x, grid.nodes))
+    phase = cis(np.outer(x, grid.nodes))
     rows = np.zeros((len(values), len(phase)), dtype=complex)
     for i, band in enumerate(values):
         if np.any(band):
@@ -214,7 +226,7 @@ def inverse_ft_at(
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.shape, dtype=complex)
     for m, g_m in enumerate(band_inverse(spectrum.values, grid, xs), -spectrum.m_max):
-        out += np.exp(1j * TWO_PI * m * xs) * g_m
+        out += cis(TWO_PI * m * xs) * g_m
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

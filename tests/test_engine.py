@@ -1,5 +1,7 @@
 """Collocation solves, approximant assembly, and spectral bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from pwamalgam import (
 )
 from pwamalgam import engine
 from pwamalgam.engine import PRECISION_CAP
+from pwamalgam.metrics import window_quadrature
 from .oracles import conjugate_gradient_complex
 
 GAUSSIAN = get_family("gaussian")
@@ -96,6 +99,15 @@ def test_sample_count_mismatch_rejected():
     for shape in ((1, 3), (3, 10)):
         with pytest.raises(ContractError):
             solve_coefficients(GAUSSIAN, 1.0, nodes, np.zeros(shape, dtype=complex))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_samples_raise_contract_error(bad):
+    nodes = uniform_nodes(4)
+    samples = np.ones((3, nodes.count), dtype=complex)
+    samples[2, 5] = bad
+    with pytest.raises(ContractError, match="finite"):
+        solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
 
 
 @pytest.mark.parametrize("shape", [(9,), (2, 9)], ids=["1-D", "even-rows"])
@@ -285,6 +297,29 @@ def test_batched_reconstruct_matches_single_band_solves():
         assert approx.condition_estimate == single.condition_estimate
     empty = [i for i in range(7) if i - approx.m_max not in (0, 1)]
     assert np.all(approx.coefficients[empty] == 0.0)
+
+
+def test_evaluate_j_peak_memory_stays_near_its_kernel():
+    # The N = 256 sweep evaluates on its 928-point window. The kernel is built
+    # in row blocks, so no real copy of the whole matrix sits beside it.
+    nodes = uniform_nodes(256)
+    xq, _ = window_quadrature(16.0, 6)
+    approx = Approximant(
+        alpha=1.25,
+        family=GAUSSIAN,
+        nodes=nodes,
+        coefficients=np.ones((9, nodes.count), dtype=complex),
+        condition_estimate=1.0,
+        residuals=np.zeros(9),
+    )
+    kernel_bytes = len(xq) * nodes.count * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        evaluate_J(approx, xq)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * kernel_bytes
 
 
 def test_evaluate_j_sums_modulated_bands():
