@@ -23,12 +23,12 @@ runs with the same config produce byte-identical tables. The JSON data files
 JSON array with one object per line, keys sorted. ``manifest.json`` is
 indented; it records the normalized config echo, library version,
 timestamp, environment (Python, numpy and scipy versions and the BLAS
-library), file listing, run-level checks and, for ``sweep`` and
-``reconstruct``, the wall seconds of three stages under ``timings``:
-``build`` (config and inputs), ``compute`` (the sweep, or the reconstruction
-and its evaluation, plus the run checks) and ``write`` (the data files; the
-manifest itself is not timed). It is written exactly when the run completes,
-whether clean or with flagged rows.
+library), file listing, run-level checks and the wall seconds of three
+stages under ``timings``: ``build`` (config and inputs), ``compute`` (the
+certificates, the sweep, or the reconstruction and its evaluation, plus the
+run checks) and ``write`` (the data files; the manifest itself is not
+timed). It is written exactly when the run completes, whether clean or with
+flagged rows.
 The ``output.formats`` list gates the data tables: ``"csv"`` enables the CSV
 files, ``"json"`` enables JSON mirrors of the same rows; the manifest and
 ``reconstruction.json`` are always written when their run completes.
@@ -149,7 +149,7 @@ def _write_manifest(
     config: ExperimentConfig,
     files: list[str],
     checks: dict,
-    timings: dict[str, float] | None = None,
+    timings: dict[str, float],
 ) -> None:
     manifest = {
         "command": command,
@@ -159,9 +159,8 @@ def _write_manifest(
         "config": config.echo(),
         "files": files,
         "checks": checks,
+        "timings": timings,
     }
-    if timings is not None:
-        manifest["timings"] = timings
     _write_json(outdir / "manifest.json", manifest)
 
 
@@ -189,15 +188,24 @@ def _outdir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
 
 
 def cmd_verify_family(args: argparse.Namespace) -> int:
+    timer = _StageTimer()
     config = load_config(args.config)
     outdir = _outdir(args, config)
     family = config.make_family()
-    reports = verify_regularity(family, config.alpha_values())
+    alphas = config.alpha_values()
+    timer.lap("build")
+    reports = verify_regularity(family, alphas)
     verdict = regularity_verdict(reports)
+    checks = {
+        **verdict,
+        "all_pass": all(verdict.values()),
+        "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
+    }
+    timer.lap("compute")
 
     xi_grid = list(reports[0].h3_profile)
     header = (
-        ["alpha", "delta_estimate", "m_alpha", "h2_ratio", "condition_bound"]
+        ["alpha", "delta_estimate", "m_alpha", "h2_ratio", "condition_bound", "mj_tail"]
         + [f"h3_ratio_at_{xi!r}" for xi in xi_grid]
         + ["pass_A2", "pass_A3", "pass_H2", "pass_H3"]
     )
@@ -208,6 +216,7 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
             report.m_alpha,
             report.h2_ratio,
             report.condition_bound,
+            report.mj_tail,
             *[report.h3_profile[xi] for xi in xi_grid],
             report.pass_a2,
             report.pass_a3,
@@ -225,12 +234,8 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
         _write_rows(outdir / "regularity.json", payload)
         files.append("regularity.json")
     files.append("manifest.json")
-    checks = {
-        **verdict,
-        "all_pass": all(verdict.values()),
-        "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
-    }
-    _write_manifest(outdir, "verify-family", config, files, checks)
+    timer.lap("write")
+    _write_manifest(outdir, "verify-family", config, files, checks, timer.seconds)
     return 0 if checks["all_pass"] else 1
 
 
@@ -341,12 +346,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"reconstruct needs a single alpha; the sweep resolves to {len(alphas)} values"
         )
-    outdir = _outdir(args, config)
     if args.eval_points is None:
         xs = config.make_spatial_grid().points.tolist()
     else:
         xs = _parse_eval_points(args.eval_points)
     xs.sort()
+    outdir = _outdir(args, config)
 
     signal = config.make_signal()
     family = config.make_family()

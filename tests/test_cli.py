@@ -12,13 +12,17 @@ from pwamalgam import (
     condition_bound,
     evaluate_J,
     get_family,
+    mj_tail_bound,
     parse_config,
     precision_boundary,
     reconstruct,
 )
 from pwamalgam.cli import main
 from pwamalgam.engine import PRECISION_CAP
+from pwamalgam.kernels import J_MAX
 from pwamalgam.metrics import truncated_signal_values
+
+from .test_config import CONFIGS
 
 GAUSSIAN = get_family("gaussian")
 
@@ -297,6 +301,7 @@ def test_verify_family_passes_full_domain(tmp_path):
         assert row["pass_A2"] == "True"
         assert float(row["delta_estimate"]) > 0
         assert float(row["condition_bound"]) == condition_bound(GAUSSIAN, float(row["alpha"]))
+        assert float(row["mj_tail"]) == mj_tail_bound(GAUSSIAN, float(row["alpha"]), J_MAX)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["checks"]["all_pass"] is True
     # The crossing itself is checked against its oracles in test_kernels.
@@ -442,12 +447,13 @@ def test_reconstruct_rejects_multi_alpha_and_bad_points(tmp_path):
 
     single = {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}}
     cfg2 = write_config(tmp_path, single, "single.json")
+    out = tmp_path / "y"
     code, _, err = run_cli(
-        ["reconstruct", "--config", cfg2, "--out", str(tmp_path / "y"),
-         "--eval-points", "1.0,zap"]
+        ["reconstruct", "--config", cfg2, "--out", str(out), "--eval-points", "1.0,zap"]
     )
     assert code == 2
     assert "eval-points" in err
+    assert not out.exists()
 
 
 def test_reconstruct_rejects_non_finite_points(tmp_path):
@@ -461,7 +467,7 @@ def test_reconstruct_rejects_non_finite_points(tmp_path):
         )
         assert code == 2
         assert "eval-points must be finite" in err
-        assert not (out / "reconstruction.json").exists()
+        assert not out.exists()
 
 
 def test_reconstruct_complex_signal_reports_both_parts(tmp_path):
@@ -504,7 +510,12 @@ def test_manifest_records_stage_timings(tmp_path):
     sweep_cfg = write_config(tmp_path, SMALL_SWEEP)
     rec_payload = {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}}
     rec_cfg = write_config(tmp_path, rec_payload, "rec.json")
+    verify_payload = {"family": {"id": "gaussian"}, "alpha_sweep": {"values": [1.0, 2.0]}}
+    verify_cfg = write_config(tmp_path, verify_payload, "verify.json")
     runs = {
+        "verify-family": [
+            "verify-family", "--config", verify_cfg, "--out", str(tmp_path / "verify-family"),
+        ],
         "sweep": ["sweep", "--config", sweep_cfg, "--out", str(tmp_path / "sweep")],
         "reconstruct": [
             "reconstruct", "--config", rec_cfg, "--out", str(tmp_path / "reconstruct"),
@@ -536,3 +547,20 @@ def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
     args = ["reconstruct", "--config", cfg, "--out", str(tmp_path / "run"), "--eval-points", "0"]
     assert run_cli(args)[0] == 0
     assert sorted(degrees) == [128, 256]
+
+
+COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct_": "reconstruct"}
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_committed_config_runs(tmp_path, path):
+    # Each committed config is a study; its file-name prefix names the command.
+    commands = [c for p, c in COMMAND_BY_PREFIX.items() if path.name.startswith(p)]
+    assert len(commands) == 1, f"{path.name} has no command prefix"
+    (cmd,) = commands
+    out = tmp_path / "run"
+    code, _, _ = run_cli([cmd, "--config", str(path), "--out", str(out)])
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == cmd
+    assert all((out / name).exists() for name in manifest["files"])

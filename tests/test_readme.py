@@ -5,6 +5,8 @@ import io
 import re
 from pathlib import Path
 
+from .test_config import CONFIGS
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -34,3 +36,9 @@ def test_star_import_binds_every_exported_name():
     missing = [name for name in pwamalgam.__all__ if name not in namespace]
     assert not missing
     assert len(set(pwamalgam.__all__)) == len(pwamalgam.__all__)
+
+
+def test_every_committed_config_is_named():
+    text = README.read_text(encoding="utf-8")
+    assert CONFIGS
+    assert [p.name for p in CONFIGS if f"configs/{p.name}" not in text] == []
