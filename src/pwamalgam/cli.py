@@ -3,9 +3,11 @@
 Subcommands
 -----------
 verify-family
-    Regularity certificates over an alpha sweep; writes ``regularity.csv``.
+    Regularity certificates over an alpha sweep; writes ``regularity.csv``
+    and ``regularity.json``.
 sweep
-    Reconstruction error sweep; writes ``convergence.csv``.
+    Reconstruction error sweep; writes ``convergence.csv`` and
+    ``convergence.json``.
 reconstruct
     Pointwise values of the approximant at chosen points; writes
     ``reconstruction.json`` (a JSON array ordered by x).
@@ -29,9 +31,6 @@ certificates, the sweep, or the reconstruction and its evaluation, plus the
 run checks) and ``write`` (the data files; the manifest itself is not
 timed). It is written exactly when the run completes, whether clean or with
 flagged rows.
-The ``output.formats`` list gates the data tables: ``"csv"`` enables the CSV
-files, ``"json"`` enables JSON mirrors of the same rows; the manifest and
-``reconstruction.json`` are always written when their run completes.
 
 Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
 ``alpha`` in the family's domain where the Toeplitz condition bound crosses
@@ -225,15 +224,10 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
         ]
         for report in reports
     ]
-    files = []
-    if "csv" in config.out_formats:
-        _write_csv(outdir / "regularity.csv", header, rows)
-        files.append("regularity.csv")
-    if "json" in config.out_formats:
-        payload = [dict(zip(header, map(_jsonable, row))) for row in rows]
-        _write_rows(outdir / "regularity.json", payload)
-        files.append("regularity.json")
-    files.append("manifest.json")
+    _write_csv(outdir / "regularity.csv", header, rows)
+    payload = [dict(zip(header, map(_jsonable, row))) for row in rows]
+    _write_rows(outdir / "regularity.json", payload)
+    files = ["regularity.csv", "regularity.json", "manifest.json"]
     timer.lap("write")
     _write_manifest(outdir, "verify-family", config, files, checks, timer.seconds)
     return 0 if checks["all_pass"] else 1
@@ -310,18 +304,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ]
         for r in reports
     ]
-    files = []
-    if "csv" in config.out_formats:
-        _write_csv(outdir / "convergence.csv", _SWEEP_HEADER, rows)
-        files.append("convergence.csv")
-    if "json" in config.out_formats:
-        payload = [
-            {**dict(zip(_SWEEP_HEADER, map(_jsonable, row))), "flags": list(r.flags)}
-            for row, r in zip(rows, reports)
-        ]
-        _write_rows(outdir / "convergence.json", payload)
-        files.append("convergence.json")
-    files.append("manifest.json")
+    _write_csv(outdir / "convergence.csv", _SWEEP_HEADER, rows)
+    payload = [
+        {**dict(zip(_SWEEP_HEADER, map(_jsonable, row))), "flags": list(r.flags)}
+        for row, r in zip(rows, reports)
+    ]
+    _write_rows(outdir / "convergence.json", payload)
+    files = ["convergence.csv", "convergence.json", "manifest.json"]
     timer.lap("write")
     _write_manifest(outdir, "sweep", config, files, checks, timer.seconds)
     return 1 if checks["failed_rows"] else 0

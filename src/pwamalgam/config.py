@@ -5,9 +5,10 @@ keys anywhere are hard errors rather than warnings, so a typo in a key name
 cannot silently run with the default. Validation messages name the
 violated rule (the node perturbation check names the Kadec 1/4 bound).
 
-``alpha_sweep`` takes one of two exclusive forms: a spaced generator
-``{start, stop, count, spacing}`` with linear or log spacing, or an explicit
-ascending list ``{values: [...]}`` for sweeps that are not uniformly spaced.
+``alpha_sweep`` is one explicit list ``{values: [...]}``, strictly
+ascending, since the convergence claim reads ``J_alpha f`` along increasing
+``alpha``. A family's ``alpha`` domain, the error-accounting band cap
+(``M_max + 2``) and the output tables (CSV and JSON) are fixed, not settings.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
-
-import numpy as np
 
 from .errors import ConfigError
 from .kernels import InterpolatorFamily, get_family
@@ -86,43 +85,22 @@ def _at_least(low: int) -> tuple:
     return (lambda v, c: v >= low, f"{{name}} must be >= {low}")
 
 
-def _spaced(default: Any) -> Callable[[dict], Any]:
-    """Default of a spaced-sweep key: none when the sweep lists its values."""
-    return lambda c: default if c["sweep_values"] is None else None
-
-
-_ONE_FORM = (
-    lambda v, c: c["sweep_values"] is None,
-    "alpha_sweep takes either 'values' or start/stop/count/spacing, not both",
-)
 _SIGNAL_IDS = tuple(s.signal_id for s in builtin_signals())
 
 # One row per key: (section, key, ExperimentConfig attribute, parser, default,
 # *rules), from which parsing, the unknown-key checks and the echo derive. A
-# default is a value or a function of the attributes parsed so far; None means
-# "absent in this form" (no rules, not echoed). A rule is (predicate(value,
-# parsed), message); the message may name the key {name} and the value {v}.
+# default is a value or a function of the attributes parsed so far. A rule is
+# (predicate(value, parsed), message); the message may name the key {name} and
+# the value {v}.
 _KEYS: tuple[tuple, ...] = (
     ("family", "id", "family_id", _one_of("gaussian", "poisson"), "gaussian"),
     (
-        "family", "alpha_domain", "alpha_domain", _list_of(_as_number), None,
-        (lambda v, c: len(v) == 2, "{name} must be [lo, hi]"),
-        (lambda v, c: 0 < v[0] < v[1], "{name} must satisfy 0 < lo < hi"),
-    ),
-    (
-        "alpha_sweep", "values", "sweep_values", _list_of(_as_number), None,
-        (lambda v, c: list(v) == sorted(v), "{name} must be ascending"),
-    ),
-    ("alpha_sweep", "start", "sweep_start", _as_number, _spaced(0.75), _ONE_FORM),
-    (
-        "alpha_sweep", "stop", "sweep_stop", _as_number, _spaced(2.5), _ONE_FORM,
-        (lambda v, c: c["sweep_start"] <= v, "alpha_sweep.start must not exceed stop"),
-    ),
-    ("alpha_sweep", "count", "sweep_count", _as_int, _spaced(8), _ONE_FORM, _at_least(1)),
-    (
-        "alpha_sweep", "spacing", "sweep_spacing", _one_of("linear", "log"),
-        _spaced("linear"), _ONE_FORM,
-        (lambda v, c: v == "linear" or c["sweep_start"] > 0, "log spacing requires start > 0"),
+        "alpha_sweep", "values", "sweep_values", _list_of(_as_number),
+        (0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5),
+        (
+            lambda v, c: all(a < b for a, b in zip(v, v[1:])),
+            "{name} must be strictly ascending",
+        ),
     ),
     ("nodes", "N", "nodes_N", _as_int, 32, _at_least(1)),
     (
@@ -136,10 +114,6 @@ _KEYS: tuple[tuple, ...] = (
     ("nodes", "symmetric", "nodes_symmetric", _as_bool, True),
     ("bands", "M_max", "m_max", _as_int, 4, _at_least(0)),
     (
-        "bands", "J_cap", "j_cap", _as_int, lambda c: c["m_max"] + 2,
-        (lambda v, c: v > c["m_max"], "{name} must exceed M_max"),
-    ),
-    (
         "bands", "points_per_band", "points_per_band", _as_int, 256, _at_least(32),
         (lambda v, c: v % 2 == 0, "{name} must be even (two quadrature panels)"),
     ),
@@ -150,7 +124,6 @@ _KEYS: tuple[tuple, ...] = (
     ),
     ("spatial", "density", "density", _as_int, 20, _at_least(1)),
     ("output", "directory", "out_directory", _as_string, "."),
-    ("output", "formats", "out_formats", _list_of(_one_of("csv", "json")), ("csv", "json")),
 )
 _SECTIONS = tuple(dict.fromkeys(row[0] for row in _KEYS))
 
@@ -160,35 +133,29 @@ class ExperimentConfig:
     """Validated, fully defaulted experiment description."""
 
     family_id: str
-    alpha_domain: tuple[float, float] | None
-    sweep_values: tuple[float, ...] | None
-    sweep_start: float | None
-    sweep_stop: float | None
-    sweep_count: int | None
-    sweep_spacing: str | None
+    sweep_values: tuple[float, ...]
     nodes_N: int
     nodes_d: float
     nodes_seed: int
     nodes_symmetric: bool
     m_max: int
-    j_cap: int
     points_per_band: int
     signal_id: str
     t_int: float
     density: int
     out_directory: str
-    out_formats: tuple[str, ...]
+
+    @property
+    def j_cap(self) -> int:
+        """Error-accounting band cap: two bands beyond the reconstruction's."""
+        return self.m_max + 2
 
     def alpha_values(self) -> list[float]:
-        """The resolved sweep, ascending."""
-        if self.sweep_values is not None:
-            return list(self.sweep_values)
-        space = np.geomspace if self.sweep_spacing == "log" else np.linspace
-        vals = space(self.sweep_start, self.sweep_stop, self.sweep_count)
-        return [float(v) for v in vals]
+        """The sweep, strictly ascending."""
+        return list(self.sweep_values)
 
     def make_family(self) -> InterpolatorFamily:
-        return get_family(self.family_id, self.alpha_domain)
+        return get_family(self.family_id)
 
     def make_nodes(self) -> NodeSet:
         if self.nodes_d == 0.0:
@@ -211,8 +178,7 @@ class ExperimentConfig:
         out: dict[str, dict[str, Any]] = {section: {} for section in _SECTIONS}
         for section, key, attr, *_ in _KEYS:
             value = getattr(self, attr)
-            if value is not None:
-                out[section][key] = list(value) if isinstance(value, tuple) else value
+            out[section][key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
@@ -241,10 +207,9 @@ def parse_config(data: dict) -> ExperimentConfig:
             value = parse(name, given[key])
         else:
             value = default(parsed) if callable(default) else default
-        if value is not None:
-            for rule, message in rules:
-                if not rule(value, parsed):
-                    raise ConfigError(message.format(name=name, v=value))
+        for rule, message in rules:
+            if not rule(value, parsed):
+                raise ConfigError(message.format(name=name, v=value))
         parsed[attr] = value
     config = ExperimentConfig(**parsed)
 

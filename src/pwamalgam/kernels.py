@@ -155,25 +155,11 @@ _FAMILIES = {
 }
 
 
-def get_family(
-    family_id: str, alpha_domain: tuple[float, float] | None = None
-) -> InterpolatorFamily:
-    """Look up a built-in family, optionally overriding its alpha domain."""
+def get_family(family_id: str) -> InterpolatorFamily:
+    """Look up a built-in family."""
     if family_id not in _FAMILIES:
         raise ContractError(f"unknown family {family_id!r}")
-    fam = _FAMILIES[family_id]
-    if alpha_domain is None:
-        return fam
-    lo, hi = float(alpha_domain[0]), float(alpha_domain[1])
-    if not (0 < lo < hi):
-        raise DomainError("alpha_domain must satisfy 0 < lo < hi")
-    return InterpolatorFamily(
-        family_id=fam.family_id,
-        alpha_domain=(lo, hi),
-        _spatial=fam._spatial,
-        _spectral=fam._spectral,
-        _mj_tail=fam._mj_tail,
-    )
+    return _FAMILIES[family_id]
 
 
 def phi_spatial(
@@ -279,7 +265,6 @@ class RegularityReport:
     alpha: float
     delta_estimate: float
     m_alpha: float
-    m_values: dict[int, float]
     mj_tail: float
     h2_ratio: float
     condition_bound: float
@@ -305,10 +290,13 @@ def verify_regularity(
     Returns
     -------
     list of RegularityReport
-        Ordered as the (ascending) sweep.
+        Ordered as the sweep, which must be strictly ascending: the decay
+        check compares each profile with the previous alpha's.
     """
     if not alpha_sweep:
         raise ContractError("alpha_sweep must be nonempty")
+    if any(b <= a for a, b in zip(alpha_sweep, alpha_sweep[1:])):
+        raise ContractError("alpha_sweep must be strictly ascending")
     reports: list[RegularityReport] = []
     prev_profile: dict[float, float] | None = None
     for alpha in alpha_sweep:
@@ -320,9 +308,8 @@ def verify_regularity(
             raise ContractError(
                 f"grid infimum {delta_estimate} disagrees with edge value {m_a}"
             )
-        m_values = {j: big_M(family, alpha, j) for j in range(1, J_MAX + 1)}
         tail = mj_tail_bound(family, alpha, J_MAX)
-        head = 2.0 * sum(m_values.values())
+        head = 2.0 * sum(big_M(family, alpha, j) for j in range(1, J_MAX + 1))
         h2_ratio = (head + tail) / m_a
         profile = {
             float(xi): m_a / float(phi_spectral(family, alpha, xi)) for xi in XI_GRID
@@ -335,7 +322,6 @@ def verify_regularity(
                 alpha=float(alpha),
                 delta_estimate=delta_estimate,
                 m_alpha=m_a,
-                m_values=m_values,
                 mj_tail=tail,
                 h2_ratio=float(h2_ratio),
                 condition_bound=condition_bound(family, alpha),

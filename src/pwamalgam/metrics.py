@@ -19,8 +19,8 @@ separately and explicitly:
 - ``tail_slack_f``: the signal's own band norms beyond the reconstruction
   truncation ``M_max`` (analytic per signal),
 - ``tail_slack_J``: the approximant's spectral leak beyond the error-band
-  cap ``J_cap``, bounded by the coefficient l1 mass times the kernel's
-  band-suprema tail.
+  cap ``j_cap`` (``M_max + 2`` in CLI runs), bounded by the coefficient l1
+  mass times the kernel's band-suprema tail.
 
 Both slacks are added to the amalgam error, combined in quadrature for the
 L2 error, and reported as separate columns.
@@ -239,8 +239,8 @@ def sweep(
     """
     if not alpha_values:
         raise ContractError("alpha sweep must be nonempty")
-    if any(b < a for a, b in zip(alpha_values, alpha_values[1:])):
-        raise ContractError("alpha sweep must be ascending")
+    if any(b <= a for a, b in zip(alpha_values, alpha_values[1:])):
+        raise ContractError("alpha sweep must be strictly ascending")
     target = _build_target(signal, grid, m_max, x_grid, j_cap)
     reports = []
     for alpha in alpha_values:

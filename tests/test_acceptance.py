@@ -206,10 +206,10 @@ DETERMINISM_CONFIG = {
     "family": {"id": "gaussian"},
     "alpha_sweep": {"values": [0.75, 1.25]},
     "nodes": {"N": 16, "d": 0.1, "seed": 3, "symmetric": True},
-    "bands": {"M_max": 2, "J_cap": 4, "points_per_band": 128},
+    "bands": {"M_max": 2, "points_per_band": 128},
     "signal": {"id": "gauss_pair"},
     "spatial": {"T_int": 8.0, "density": 10},
-    "output": {"directory": ".", "formats": ["csv"]},
+    "output": {"directory": "."},
 }
 
 

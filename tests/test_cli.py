@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pwamalgam import (
+    ContractError,
     condition_bound,
     evaluate_J,
     get_family,
@@ -16,6 +17,8 @@ from pwamalgam import (
     parse_config,
     precision_boundary,
     reconstruct,
+    sweep,
+    verify_regularity,
 )
 from pwamalgam.cli import main
 from pwamalgam.engine import PRECISION_CAP
@@ -30,10 +33,10 @@ SMALL_SWEEP = {
     "family": {"id": "gaussian"},
     "alpha_sweep": {"values": [0.75, 1.25]},
     "nodes": {"N": 16, "d": 0.0, "seed": 0, "symmetric": True},
-    "bands": {"M_max": 2, "J_cap": 4, "points_per_band": 128},
+    "bands": {"M_max": 2, "points_per_band": 128},
     "signal": {"id": "gauss_pair"},
     "spatial": {"T_int": 8.0, "density": 10},
-    "output": {"directory": ".", "formats": ["csv", "json"]},
+    "output": {"directory": "."},
 }
 
 
@@ -136,22 +139,52 @@ def test_csv_bytes_are_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+REMOVED_KEYS = [
+    ("family", "alpha_domain", [0.5, 3.0]),
+    ("alpha_sweep", "start", 0.75),
+    ("alpha_sweep", "stop", 1.25),
+    ("alpha_sweep", "count", 2),
+    ("alpha_sweep", "spacing", "linear"),
+    ("bands", "J_cap", 4),
+    ("output", "formats", ["csv", "json"]),
+]
+
+
 @pytest.mark.parametrize(
     "section",
     [
         {"parallel": {"workers": 1}},
         {"tolerances": {"solver": 1e-8, "quadrature_refinement": 2}},
+        *({name: {**SMALL_SWEEP[name], key: value}} for name, key, value in REMOVED_KEYS),
     ],
-    ids=["parallel", "tolerances"],
+    ids=["parallel", "tolerances", *(key for _, key, _ in REMOVED_KEYS)],
 )
 def test_removed_section_exits_2(tmp_path, section):
-    # Configs written while these sections existed must stop, not run on.
+    # Configs written while these sections or keys existed must stop, not run
+    # on, even where the value given is one the key used to accept.
     cfg = write_config(tmp_path, {**SMALL_SWEEP, **section})
     out = tmp_path / "run"
     code, _, err = run_cli(["sweep", "--config", cfg, "--out", str(out)])
     assert code == 2
     assert "unknown key(s)" in err
     assert not out.exists()
+
+
+def test_repeated_alpha_is_rejected(tmp_path):
+    # A repeated alpha once parsed and then read as a convergence failure.
+    for cmd, values in (("verify-family", [1.0, 1.0, 2.0]), ("sweep", [1.0, 1.0])):
+        cfg = write_config(tmp_path, {**SMALL_SWEEP, "alpha_sweep": {"values": values}})
+        out = tmp_path / cmd
+        code, _, err = run_cli([cmd, "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "alpha_sweep.values must be strictly ascending" in err
+        assert not out.exists()
+    config = parse_config(SMALL_SWEEP)
+    inputs = (config.make_grid(), config.make_spatial_grid(), config.m_max, config.j_cap)
+    with pytest.raises(ContractError, match="strictly ascending"):
+        sweep(config.make_signal(), GAUSSIAN, [1.0, 1.0], config.make_nodes(), *inputs)
+    with pytest.raises(ContractError, match="strictly ascending"):
+        verify_regularity(GAUSSIAN, [1.0, 1.0, 2.0])
 
 
 def test_csv_uses_lf_and_headers(tmp_path):
@@ -286,8 +319,8 @@ def test_precision_limited_rows_leave_monotone_checks(tmp_path):
 def test_verify_family_passes_full_domain(tmp_path):
     payload = {
         "family": {"id": "gaussian"},
-        "alpha_sweep": {"start": 0.5, "stop": 3.0, "count": 6},
-        "output": {"directory": ".", "formats": ["csv"]},
+        "alpha_sweep": {"values": [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]},
+        "output": {"directory": "."},
     }
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "run"
@@ -307,7 +340,7 @@ def test_verify_family_passes_full_domain(tmp_path):
     # The crossing itself is checked against its oracles in test_kernels.
     boundary = manifest["checks"]["precision_boundary_alpha"]
     assert boundary == precision_boundary(GAUSSIAN, PRECISION_CAP)
-    assert "regularity.json" not in manifest["files"]  # csv-only config
+    assert manifest["files"] == ["regularity.csv", "regularity.json", "manifest.json"]
 
 
 def test_verify_family_shallow_sweep_fails(tmp_path):

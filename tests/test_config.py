@@ -21,66 +21,43 @@ def test_empty_config_gets_full_defaults():
     assert config.signal_id == "gauss_pair"
     assert config.t_int == 16.0
     assert config.density == 20
-    assert config.out_formats == ("csv", "json")
-    assert len(config.alpha_values()) == 8
+    assert config.alpha_values() == [0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5]
 
 
-# Every key of every section set away from its default; the sweep comes in
-# its two exclusive forms.
+# Every key of every section set away from its default.
 NON_DEFAULT = {
-    "family": {"id": "poisson", "alpha_domain": [1.0, 8.0]},
-    "alpha_sweep": {"start": 1.0, "stop": 8.0, "count": 4, "spacing": "log"},
+    "family": {"id": "poisson"},
+    "alpha_sweep": {"values": [1.0, 2.0, 4.0]},
     "nodes": {"N": 16, "d": 0.1, "seed": 3, "symmetric": False},
-    "bands": {"M_max": 2, "J_cap": 5, "points_per_band": 64},
+    "bands": {"M_max": 2, "points_per_band": 64},
     "signal": {"id": "two_band"},
     "spatial": {"T_int": 6.5, "density": 7},
-    "output": {"directory": "runs/x", "formats": ["json"]},
+    "output": {"directory": "runs/x"},
 }
 
 
 def test_echo_round_trips():
-    for sweep in (NON_DEFAULT["alpha_sweep"], {"values": [1.0, 2.0, 4.0]}):
-        data = {**NON_DEFAULT, "alpha_sweep": sweep}
-        config = parse_config(data)
-        assert config.echo() == data
-        assert parse_config(config.echo()) == config
-        assert (config.family_id, config.alpha_domain) == ("poisson", (1.0, 8.0))
-        assert (config.nodes_N, config.nodes_d, config.nodes_seed) == (16, 0.1, 3)
-        assert config.nodes_symmetric is False
-        assert (config.m_max, config.j_cap, config.points_per_band) == (2, 5, 64)
-        assert (config.signal_id, config.t_int, config.density) == ("two_band", 6.5, 7)
-        assert (config.out_directory, config.out_formats) == ("runs/x", ("json",))
-    listed = parse_config({**NON_DEFAULT, "alpha_sweep": {"values": [1.0, 2.0, 4.0]}})
-    assert listed.alpha_values() == [1.0, 2.0, 4.0]
-    assert listed.sweep_start is listed.sweep_count is listed.sweep_spacing is None
-    spaced = parse_config(NON_DEFAULT)
-    assert spaced.sweep_values is None
-    assert spaced.alpha_values() == pytest.approx([1.0, 2.0, 4.0, 8.0], rel=1e-14)
+    config = parse_config(NON_DEFAULT)
+    assert config.echo() == NON_DEFAULT
+    assert parse_config(config.echo()) == config
+    assert (config.family_id, config.alpha_values()) == ("poisson", [1.0, 2.0, 4.0])
+    assert (config.nodes_N, config.nodes_d, config.nodes_seed) == (16, 0.1, 3)
+    assert config.nodes_symmetric is False
+    assert (config.m_max, config.j_cap, config.points_per_band) == (2, 4, 64)
+    assert (config.signal_id, config.t_int, config.density) == ("two_band", 6.5, 7)
+    assert config.out_directory == "runs/x"
 
 
 def test_default_echo_is_complete():
     assert parse_config({}).echo() == {
         "family": {"id": "gaussian"},
-        "alpha_sweep": {"start": 0.75, "stop": 2.5, "count": 8, "spacing": "linear"},
+        "alpha_sweep": {"values": [0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5]},
         "nodes": {"N": 32, "d": 0.0, "seed": 0, "symmetric": True},
-        "bands": {"M_max": 4, "J_cap": 6, "points_per_band": 256},
+        "bands": {"M_max": 4, "points_per_band": 256},
         "signal": {"id": "gauss_pair"},
         "spatial": {"T_int": 16.0, "density": 20},
-        "output": {"directory": ".", "formats": ["csv", "json"]},
+        "output": {"directory": "."},
     }
-
-
-def test_spaced_sweep_forms():
-    linear = parse_config(
-        {"alpha_sweep": {"start": 1.0, "stop": 2.0, "count": 3, "spacing": "linear"}}
-    )
-    assert linear.alpha_values() == [1.0, 1.5, 2.0]
-    log = parse_config(
-        {"alpha_sweep": {"start": 0.5, "stop": 2.0, "count": 3, "spacing": "log"}}
-    )
-    assert log.alpha_values() == pytest.approx([0.5, 1.0, 2.0])
-    single = parse_config({"alpha_sweep": {"start": 1.0, "stop": 1.0, "count": 1}})
-    assert single.alpha_values() == [1.0]
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -132,38 +109,24 @@ def test_kadec_bound_named_at_config_time():
         parse_config({"nodes": {"d": 0.3}})
 
 
-def test_sweep_form_exclusivity_and_order():
-    with pytest.raises(ConfigError, match="not both"):
-        parse_config({"alpha_sweep": {"values": [1.0], "count": 2}})
-    with pytest.raises(ConfigError, match="ascending"):
-        parse_config({"alpha_sweep": {"values": [2.0, 1.0]}})
+def test_sweep_must_strictly_ascend():
+    for values in ([2.0, 1.0], [1.0, 1.0, 2.0]):
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            parse_config({"alpha_sweep": {"values": values}})
     with pytest.raises(ConfigError):
         parse_config({"alpha_sweep": {"values": []}})
-    with pytest.raises(ConfigError):
-        parse_config({"alpha_sweep": {"start": 2.0, "stop": 1.0}})
-    with pytest.raises(ConfigError):
-        parse_config({"alpha_sweep": {"spacing": "cubic"}})
-    with pytest.raises(ConfigError):
-        parse_config({"alpha_sweep": {"count": 0}})
+    assert parse_config({"alpha_sweep": {"values": [1.0]}}).alpha_values() == [1.0]
 
 
 def test_alpha_domain_checked_at_config_time():
     with pytest.raises(ConfigError, match="outside"):
         parse_config({"alpha_sweep": {"values": [5.0]}})  # gaussian tops at 3
     with pytest.raises(ConfigError, match="outside"):
-        parse_config(
-            {
-                "family": {"id": "gaussian", "alpha_domain": [0.5, 2.0]},
-                "alpha_sweep": {"values": [2.5]},
-            }
-        )
-    # Widening the domain admits the same value.
-    parse_config(
-        {
-            "family": {"id": "gaussian", "alpha_domain": [0.5, 6.0]},
-            "alpha_sweep": {"values": [5.0]},
-        }
-    )
+        parse_config({"alpha_sweep": {"values": [0.25, 1.0]}})  # and starts at 0.5
+    with pytest.raises(ConfigError, match=r"outside the poisson domain \[0.5, 16.0\]"):
+        parse_config({"family": {"id": "poisson"}, "alpha_sweep": {"values": [17.0]}})
+    # The poisson domain reaches past the gaussian one.
+    parse_config({"family": {"id": "poisson"}, "alpha_sweep": {"values": [5.0]}})
 
 
 def test_band_and_spatial_constraints():
@@ -171,8 +134,6 @@ def test_band_and_spatial_constraints():
         parse_config({"bands": {"points_per_band": 16}})  # too coarse
     with pytest.raises(ConfigError):
         parse_config({"bands": {"points_per_band": 33}})  # odd
-    with pytest.raises(ConfigError, match="J_cap"):
-        parse_config({"bands": {"M_max": 4, "J_cap": 4}})
     with pytest.raises(ConfigError, match="interior"):
         parse_config({"nodes": {"N": 16}, "spatial": {"T_int": 9.0}})
     parse_config({"nodes": {"N": 16}, "spatial": {"T_int": 8.0}})
@@ -185,10 +146,8 @@ def test_type_strictness():
         parse_config({"nodes": {"symmetric": 1}})
     with pytest.raises(ConfigError, match="number"):
         parse_config({"spatial": {"T_int": "16"}})
-    with pytest.raises(ConfigError):
-        parse_config({"output": {"formats": ["csv", "xml"]}})
-    with pytest.raises(ConfigError):
-        parse_config({"output": {"formats": []}})
+    with pytest.raises(ConfigError, match="number"):
+        parse_config({"alpha_sweep": {"values": [1.0, "2"]}})
     with pytest.raises(ConfigError):
         parse_config({"signal": {"id": "unknown"}})
     with pytest.raises(ConfigError):

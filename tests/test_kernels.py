@@ -1,5 +1,7 @@
 """Kernel families: closed forms, regularity certification, decay weights."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,12 +50,12 @@ def test_big_m_closed_form_and_symmetry():
 
 def test_alpha_domain_enforced():
     gaussian = get_family("gaussian")
-    with pytest.raises(DomainError):
-        phi_spectral(gaussian, 5.0, 0.0)
-    wide = get_family("gaussian", alpha_domain=(0.1, 10.0))
-    assert phi_spectral(wide, 5.0, 0.0) == pytest.approx(np.sqrt(10.0))
-    with pytest.raises(DomainError):
-        get_family("gaussian", alpha_domain=(-1.0, 2.0))
+    assert gaussian.alpha_domain == (0.5, 3.0)
+    assert get_family("poisson").alpha_domain == (0.5, 16.0)
+    for alpha in (0.25, 5.0):
+        with pytest.raises(DomainError):
+            phi_spectral(gaussian, alpha, 0.0)
+    assert phi_spectral(gaussian, 3.0, 0.0) == pytest.approx(np.sqrt(6.0))
     with pytest.raises(ContractError):
         get_family("lorentz")
 
@@ -147,8 +149,10 @@ def test_precision_boundary():
     assert 2.86 < precision_boundary(get_family("gaussian"), cap) < 2.88
     # A domain wholly below the crossing has none; one wholly above it
     # crosses at its bottom.
-    assert precision_boundary(get_family("gaussian", (0.5, 2.0)), cap) is None
-    assert precision_boundary(get_family("gaussian", (3.0, 3.5)), cap) == 3.0
+    below = dataclasses.replace(get_family("gaussian"), alpha_domain=(0.5, 2.0))
+    above = dataclasses.replace(get_family("gaussian"), alpha_domain=(3.0, 3.5))
+    assert precision_boundary(below, cap) is None
+    assert precision_boundary(above, cap) == 3.0
 
 
 def test_h2_ratio_values():

@@ -1,9 +1,12 @@
-"""The README's Quick start and the package export list match the current API."""
+"""The README's Quick start, Configuration table and the package export list
+match the current API."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+from pwamalgam import config
 
 from .test_config import CONFIGS
 
@@ -42,3 +45,12 @@ def test_every_committed_config_is_named():
     text = README.read_text(encoding="utf-8")
     assert CONFIGS
     assert [p.name for p in CONFIGS if f"configs/{p.name}" not in text] == []
+
+
+def test_configuration_table_matches_parser():
+    # A row is "| `section` | `key` (default)...; `key` (default)... |".
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.MULTILINE)
+    documented = {(name, key) for name, keys in rows for key in re.findall(r"`(\w+)` \(", keys)}
+    assert documented == {(row[0], row[1]) for row in config._KEYS}
