@@ -16,7 +16,8 @@ list-signals
 
 Exit codes: 0 on success (rows flagged precision-limited still count as
 success), 1 on numeric failure (a solve broke down or a sweep row failed),
-2 on configuration or contract errors.
+2 on configuration or contract errors and on an output file that cannot be
+written (files written before it stay).
 
 Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
 line endings, and shortest round-trip float formatting (``repr``), so two
@@ -44,6 +45,7 @@ refined by the fixed ``quadrature_refinement_factor`` (2).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import platform
@@ -82,15 +84,11 @@ def _cell(value: object) -> str:
 
 
 def _write_text(path: Path, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-
-
-def _write_csv(path: Path, header: list[str], rows: list[list[object]]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    _write_text(path, "\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _jsonable(value: object) -> object:
@@ -112,6 +110,31 @@ def _write_rows(path: Path, rows: list[dict]) -> None:
     """Write a data table as a JSON array with one object per line."""
     body = ",\n".join(map(_ROW_ENCODER.encode, rows))
     _write_text(path, f"[\n{body}\n]\n" if rows else "[]\n")
+
+
+def _columns(report: object) -> dict[str, object]:
+    """A report's table columns, in field order; a dict-valued field gives
+    one column per key, named ``<field>_<key!r>``."""
+    columns: dict[str, object] = {}
+    for field in dataclasses.fields(report):
+        value = getattr(report, field.name)
+        if isinstance(value, dict):
+            columns.update((f"{field.name}_{key!r}", v) for key, v in value.items())
+        else:
+            columns[field.name] = value
+    return columns
+
+
+def _write_table(outdir: Path, stem: str, reports: list) -> list[str]:
+    """Write `reports` as ``<stem>.csv`` and its JSON mirror, one row each,
+    and return the two file names. ``flags`` is in the JSON only."""
+    rows = [_columns(report) for report in reports]
+    header = [name for name in rows[0] if name != "flags"]
+    lines = [",".join(header)] + [",".join(_cell(row[h]) for h in header) for row in rows]
+    _write_text(outdir / f"{stem}.csv", "\n".join(lines) + "\n")
+    mirror = [{name: _jsonable(v) for name, v in row.items()} for row in rows]
+    _write_rows(outdir / f"{stem}.json", mirror)
+    return [f"{stem}.csv", f"{stem}.json"]
 
 
 def _environment() -> dict:
@@ -201,50 +224,10 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
         "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
     }
     timer.lap("compute")
-
-    xi_grid = list(reports[0].h3_profile)
-    header = (
-        ["alpha", "delta_estimate", "m_alpha", "h2_ratio", "condition_bound", "mj_tail"]
-        + [f"h3_ratio_at_{xi!r}" for xi in xi_grid]
-        + ["pass_A2", "pass_A3", "pass_H2", "pass_H3"]
-    )
-    rows: list[list[object]] = [
-        [
-            report.alpha,
-            report.delta_estimate,
-            report.m_alpha,
-            report.h2_ratio,
-            report.condition_bound,
-            report.mj_tail,
-            *[report.h3_profile[xi] for xi in xi_grid],
-            report.pass_a2,
-            report.pass_a3,
-            report.pass_h2,
-            report.pass_h3,
-        ]
-        for report in reports
-    ]
-    _write_csv(outdir / "regularity.csv", header, rows)
-    payload = [dict(zip(header, map(_jsonable, row))) for row in rows]
-    _write_rows(outdir / "regularity.json", payload)
-    files = ["regularity.csv", "regularity.json", "manifest.json"]
+    files = [*_write_table(outdir, "regularity", reports), "manifest.json"]
     timer.lap("write")
     _write_manifest(outdir, "verify-family", config, files, checks, timer.seconds)
     return 0 if checks["all_pass"] else 1
-
-
-_SWEEP_HEADER = [
-    "alpha",
-    "l2_error",
-    "amalgam_error",
-    "sup_error",
-    "rhs_bound",
-    "bound_ratio",
-    "condition_estimate",
-    "tail_slack_f",
-    "tail_slack_J",
-    "precision_limited",
-]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -289,28 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "quadrature_drift": _quadrature_drift(config, signal, grid),
     }
     timer.lap("compute")
-    rows: list[list[object]] = [
-        [
-            r.alpha,
-            r.l2_error,
-            r.amalgam_error,
-            r.sup_error,
-            r.rhs_bound,
-            r.bound_ratio,
-            r.condition_estimate,
-            r.tail_slack_f,
-            r.tail_slack_J,
-            r.precision_limited,
-        ]
-        for r in reports
-    ]
-    _write_csv(outdir / "convergence.csv", _SWEEP_HEADER, rows)
-    payload = [
-        {**dict(zip(_SWEEP_HEADER, map(_jsonable, row))), "flags": list(r.flags)}
-        for row, r in zip(rows, reports)
-    ]
-    _write_rows(outdir / "convergence.json", payload)
-    files = ["convergence.csv", "convergence.json", "manifest.json"]
+    files = [*_write_table(outdir, "convergence", reports), "manifest.json"]
     timer.lap("write")
     _write_manifest(outdir, "sweep", config, files, checks, timer.seconds)
     return 1 if checks["failed_rows"] else 0

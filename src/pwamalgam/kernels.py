@@ -254,10 +254,12 @@ def precision_boundary(family: InterpolatorFamily, cap: float) -> float | None:
 class RegularityReport:
     """Numeric certificate for one alpha.
 
+    The fields, in order, are the columns of ``regularity.csv``;
+    `h3_ratio_at` gives one column per frequency.
     `condition_bound` bounds the condition number of the collocation matrix
     on integer nodes (see `condition_bound`).
-    `h3_profile` maps each grid frequency to ``m_alpha / phi_hat_alpha(xi)``;
-    `pass_h3` means every profile entry strictly decreased from the previous
+    `h3_ratio_at` maps each grid frequency to ``m_alpha / phi_hat_alpha(xi)``;
+    `pass_H3` means every profile entry strictly decreased from the previous
     alpha in the sweep (vacuously true for the first report). The final-value
     threshold is a sweep-level verdict computed by the caller.
     """
@@ -265,14 +267,14 @@ class RegularityReport:
     alpha: float
     delta_estimate: float
     m_alpha: float
-    mj_tail: float
     h2_ratio: float
     condition_bound: float
-    h3_profile: dict[float, float]
-    pass_a2: bool
-    pass_a3: bool
-    pass_h2: bool
-    pass_h3: bool
+    mj_tail: float
+    h3_ratio_at: dict[float, float]
+    pass_A2: bool
+    pass_A3: bool
+    pass_H2: bool
+    pass_H3: bool
 
 
 def verify_regularity(
@@ -322,14 +324,14 @@ def verify_regularity(
                 alpha=float(alpha),
                 delta_estimate=delta_estimate,
                 m_alpha=m_a,
-                mj_tail=tail,
                 h2_ratio=float(h2_ratio),
                 condition_bound=condition_bound(family, alpha),
-                h3_profile=profile,
-                pass_a2=delta_estimate > 0.0,
-                pass_a3=tail < A3_TAIL_REL * head,
-                pass_h2=h2_ratio <= H2_CAP,
-                pass_h3=pass_h3,
+                mj_tail=tail,
+                h3_ratio_at=profile,
+                pass_A2=delta_estimate > 0.0,
+                pass_A3=tail < A3_TAIL_REL * head,
+                pass_H2=h2_ratio <= H2_CAP,
+                pass_H3=pass_h3,
             )
         )
         prev_profile = profile
@@ -345,9 +347,9 @@ def regularity_verdict(reports: list[RegularityReport]) -> dict[str, bool]:
     """
     final = reports[-1]
     return {
-        "A2": all(r.pass_a2 for r in reports),
-        "A3": all(r.pass_a3 for r in reports),
-        "H2": all(r.pass_h2 for r in reports),
-        "H3_monotone": all(r.pass_h3 for r in reports),
-        "H3_final": all(v < H3_FINAL for v in final.h3_profile.values()),
+        "A2": all(r.pass_A2 for r in reports),
+        "A3": all(r.pass_A3 for r in reports),
+        "H2": all(r.pass_H2 for r in reports),
+        "H3_monotone": all(r.pass_H3 for r in reports),
+        "H3_final": all(v < H3_FINAL for v in final.h3_ratio_at.values()),
     }

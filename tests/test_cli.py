@@ -106,27 +106,42 @@ def json_rows(path):
     return rows
 
 
-def test_convergence_json_is_one_row_per_line(tmp_path):
-    payload = {
-        **SMALL_SWEEP,
-        "family": {"id": "poisson"},
-        "alpha_sweep": {"values": [8.0, 16.0]},
-        "nodes": {"N": 32},
-        "bands": {"M_max": 1, "points_per_band": 128},
-    }
+MIRROR_RUNS = {
+    # (config, exit code). The sweep's second row fails: NaN errors in the
+    # CSV, null and a flag in the JSON.
+    "sweep": (
+        {
+            **SMALL_SWEEP,
+            "family": {"id": "poisson"},
+            "alpha_sweep": {"values": [8.0, 16.0]},
+            "nodes": {"N": 32},
+            "bands": {"M_max": 1, "points_per_band": 128},
+        },
+        1,
+    ),
+    "verify-family": ({"family": {"id": "gaussian"}, "alpha_sweep": {"values": [0.5, 3.0]}}, 0),
+}
+
+
+@pytest.mark.parametrize("command", list(MIRROR_RUNS))
+def test_json_mirror_matches_csv(tmp_path, command):
+    payload, exit_code = MIRROR_RUNS[command]
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "run"
-    assert run_cli(["sweep", "--config", cfg, "--out", str(out)])[0] == 1
-    rows = json_rows(out / "convergence.json")
-    _, csv = csv_rows(out / "convergence.csv")
+    assert run_cli([command, "--config", cfg, "--out", str(out)])[0] == exit_code
+    table = "convergence" if command == "sweep" else "regularity"
+    rows = json_rows(out / f"{table}.json")
+    _, csv = csv_rows(out / f"{table}.csv")
     assert len(rows) == len(csv) == 2
+    extra = ["flags"] if command == "sweep" else []
     for row, line in zip(rows, csv):
-        assert list(row) == sorted([*line, "flags"])
+        assert list(row) == sorted([*line, *extra])
         for key, text in line.items():
             value = float(text) if text not in ("True", "False") else text == "True"
             assert row[key] == value or (row[key] is None and text == "nan")
-    assert rows[0]["flags"] == []
-    assert rows[1]["flags"] and rows[1]["amalgam_error"] is None
+    if command == "sweep":
+        assert rows[0]["flags"] == []
+        assert rows[1]["flags"] and rows[1]["amalgam_error"] is None
 
 
 def test_csv_bytes_are_deterministic(tmp_path):
@@ -234,7 +249,9 @@ def test_missing_config_exits_2(tmp_path):
     assert "not found" in err
 
 
-@pytest.mark.parametrize("case", ["config-is-directory", "config-not-utf8", "out-is-file"])
+@pytest.mark.parametrize(
+    "case", ["config-is-directory", "config-not-utf8", "out-is-file", "table-is-directory"]
+)
 def test_unreadable_config_or_unusable_out_exits_2(tmp_path, case):
     cfg = write_config(tmp_path, SMALL_SWEEP)
     out = tmp_path / "run"
@@ -242,11 +259,14 @@ def test_unreadable_config_or_unusable_out_exits_2(tmp_path, case):
         cfg = str(tmp_path)
     elif case == "config-not-utf8":
         Path(cfg).write_bytes(b'{"signal": {"id": "gauss_pair\xff"}}')
-    else:
+    elif case == "out-is-file":
         out.write_text("not a directory", encoding="utf-8")
+    else:
+        (out / "convergence.csv").mkdir(parents=True)
     code, _, err = run_cli(["sweep", "--config", cfg, "--out", str(out)])
     assert code == 2
     assert err.startswith("error:")
+    assert err.count("\n") == 1
 
 
 def test_solver_breakdown_rows_exit_1(tmp_path):
@@ -327,9 +347,14 @@ def test_verify_family_passes_full_domain(tmp_path):
     code, _, _ = run_cli(["verify-family", "--config", cfg, "--out", str(out)])
     assert code == 0
     header, rows = csv_rows(out / "regularity.csv")
-    assert header[:5] == ["alpha", "delta_estimate", "m_alpha", "h2_ratio", "condition_bound"]
-    assert header[-4:] == ["pass_A2", "pass_A3", "pass_H2", "pass_H3"]
-    assert any(column.startswith("h3_ratio_at_") for column in header)
+    assert header == [
+        "alpha", "delta_estimate", "m_alpha", "h2_ratio", "condition_bound", "mj_tail",
+        "h3_ratio_at_0.0",
+        "h3_ratio_at_0.7853981633974483", "h3_ratio_at_-0.7853981633974483",
+        "h3_ratio_at_1.5707963267948966", "h3_ratio_at_-1.5707963267948966",
+        "h3_ratio_at_2.0943951023931953", "h3_ratio_at_-2.0943951023931953",
+        "pass_A2", "pass_A3", "pass_H2", "pass_H3",
+    ]
     for row in rows:
         assert row["pass_A2"] == "True"
         assert float(row["delta_estimate"]) > 0
@@ -596,4 +621,4 @@ def test_committed_config_runs(tmp_path, path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == cmd
-    assert all((out / name).exists() for name in manifest["files"])
+    assert sorted(manifest["files"]) == sorted(p.name for p in out.iterdir())

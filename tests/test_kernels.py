@@ -166,7 +166,7 @@ def test_h2_ratio_values():
 def test_regularity_sweep_monotone_profile():
     family = get_family("gaussian")
     reports = verify_regularity(family, [0.5, 1.0, 2.0, 3.0])
-    assert all(r.pass_a2 and r.pass_a3 and r.pass_h2 and r.pass_h3 for r in reports)
+    assert all(r.pass_A2 and r.pass_A3 and r.pass_H2 and r.pass_H3 for r in reports)
     verdict = regularity_verdict(reports)
     assert verdict == {
         "A2": True,
@@ -177,8 +177,8 @@ def test_regularity_sweep_monotone_profile():
     }
     # Profile entries shrink between consecutive alphas at every frequency.
     for prev, curr in zip(reports, reports[1:]):
-        for xi, ratio in curr.h3_profile.items():
-            assert ratio < prev.h3_profile[xi]
+        for xi, ratio in curr.h3_ratio_at.items():
+            assert ratio < prev.h3_ratio_at[xi]
 
 
 def test_h3_final_requires_deep_sweep():
