@@ -246,7 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         config.make_spatial_grid(),
     )
     timer.lap("build")
-    reports = run_sweep(*inputs, config.m_max, config.j_cap)
+    reports = run_sweep(*inputs, config.m_max)
     # The monotone checks read only trustworthy rows: failed rows carry no
     # errors, and precision-limited rows carry rounding noise.
     trusted = [r for r in reports if not r.flags and not r.precision_limited]
@@ -311,16 +311,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     timer.lap("build")
     approx = reconstruct(signal, family, alphas[0], nodes, grid, config.m_max)
     xs_arr = np.asarray(xs, dtype=float)
-    f_vals = j_vals = np.zeros(0, dtype=complex)
-    if xs:
-        j_vals = np.atleast_1d(evaluate_J(approx, xs_arr))
-        # Reference values: the closed spatial form when the signal has one,
-        # otherwise the band-truncated quadrature inversion (the same target
-        # the approximant is built against).
-        if signal.f is not None:
-            f_vals = np.asarray(signal.f(xs_arr), dtype=complex)
-        else:
-            f_vals = truncated_signal_values(signal, grid, config.m_max, xs_arr)
+    j_vals = evaluate_J(approx, xs_arr)
+    # Reference values: the closed spatial form when the signal has one,
+    # otherwise the band-truncated quadrature inversion (the same target
+    # the approximant is built against).
+    if signal.f is not None:
+        f_vals = np.asarray(signal.f(xs_arr), dtype=complex)
+    else:
+        f_vals = truncated_signal_values(signal, grid, config.m_max, xs_arr)
     errors = np.abs(f_vals - j_vals)
     checks = {
         "alpha": alphas[0],

@@ -1,14 +1,16 @@
 """Experiment configuration: a single strict JSON document.
 
 Every section is optional and falls back to documented defaults, but unknown
-keys anywhere are hard errors rather than warnings, so a typo in a key name
-cannot silently run with the default. Validation messages name the
-violated rule (the node perturbation check names the Kadec 1/4 bound).
+or repeated keys anywhere are hard errors rather than warnings, so a typo in
+a key name cannot silently run with the default, nor a second copy of a key
+silently override the first. Validation messages name the violated rule
+(the node perturbation check names the Kadec 1/4 bound).
 
 ``alpha_sweep`` is one explicit list ``{values: [...]}``, strictly
 ascending, since the convergence claim reads ``J_alpha f`` along increasing
 ``alpha``. A family's ``alpha`` domain, the error-accounting band cap
-(``M_max + 2``) and the output tables (CSV and JSON) are fixed, not settings.
+(``metrics.J_MARGIN`` bands beyond ``M_max``) and the output tables (CSV and
+JSON) are fixed, not settings.
 """
 
 from __future__ import annotations
@@ -145,11 +147,6 @@ class ExperimentConfig:
     density: int
     out_directory: str
 
-    @property
-    def j_cap(self) -> int:
-        """Error-accounting band cap: two bands beyond the reconstruction's."""
-        return self.m_max + 2
-
     def alpha_values(self) -> list[float]:
         """The sweep, strictly ascending."""
         return list(self.sweep_values)
@@ -222,11 +219,20 @@ def parse_config(data: dict) -> ExperimentConfig:
     return config
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    data: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"repeated key {key!r} in the config file")
+        data[key] = value
+    return data
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Parse a configuration JSON file."""
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_unique_keys)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:

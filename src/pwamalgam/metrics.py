@@ -19,8 +19,8 @@ separately and explicitly:
 - ``tail_slack_f``: the signal's own band norms beyond the reconstruction
   truncation ``M_max`` (analytic per signal),
 - ``tail_slack_J``: the approximant's spectral leak beyond the error-band
-  cap ``j_cap`` (``M_max + 2`` in CLI runs), bounded by the coefficient l1
-  mass times the kernel's band-suprema tail.
+  cap ``j_cap = M_max + J_MARGIN``, bounded by the coefficient l1 mass times
+  the kernel's band-suprema tail.
 
 Both slacks are added to the amalgam error, combined in quadrature for the
 L2 error, and reported as separate columns.
@@ -55,27 +55,32 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
+# Bands the error measurement reads beyond the reconstruction's ``M_max``.
+J_MARGIN = 2
+
+
+@dataclass(frozen=True, kw_only=True)
 class ErrorReport:
     """The three error functionals plus bound and conditioning diagnostics.
 
     ``bound_ratio`` is ``amalgam_error / rhs_bound`` (defined as 0 for the
     zero signal, whose bound is 0). ``precision_limited`` marks runs whose
     condition estimate exceeds the double-precision trust cap; their error
-    values are reported but not trustworthy. Failed solves produce reports
-    with NaN error fields and an explanatory flag.
+    values are reported but not trustworthy. A failed solve gives a report
+    with NaN measured fields, the condition estimate of its matrix and an
+    explanatory flag; ``precision_limited`` labels it too.
     """
 
     alpha: float
-    l2_error: float
-    amalgam_error: float
-    sup_error: float
-    rhs_bound: float
-    bound_ratio: float
+    l2_error: float = np.nan
+    amalgam_error: float = np.nan
+    sup_error: float = np.nan
+    rhs_bound: float = np.nan
+    bound_ratio: float = np.nan
     condition_estimate: float
-    tail_slack_f: float
-    tail_slack_J: float
-    precision_limited: bool
+    tail_slack_f: float = np.nan
+    tail_slack_J: float = np.nan
+    precision_limited: bool = False
     flags: tuple[str, ...] = ()
 
 
@@ -106,26 +111,35 @@ def truncated_signal_values(
 
 
 @dataclass(frozen=True)
-class _Target:
-    """The band-truncated signal on the window quadrature and the spatial grid.
+class Target:
+    """What an approximant is measured against: the band-truncated signal on
+    the window quadrature and on the spatial grid, with the signal, grids and
+    truncation it came from.
 
-    It depends on the signal, the grids and the truncations, not on ``alpha``,
-    so `sweep` builds it once and measures every approximant against it.
+    It does not depend on ``alpha``, so `sweep` builds it once and measures
+    every approximant against it.
     """
 
+    signal: TestSignal
+    grid: FrequencyGrid
+    x_grid: SpatialGrid
+    m_max: int
     xq: np.ndarray
     wq: np.ndarray
     on_window: np.ndarray
     on_grid: np.ndarray
 
 
-def _build_target(
-    signal: TestSignal, grid: FrequencyGrid, m_max: int, x_grid: SpatialGrid, j_cap: int
-) -> _Target:
-    if j_cap <= m_max:
-        raise ContractError("j_cap must exceed the band truncation M_max")
-    xq, wq = window_quadrature(x_grid.extent, j_cap)
-    return _Target(
+def measurement_target(
+    signal: TestSignal, grid: FrequencyGrid, x_grid: SpatialGrid, m_max: int
+) -> Target:
+    """The `Target` that `error_report` measures approximants of `m_max` against."""
+    xq, wq = window_quadrature(x_grid.extent, m_max + J_MARGIN)
+    return Target(
+        signal=signal,
+        grid=grid,
+        x_grid=x_grid,
+        m_max=m_max,
         xq=xq,
         wq=wq,
         on_window=truncated_signal_values(signal, grid, m_max, xq),
@@ -133,30 +147,25 @@ def _build_target(
     )
 
 
-def error_report(
-    signal: TestSignal,
-    approx: Approximant,
-    grid: FrequencyGrid,
-    x_grid: SpatialGrid,
-    j_cap: int,
-    *,
-    _target: _Target | None = None,
-) -> ErrorReport:
+def error_report(approx: Approximant, target: Target) -> ErrorReport:
     """Measure the approximant's error functionals on the interior window.
 
-    Per band ``|j| <= j_cap`` the residual's band spectrum comes from the
-    windowed forward transform of ``f - J_alpha f`` evaluated over
-    ``[-extent, extent]`` of `x_grid`; the amalgam error sums band norms plus
-    the two analytic tail slacks, the L2 error combines them by Parseval, and
-    the sup error is the max over the spatial grid points. The bound side is
+    Per band ``|j| <= j_cap = M_max + J_MARGIN`` the residual's band spectrum
+    comes from the windowed forward transform of ``f - J_alpha f`` evaluated
+    over ``[-extent, extent]`` of the target's spatial grid; the amalgam
+    error sums band norms plus the two analytic tail slacks, the L2 error
+    combines them by Parseval, and the sup error is the max over the spatial
+    grid points. The bound side is
     ``sum_j || (m_alpha / phi_hat) fhat(. + 2 pi j) ||`` plus the signal's
     tail beyond ``j_cap``.
-
-    `_target` is private to this module: `sweep` passes the target it built
-    once from the same arguments.
     """
     m_max = approx.m_max
-    target = _target or _build_target(signal, grid, m_max, x_grid, j_cap)
+    if m_max != target.m_max:
+        raise ContractError(
+            f"approximant has M_max={m_max} but the target was built for {target.m_max}"
+        )
+    j_cap = m_max + J_MARGIN
+    signal, grid = target.signal, target.grid
     family = approx.family
     alpha = approx.alpha
     xq = target.xq
@@ -181,7 +190,7 @@ def error_report(
     amalgam_error = float(amalgam_norm(residual, grid))
     l2_error = l2_norm_parseval(residual, grid)
 
-    residual_s = target.on_grid - evaluate_J(approx, x_grid.points)
+    residual_s = target.on_grid - evaluate_J(approx, target.x_grid.points)
     sup_error = float(np.max(np.abs(residual_s)))
 
     weight = m_alpha(family, alpha) / phi_spectral(family, alpha, grid.nodes)
@@ -202,23 +211,6 @@ def error_report(
     )
 
 
-def _failed_report(alpha: float, message: str, condition: float) -> ErrorReport:
-    nan = float("nan")
-    return ErrorReport(
-        alpha=float(alpha),
-        l2_error=nan,
-        amalgam_error=nan,
-        sup_error=nan,
-        rhs_bound=nan,
-        bound_ratio=nan,
-        condition_estimate=condition,
-        tail_slack_f=nan,
-        tail_slack_J=nan,
-        precision_limited=False,
-        flags=(message,),
-    )
-
-
 def sweep(
     signal: TestSignal,
     family: InterpolatorFamily,
@@ -227,7 +219,6 @@ def sweep(
     grid: FrequencyGrid,
     x_grid: SpatialGrid,
     m_max: int,
-    j_cap: int,
 ) -> list[ErrorReport]:
     """One `error_report` per alpha, in sweep order.
 
@@ -241,16 +232,19 @@ def sweep(
         raise ContractError("alpha sweep must be nonempty")
     if any(b <= a for a, b in zip(alpha_values, alpha_values[1:])):
         raise ContractError("alpha sweep must be strictly ascending")
-    target = _build_target(signal, grid, m_max, x_grid, j_cap)
+    target = measurement_target(signal, grid, x_grid, m_max)
     reports = []
     for alpha in alpha_values:
         try:
             approx = reconstruct(signal, family, alpha, nodes, grid, m_max)
-            reports.append(
-                error_report(signal, approx, grid, x_grid, j_cap, _target=target)
-            )
+            reports.append(error_report(approx, target))
         except (ConditioningError, AccuracyError) as exc:
             reports.append(
-                _failed_report(alpha, f"failed: {exc}", exc.condition_estimate)
+                ErrorReport(
+                    alpha=float(alpha),
+                    condition_estimate=exc.condition_estimate,
+                    precision_limited=exc.condition_estimate > PRECISION_CAP,
+                    flags=(f"failed: {exc}",),
+                )
             )
     return reports

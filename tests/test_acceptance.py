@@ -42,7 +42,7 @@ def trend_sweeps():
         _trend_cache["rows"] = {
             signal_id: pw.sweep(
                 pw.get_signal(signal_id), family, SWEEP_ALPHAS, nodes, grid,
-                x_grid, m_max=4, j_cap=6,
+                x_grid, m_max=4,
             )
             for signal_id in FOLD_FLOOR
         }
@@ -191,7 +191,7 @@ def test_criterion_09_node_count_insensitivity():
     for half_width in (32, 48):
         nodes = pw.uniform_nodes(half_width)
         reports[half_width] = pw.sweep(
-            signal, family, [1.5], nodes, grid, x_grid, m_max=4, j_cap=6
+            signal, family, [1.5], nodes, grid, x_grid, m_max=4
         )[0]
     ok = True
     for column in ("l2_error", "amalgam_error", "sup_error"):

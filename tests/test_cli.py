@@ -1,5 +1,6 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -195,7 +196,7 @@ def test_repeated_alpha_is_rejected(tmp_path):
         assert "alpha_sweep.values must be strictly ascending" in err
         assert not out.exists()
     config = parse_config(SMALL_SWEEP)
-    inputs = (config.make_grid(), config.make_spatial_grid(), config.m_max, config.j_cap)
+    inputs = (config.make_grid(), config.make_spatial_grid(), config.m_max)
     with pytest.raises(ContractError, match="strictly ascending"):
         sweep(config.make_signal(), GAUSSIAN, [1.0, 1.0], config.make_nodes(), *inputs)
     with pytest.raises(ContractError, match="strictly ascending"):
@@ -250,7 +251,14 @@ def test_missing_config_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "case", ["config-is-directory", "config-not-utf8", "out-is-file", "table-is-directory"]
+    "case",
+    [
+        "config-is-directory",
+        "config-not-utf8",
+        "config-repeats-key",
+        "out-is-file",
+        "table-is-directory",
+    ],
 )
 def test_unreadable_config_or_unusable_out_exits_2(tmp_path, case):
     cfg = write_config(tmp_path, SMALL_SWEEP)
@@ -259,6 +267,8 @@ def test_unreadable_config_or_unusable_out_exits_2(tmp_path, case):
         cfg = str(tmp_path)
     elif case == "config-not-utf8":
         Path(cfg).write_bytes(b'{"signal": {"id": "gauss_pair\xff"}}')
+    elif case == "config-repeats-key":
+        Path(cfg).write_text('{"nodes": {"N": 16, "N": 8}}', encoding="utf-8")
     elif case == "out-is-file":
         out.write_text("not a directory", encoding="utf-8")
     else:
@@ -267,6 +277,8 @@ def test_unreadable_config_or_unusable_out_exits_2(tmp_path, case):
     assert code == 2
     assert err.startswith("error:")
     assert err.count("\n") == 1
+    if case.startswith("config-"):
+        assert not out.exists()
 
 
 def test_solver_breakdown_rows_exit_1(tmp_path):
@@ -285,8 +297,12 @@ def test_solver_breakdown_rows_exit_1(tmp_path):
     _, rows = csv_rows(out / "convergence.csv")
     assert rows[0]["amalgam_error"] != "nan"
     assert rows[1]["amalgam_error"] == "nan"
+    # The broken alpha = 16 matrix is far above the cap, and its row says so.
+    assert float(rows[1]["condition_estimate"]) > PRECISION_CAP
+    assert [r["precision_limited"] for r in rows] == ["False", "True"]
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["checks"]["failed_rows"] == 1
+    assert manifest["checks"]["precision_limited_rows"] == 1
     mirror = json.loads((out / "convergence.json").read_text(encoding="utf-8"))
     assert mirror[1]["amalgam_error"] is None
     assert mirror[1]["flags"]
@@ -609,10 +625,35 @@ def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
 
 COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct_": "reconstruct"}
 
+# sha256 of every data file the committed configs write; manifests carry a
+# timestamp and timings, so they are left out.
+DATA_FILE_SHA256 = {
+    "reconstruct_tri_band/reconstruction.json": "c8899a0c676cb3afce369bfb8b6cf8be3d7df3f38b3674f0b0c8b5d5a4f3b666",
+    "sweep_gauss_pair/convergence.csv": "e2b027bcd184d7ab35e59366900eeb27e2ca8457fe0adee8a2bf0416bfa5fd65",
+    "sweep_gauss_pair/convergence.json": "af6e74f7a9716bde0cbdde5ac1ad2ff181472d83e8314abeae7e2a80e34ab9bc",
+    "sweep_perturbed_nodes/convergence.csv": "eb3a60a8ba1014302836f3794436600b8af62fdc007f038028fb311f51f0d26a",
+    "sweep_perturbed_nodes/convergence.json": "208c05970ec44e571983e15c34bfe9c9a20e23b6a914df8cb242a0aa77ffb569",
+    "sweep_precision_edge/convergence.csv": "bbf9d4c78d3bc2daa541db3fbf881a23a32d59528a8bd78a61f9170b0a4ace2e",
+    "sweep_precision_edge/convergence.json": "ac6d5461e84e0e6421907ca6fe867ae4a3451bf6edea6c832b49e9a4ad8bfec7",
+    "sweep_two_band/convergence.csv": "2ca2118f47eed256b9717ae5ece15b8a62e8d6d077145f7f259e9e2c64f645b9",
+    "sweep_two_band/convergence.json": "fe12d1d1a46386798076fc76878a13e4661c2208b038e99a894aa9763ac7dcaa",
+    "verify_gaussian/regularity.csv": "8ec30731f2679d0605a081e7693ef2b68d1cacd28fdc28abfa6ac54e83145c70",
+    "verify_gaussian/regularity.json": "675afa1cb5048b882bafeab8d7b6157aa006fa14d880b5fbc3b091f933ca3144",
+    "verify_poisson/regularity.csv": "95863bb0867981721c6759cbcb046749cf71fc26dd0bcb49b854dc7425e7fa0f",
+    "verify_poisson/regularity.json": "5d620567b237ba7ad566d69b353e07dd2419fc0e4e55020d7386f129a7970d15",
+}
+
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
 def test_committed_config_runs(tmp_path, path):
-    # Each committed config is a study; its file-name prefix names the command.
+    """Each committed config is a study; its file-name prefix names the command.
+
+    Its data files must match `DATA_FILE_SHA256` byte for byte. Like
+    ``tests/test_bitwise.py``, the table is tied to the numpy and OpenBLAS it
+    was recorded with (numpy 2.4.6; 1 and 2 BLAS threads give the same
+    bytes): a library whose rounding differs fails here, and a change that
+    means to keep the outputs must keep this table.
+    """
     commands = [c for p, c in COMMAND_BY_PREFIX.items() if path.name.startswith(p)]
     assert len(commands) == 1, f"{path.name} has no command prefix"
     (cmd,) = commands
@@ -622,3 +663,10 @@ def test_committed_config_runs(tmp_path, path):
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == cmd
     assert sorted(manifest["files"]) == sorted(p.name for p in out.iterdir())
+    digests = {
+        f"{path.stem}/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in manifest["files"]
+        if name != "manifest.json"
+    }
+    expected = {k: v for k, v in DATA_FILE_SHA256.items() if k.startswith(f"{path.stem}/")}
+    assert digests == expected

@@ -16,7 +16,6 @@ def test_empty_config_gets_full_defaults():
     assert config.nodes_d == 0.0
     assert config.nodes_symmetric is True
     assert config.m_max == 4
-    assert config.j_cap == 6
     assert config.points_per_band == 256
     assert config.signal_id == "gauss_pair"
     assert config.t_int == 16.0
@@ -43,7 +42,7 @@ def test_echo_round_trips():
     assert (config.family_id, config.alpha_values()) == ("poisson", [1.0, 2.0, 4.0])
     assert (config.nodes_N, config.nodes_d, config.nodes_seed) == (16, 0.1, 3)
     assert config.nodes_symmetric is False
-    assert (config.m_max, config.j_cap, config.points_per_band) == (2, 4, 64)
+    assert (config.m_max, config.points_per_band) == (2, 64)
     assert (config.signal_id, config.t_int, config.density) == ("two_band", 6.5, 7)
     assert config.out_directory == "runs/x"
 
@@ -181,6 +180,14 @@ def test_load_config_errors(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="valid JSON"):
         load_config(bad)
+    # A repeated key is an error, in a section or at the root, not an override.
+    for text, key in (
+        ('{"nodes": {"N": 32, "N": 8}}', "N"),
+        ('{"alpha_sweep": {"values": [1.0]}, "alpha_sweep": {"values": [2.0]}}', "alpha_sweep"),
+    ):
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
+            load_config(bad)
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"nodes": {"N": 8}}), encoding="utf-8")
     assert load_config(good).nodes_N == 8

@@ -1,5 +1,7 @@
 """Interior-window error functionals and the alpha sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,11 @@ from pwamalgam import (
 )
 from pwamalgam import engine
 from pwamalgam.engine import PRECISION_CAP
-from pwamalgam.metrics import truncated_signal_values, window_quadrature
+from pwamalgam.metrics import (
+    measurement_target,
+    truncated_signal_values,
+    window_quadrature,
+)
 
 GAUSSIAN = get_family("gaussian")
 
@@ -28,8 +34,9 @@ def small_setup(signal_id: str, alpha: float, m_max: int = 2, n: int = 16):
     grid = frequency_grid(128)
     nodes = uniform_nodes(n)
     x_grid = spatial_grid(n / 2.0, density=10)
-    approx = reconstruct(get_signal(signal_id), GAUSSIAN, alpha, nodes, grid, m_max)
-    return grid, x_grid, approx
+    signal = get_signal(signal_id)
+    approx = reconstruct(signal, GAUSSIAN, alpha, nodes, grid, m_max)
+    return grid, x_grid, approx, measurement_target(signal, grid, x_grid, m_max)
 
 
 def test_window_quadrature_resolves_phases():
@@ -44,8 +51,8 @@ def test_window_quadrature_resolves_phases():
 
 
 def test_zero_signal_reports_exact_zeros():
-    grid, x_grid, approx = small_setup("zero", 1.0)
-    report = error_report(get_signal("zero"), approx, grid, x_grid, 4)
+    _, _, approx, target = small_setup("zero", 1.0)
+    report = error_report(approx, target)
     assert report.l2_error == 0.0
     assert report.amalgam_error == 0.0
     assert report.sup_error == 0.0
@@ -56,17 +63,19 @@ def test_zero_signal_reports_exact_zeros():
     assert not report.flags
 
 
-def test_error_report_requires_band_margin():
-    grid, x_grid, approx = small_setup("gauss_pair", 1.0, m_max=2)
-    with pytest.raises(ContractError):
-        error_report(get_signal("gauss_pair"), approx, grid, x_grid, 2)
+def test_error_report_rejects_a_target_of_other_m_max():
+    grid, x_grid, approx, _ = small_setup("gauss_pair", 1.0, m_max=2)
+    for m_max in (1, 3):
+        target = measurement_target(get_signal("gauss_pair"), grid, x_grid, m_max)
+        with pytest.raises(ContractError, match="M_max=2"):
+            error_report(approx, target)
 
 
 def test_rhs_bound_matches_closed_form():
     signal = get_signal("gauss_pair")
-    grid, x_grid, approx = small_setup("gauss_pair", 1.0, m_max=2)
+    grid, _, approx, target = small_setup("gauss_pair", 1.0, m_max=2)
     j_cap = 4
-    report = error_report(signal, approx, grid, x_grid, j_cap)
+    report = error_report(approx, target)
     weight = m_alpha(GAUSSIAN, 1.0) / phi_spectral(GAUSSIAN, 1.0, grid.nodes)
     expected = sum(
         float(
@@ -87,9 +96,9 @@ def test_windowed_transform_matches_direct_product(alpha):
     # error_report factors e^{-i(xi + 2 pi j) x} as e^{-i xi x} e^{-2 pi i j x};
     # the direct per-j product must give the same band norms.
     signal = get_signal("gauss_pair")
-    grid, x_grid, approx = small_setup("gauss_pair", alpha, m_max=2)
+    grid, x_grid, approx, target = small_setup("gauss_pair", alpha, m_max=2)
     j_cap = 4
-    report = error_report(signal, approx, grid, x_grid, j_cap)
+    report = error_report(approx, target)
     xq, wq = window_quadrature(x_grid.extent, j_cap)
     residual = truncated_signal_values(signal, grid, 2, xq) - evaluate_J(approx, xq)
     norms = []
@@ -107,8 +116,8 @@ def test_windowed_transform_matches_direct_product(alpha):
 
 def test_embedding_and_tail_accounting():
     signal = get_signal("cauchy_decay")
-    grid, x_grid, approx = small_setup("cauchy_decay", 1.0, m_max=2)
-    report = error_report(signal, approx, grid, x_grid, 4)
+    _, _, approx, target = small_setup("cauchy_decay", 1.0, m_max=2)
+    report = error_report(approx, target)
     assert report.l2_error <= report.amalgam_error + 1e-10
     # Polynomial decay leaves visible truncation slack in both accounts.
     assert report.tail_slack_f == pytest.approx(signal.tail_bound(2), rel=1e-12)
@@ -117,8 +126,8 @@ def test_embedding_and_tail_accounting():
 
 
 def test_single_band_signal_has_no_signal_tail():
-    grid, x_grid, approx = small_setup("tri_band", 1.0, m_max=2)
-    report = error_report(get_signal("tri_band"), approx, grid, x_grid, 4)
+    _, _, approx, target = small_setup("tri_band", 1.0, m_max=2)
+    report = error_report(approx, target)
     assert report.tail_slack_f == 0.0
     assert report.sup_error < 1e-2
     assert not report.precision_limited
@@ -130,7 +139,7 @@ def test_sweep_errors_decrease_for_gauss_pair():
     x_grid = spatial_grid(8.0, density=10)
     reports = sweep(
         get_signal("gauss_pair"), GAUSSIAN, [0.75, 1.25, 1.75], nodes, grid,
-        x_grid, 2, 4,
+        x_grid, 2,
     )
     assert [r.alpha for r in reports] == [0.75, 1.25, 1.75]
     for prev, curr in zip(reports, reports[1:]):
@@ -148,7 +157,7 @@ def test_sweep_records_breakdown_and_continues():
     x_grid = spatial_grid(8.0, density=10)
     reports = sweep(
         get_signal("gauss_pair"), get_family("poisson"), [8.0, 16.0], nodes,
-        grid, x_grid, 1, 3,
+        grid, x_grid, 1,
     )
     ok, broken = reports
     assert not ok.flags
@@ -157,6 +166,7 @@ def test_sweep_records_breakdown_and_continues():
     assert "failed" in broken.flags[0]
     assert np.isnan(broken.amalgam_error)
     assert broken.condition_estimate > 1e15
+    assert broken.precision_limited
 
 
 def test_sweep_keeps_condition_estimate_on_accuracy_failures(monkeypatch):
@@ -165,7 +175,7 @@ def test_sweep_keeps_condition_estimate_on_accuracy_failures(monkeypatch):
     nodes = uniform_nodes(32)
     x_grid = spatial_grid(8.0, density=10)
     (report,) = sweep(
-        get_signal("gauss_pair"), GAUSSIAN, [2.5], nodes, grid, x_grid, 1, 3
+        get_signal("gauss_pair"), GAUSSIAN, [2.5], nodes, grid, x_grid, 1
     )
     assert report.flags and "residual" in report.flags[0]
     assert np.isnan(report.amalgam_error)
@@ -178,11 +188,29 @@ def test_sweep_flags_precision_limited_rows():
     nodes = uniform_nodes(32)
     x_grid = spatial_grid(8.0, density=10)
     reports = sweep(
-        get_signal("gauss_pair"), GAUSSIAN, [3.0], nodes, grid, x_grid, 1, 3
+        get_signal("gauss_pair"), GAUSSIAN, [3.0], nodes, grid, x_grid, 1
     )
     assert reports[0].precision_limited
     assert not reports[0].flags
     assert np.isfinite(reports[0].amalgam_error)
+
+
+def test_sweep_rows_are_error_reports_against_one_target():
+    # sweep is reconstruct + error_report per alpha against one shared target;
+    # the gaussian alpha = 3 row is precision-limited at N = 32.
+    grid = frequency_grid(128)
+    nodes = uniform_nodes(32)
+    x_grid = spatial_grid(8.0, density=10)
+    signal = get_signal("gauss_pair")
+    alphas = [1.0, 2.0, 3.0]
+    rows = sweep(signal, GAUSSIAN, alphas, nodes, grid, x_grid, 1)
+    target = measurement_target(signal, grid, x_grid, 1)
+    expected = [
+        error_report(reconstruct(signal, GAUSSIAN, alpha, nodes, grid, 1), target)
+        for alpha in alphas
+    ]
+    assert [r.precision_limited for r in rows] == [False, False, True]
+    assert [dataclasses.asdict(r) for r in rows] == [dataclasses.asdict(r) for r in expected]
 
 
 def test_sweep_input_validation():
@@ -190,6 +218,6 @@ def test_sweep_input_validation():
     nodes = uniform_nodes(4)
     x_grid = spatial_grid(2.0, density=5)
     with pytest.raises(ContractError):
-        sweep(get_signal("zero"), GAUSSIAN, [], nodes, grid, x_grid, 1, 3)
+        sweep(get_signal("zero"), GAUSSIAN, [], nodes, grid, x_grid, 1)
     with pytest.raises(ContractError):
-        sweep(get_signal("zero"), GAUSSIAN, [2.0, 1.0], nodes, grid, x_grid, 1, 3)
+        sweep(get_signal("zero"), GAUSSIAN, [2.0, 1.0], nodes, grid, x_grid, 1)
