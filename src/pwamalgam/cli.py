@@ -51,6 +51,7 @@ import math
 import platform
 import sys
 import time
+from collections.abc import Iterable
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -106,10 +107,10 @@ def _write_json(path: Path, payload: object) -> None:
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _write_rows(path: Path, rows: list[dict]) -> None:
+def _write_rows(path: Path, rows: Iterable[dict]) -> None:
     """Write a data table as a JSON array with one object per line."""
     body = ",\n".join(map(_ROW_ENCODER.encode, rows))
-    _write_text(path, f"[\n{body}\n]\n" if rows else "[]\n")
+    _write_text(path, f"[\n{body}\n]\n" if body else "[]\n")
 
 
 def _columns(report: object) -> dict[str, object]:
@@ -337,10 +338,10 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         j_vals.imag.tolist(),
         errors.tolist(),
     )
-    points = [
+    points = (
         {"x": x, "f": [f_re, f_im], "J": [j_re, j_im], "error": error}
         for x, f_re, f_im, j_re, j_im, error in columns
-    ]
+    )
     _write_rows(outdir / "reconstruction.json", points)
     files = ["reconstruction.json", "manifest.json"]
     timer.lap("write")

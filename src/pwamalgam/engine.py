@@ -11,9 +11,10 @@ row ``m + M`` is band ``m`` and column ``k`` is node ``x_k``. The collocation
 matrix depends on ``alpha`` and the nodes but not on the band, so each
 ``alpha`` builds it once, factorizes it once and carries one
 ``condition_estimate``; every band is then solved against that one factor.
-Likewise `evaluate_J` builds the complex kernel matrix ``phi_alpha(x - x_n)``
-once, ``_ROW_BLOCK`` rows at a time into its real part, so that no real copy
-of the whole matrix exists beside it, and applies it band by band. Per-band
+No dense operator exists in full: `evaluate_J` builds the kernel matrix
+``phi_alpha(x - x_n)``, and the residual check its complex copy, one
+`spectral.row_blocks` block at a time, whose products round as the whole
+matrix's do, and applies each block to every band while it is in cache. Per-band
 products and solves are kept (rather than one matrix-matrix product) because
 the rounding of the blocked BLAS kernels differs from the per-vector ones,
 and large coefficients magnify that difference: at ``N = 256`` and gaussian
@@ -57,14 +58,12 @@ from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import InterpolatorFamily, condition_bound, phi_spatial, phi_spectral
 from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
-from .spectral import TWO_PI, FrequencyGrid, cis
+from .spectral import ROW_BLOCK, TWO_PI, FrequencyGrid, cis, row_blocks
 
 # Condition estimate beyond which solves are flagged instead of failed.
 PRECISION_CAP = 1e12
 # Absolute interpolation-residual tolerance, scaled by ``1 + max|samples|``.
 SOLVER_TOL = 1e-8
-# Rows of the kernel matrix that `evaluate_J` evaluates per kernel call.
-_ROW_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,6 @@ def solve_coefficients(
                 f"(condition estimate {condition:.3e})",
                 condition_estimate=condition,
             ) from exc
-        complex_matrix = matrix.astype(complex)
         for i in nonzero:
             # One two-column solve per band, real and imaginary part. OpenBLAS
             # solves each column alike below 12 columns, so two columns round
@@ -189,7 +187,10 @@ def solve_coefficients(
                 check_finite=False,
             )
             coeffs[i] = parts[:, 0] + 1j * parts[:, 1]
-            residuals[i] = np.max(np.abs(complex_matrix @ coeffs[i] - stacked[i]))
+            residuals[i] = max(
+                np.max(np.abs(matrix[rows].astype(complex) @ coeffs[i] - stacked[i, rows]))
+                for rows in row_blocks(len(matrix))
+            )
             scale = 1.0 + float(np.max(np.abs(stacked[i])))
             if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
                 raise AccuracyError(
@@ -212,7 +213,8 @@ def reconstruct(
 ) -> Approximant:
     """Slice, sample, and solve every band ``|m| <= m_max``.
 
-    All bands are sampled through one phase matrix and solved in one
+    All bands are sampled through one streamed phase matrix (see
+    `spectral.band_inverse`) and solved in one
     `solve_coefficients` call: one collocation matrix, one condition
     estimate and one Cholesky factorization for this ``alpha``.
 
@@ -228,23 +230,23 @@ def reconstruct(
 def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarray:
     """Evaluate ``J_alpha f(x) = sum_m e^{2 pi i m x} sum_n a_{m,n} phi_alpha(x - x_n)``.
 
-    The kernel matrix ``phi_alpha(x - x_n)`` is built once and applied to
-    each non-empty band's coefficients in turn. A one-row approximant is the
-    baseband interpolant ``I_alpha g``.
+    Each row block of the kernel matrix ``phi_alpha(x - x_n)`` is applied to
+    every non-empty band's coefficients in ascending band order. A one-row
+    approximant is the baseband interpolant ``I_alpha g``.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.shape, dtype=complex)
     bands = [i for i, row in enumerate(approx.coefficients) if np.any(row)]  # ascending m
     if bands:
-        kernel = np.zeros((len(xs), approx.nodes.count), dtype=complex)
-        for start in range(0, len(xs), _ROW_BLOCK):
-            rows = slice(start, start + _ROW_BLOCK)
-            kernel.real[rows] = phi_spatial(
+        kernel = np.zeros((min(len(xs), ROW_BLOCK), approx.nodes.count), dtype=complex)
+        for rows in row_blocks(len(xs)):
+            block = kernel[: len(xs[rows])]
+            block.real = phi_spatial(
                 approx.family, approx.alpha, xs[rows, None] - approx.nodes.values
             )
-        for i in bands:
-            part = kernel @ approx.coefficients[i]
-            out += cis(TWO_PI * (i - approx.m_max) * xs) * part
+            for i in bands:
+                part = block @ approx.coefficients[i]
+                out[rows] += cis(TWO_PI * (i - approx.m_max) * xs[rows]) * part
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

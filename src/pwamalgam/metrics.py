@@ -52,6 +52,7 @@ from .spectral import (
     gauss_legendre,
     inverse_ft_at,
     l2_norm_parseval,
+    row_blocks,
 )
 
 
@@ -171,12 +172,15 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
     xq = target.xq
 
     # e^{-i(xi + 2 pi j) x} = e^{-i xi x} e^{-2 pi i j x}: one exponential
-    # matrix over the base band, applied to the 2 j_cap + 1 modulated
-    # residual columns.
+    # matrix over the base band, built in row blocks of the frequency grid and
+    # applied to the 2 j_cap + 1 modulated residual columns.
     residual_q = target.on_window - evaluate_J(approx, xq)
     js = np.arange(-j_cap, j_cap + 1)
     modulated = (target.wq * residual_q)[:, None] * cis(-TWO_PI * np.outer(xq, js))
-    transforms = TWO_PI**-0.5 * (cis(-np.outer(grid.nodes, xq)) @ modulated)
+    transforms = np.empty((grid.points_per_band, len(js)), dtype=complex)
+    for rows in row_blocks(grid.points_per_band):
+        phase = cis(-np.outer(grid.nodes[rows], xq))
+        transforms[rows] = TWO_PI**-0.5 * (phase @ modulated)
 
     tail_f = signal.tail_bound(m_max)
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)

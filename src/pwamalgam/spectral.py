@@ -22,6 +22,7 @@ Norms:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,19 @@ import numpy as np
 from .errors import ContractError
 
 TWO_PI = 2.0 * np.pi
+# Rows per block of every dense operator (phase, kernel, forward transform):
+# no operator exists in full, and each block serves all bands while in cache.
+ROW_BLOCK = 128
+
+
+def row_blocks(count: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``ROW_BLOCK`` rows covering ``range(count)``.
+    A lone last row borrows one from the block before: numpy multiplies a
+    one-row block as a dot product, which rounds unlike the whole matrix."""
+    starts = list(range(0, count, ROW_BLOCK))
+    if count > 1 and count % ROW_BLOCK == 1:
+        starts[-1] -= 1
+    return (slice(start, stop) for start, stop in zip(starts, [*starts[1:], count]))
 
 
 def cis(angles: np.ndarray) -> np.ndarray:
@@ -195,19 +209,20 @@ def band_inverse(values: np.ndarray, grid: FrequencyGrid, x: np.ndarray) -> np.n
     """Baseband pieces ``g_m(x) = (2*pi)^{-1/2} sum_k w_k values_{m,k} e^{i x xi_k}``.
 
     `values` holds one band per row, as in `AmalgamSpectrum`; the result holds
-    the same rows over the points `x`. All bands share one phase matrix, but
-    each keeps its own matrix-vector product, so a row is bit-identical to
-    inverting that band alone. An all-zero band gets a row of exact zeros and
-    no product.
+    the same rows over the points `x`. All bands share each `row_blocks` block
+    of the phase matrix, but each keeps its own matrix-vector product, so a row
+    is bit-identical to inverting that band alone over all points at once. An
+    all-zero band gets a row of exact zeros and no product.
     """
     if values.ndim != 2 or len(values) == 0 or values.shape[1] != grid.points_per_band:
         raise ContractError("values need at least one band row of grid size")
-    phase = cis(np.outer(x, grid.nodes))
-    rows = np.zeros((len(values), len(phase)), dtype=complex)
-    for i, band in enumerate(values):
-        if np.any(band):
-            rows[i] = TWO_PI**-0.5 * (phase @ (grid.weights * band))
-    return rows
+    weighted = [(i, grid.weights * band) for i, band in enumerate(values) if np.any(band)]
+    out = np.zeros((len(values), len(x)), dtype=complex)
+    for rows in row_blocks(len(x)):
+        phase = cis(np.outer(x[rows], grid.nodes))
+        for i, band in weighted:
+            out[i, rows] = TWO_PI**-0.5 * (phase @ band)
+    return out
 
 
 def inverse_ft_at(

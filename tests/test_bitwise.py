@@ -4,7 +4,13 @@ Each form below replaced a plainer one only because the two agree bit for bit
 with the numpy and OpenBLAS in use, which keeps every output byte-identical.
 A numpy or BLAS whose rounding differs fails here, loudly, instead of moving
 the outputs silently.
+
+The row-block pins compare each streamed operator (`spectral.row_blocks`)
+with the whole-matrix expression it replaced: a BLAS whose gemv or gemm
+rounding depends on the number of rows fails them.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,19 +18,23 @@ from scipy.linalg import cho_factor, cho_solve
 
 from pwamalgam import (
     collocation_matrix,
+    evaluate_J,
     frequency_grid,
     get_family,
     get_signal,
     perturbed_nodes,
+    phi_spatial,
     reconstruct,
     sample_band_signal,
     signal_spectrum,
+    solve_coefficients,
     spatial_grid,
     uniform_nodes,
 )
+from pwamalgam import engine, spectral
 from pwamalgam.kernels import _EXP_ZERO, _gaussian_spatial
-from pwamalgam.metrics import window_quadrature
-from pwamalgam.spectral import TWO_PI, cis
+from pwamalgam.metrics import error_report, measurement_target, window_quadrature
+from pwamalgam.spectral import ROW_BLOCK, TWO_PI, band_inverse, cis, row_blocks
 
 GRID = frequency_grid(256)
 WINDOW, _ = window_quadrature(16.0, 6)  # the 928-point window of the sweep
@@ -90,3 +100,130 @@ def test_two_column_band_solve_equals_one_column_solves(nodes, alpha):
     for row, band in zip(approx.coefficients, samples):
         one_column = cho_solve(factor, band.real) + 1j * cho_solve(factor, band.imag)
         assert np.array_equal(row, one_column)
+
+
+GAUSSIAN = get_family("gaussian")
+SPATIAL = spatial_grid(64.0, 20).points  # the 2561 points of a reconstruct at N = 128
+SWEEP_GRID = spatial_grid(16.0, 20).points  # the 641 points of the sweep
+# Lengths around the block size: none, one, one full block, one row over.
+EDGE_LENGTHS = [0, 1, ROW_BLOCK, ROW_BLOCK + 1]
+
+
+def whole_band_inverse(values, grid, x):
+    phase = cis(np.outer(x, grid.nodes))
+    out = np.zeros((len(values), len(x)), dtype=complex)
+    for i, band in enumerate(values):
+        if np.any(band):
+            out[i] = TWO_PI**-0.5 * (phase @ (grid.weights * band))
+    return out
+
+
+def whole_evaluate_J(approx, xs):
+    kernel = phi_spatial(approx.family, approx.alpha, xs[:, None] - approx.nodes.values)
+    kernel = kernel.astype(complex)
+    out = np.zeros(len(xs), dtype=complex)
+    for i, row in enumerate(approx.coefficients):
+        if np.any(row):
+            out += cis(TWO_PI * (i - approx.m_max) * xs) * (kernel @ row)
+    return out
+
+
+@pytest.mark.parametrize("count", [*EDGE_LENGTHS, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 2561])
+def test_row_blocks_cover_each_row_once_and_never_one_row_of_several(count):
+    sizes = [rows.stop - rows.start for rows in row_blocks(count)]
+    starts = [rows.start for rows in row_blocks(count)]
+    assert starts == [sum(sizes[:k]) for k in range(len(sizes))] and sum(sizes) == count
+    assert all(1 <= size <= ROW_BLOCK for size in sizes)
+    assert count <= 1 or 1 not in sizes
+
+
+@pytest.mark.parametrize("signal_id", ["gauss_pair", "two_band"])
+@pytest.mark.parametrize(
+    "points, x",
+    [
+        (256, SPATIAL),
+        (256, uniform_nodes(256).values),
+        (512, uniform_nodes(256).values),
+        *((256, SPATIAL[:n]) for n in EDGE_LENGTHS),
+    ],
+    ids=["2561x256", "513x256", "513x512", *(f"{n}x256" for n in EDGE_LENGTHS)],
+)
+def test_band_inverse_in_row_blocks_equals_whole_phase_matrix(points, x, signal_id):
+    grid = frequency_grid(points)
+    values = signal_spectrum(get_signal(signal_id), grid, 4).values
+    assert np.array_equal(band_inverse(values, grid, x), whole_band_inverse(values, grid, x))
+
+
+@pytest.fixture(scope="module")
+def approximants():
+    """The N = 256 sweep at its most cancelling alpha, and the perturbed N = 128
+    reconstruction."""
+    uniform = reconstruct(get_signal("gauss_pair"), GAUSSIAN, 2.5, uniform_nodes(256), GRID, 4)
+    nodes = perturbed_nodes(128, 0.2, 7)
+    perturbed = reconstruct(get_signal("two_band"), GAUSSIAN, 1.5, nodes, GRID, 4)
+    return {"uniform-N256": uniform, "perturbed-N128": perturbed}
+
+
+@pytest.mark.parametrize(
+    "case, xs",
+    [
+        ("uniform-N256", WINDOW),
+        ("uniform-N256", SWEEP_GRID),
+        ("perturbed-N128", SPATIAL),
+        *(("uniform-N256", WINDOW[:n]) for n in EDGE_LENGTHS),
+    ],
+    ids=["928x513", "641x513", "2561x257", *(f"{n}x513" for n in EDGE_LENGTHS)],
+)
+def test_evaluate_j_in_row_blocks_equals_whole_kernel(approximants, case, xs):
+    approx = approximants[case]
+    assert np.array_equal(evaluate_J(approx, xs), whole_evaluate_J(approx, xs))
+
+
+@pytest.mark.parametrize(
+    "nodes, alpha",
+    [(uniform_nodes(256), 2.5), (uniform_nodes(128), 1.5), (perturbed_nodes(128, 0.2, 7), 1.5)],
+    ids=["n513", "n257", "perturbed-n257"],
+)
+def test_residuals_in_row_blocks_equal_whole_complex_matrix(nodes, alpha):
+    values = signal_spectrum(get_signal("gauss_pair"), GRID, 4).values
+    samples = sample_band_signal(values, GRID, nodes)
+    approx = solve_coefficients(GAUSSIAN, alpha, nodes, samples)
+    matrix = collocation_matrix(GAUSSIAN, alpha, nodes).astype(complex)
+    whole = [np.max(np.abs(matrix @ c - b)) for c, b in zip(approx.coefficients, samples)]
+    assert np.array_equal(approx.residuals, whole)
+
+
+@pytest.mark.parametrize("points", [256, 512])
+def test_forward_transform_in_row_blocks_equals_whole_exponential_matrix(approximants, points):
+    grid = frequency_grid(points)
+    approx = approximants["uniform-N256"]
+    target = measurement_target(get_signal("gauss_pair"), grid, spatial_grid(16.0, 20), 4)
+    residual = target.wq * (target.on_window - evaluate_J(approx, WINDOW))
+    modulated = residual[:, None] * cis(-TWO_PI * np.outer(WINDOW, np.arange(-6, 7)))
+    # The product of `metrics.error_report`, in its blocks and whole.
+    streamed = [
+        TWO_PI**-0.5 * (cis(-np.outer(grid.nodes[rows], WINDOW)) @ modulated)
+        for rows in row_blocks(points)
+    ]
+    whole = TWO_PI**-0.5 * (cis(-np.outer(grid.nodes, WINDOW)) @ modulated)
+    assert np.array_equal(np.concatenate(streamed), whole)
+
+
+def test_sweep_row_is_unchanged_by_whole_matrices(monkeypatch):
+    # Every site at once, through the library: one block as large as the
+    # largest operator is the whole-matrix form of each.
+    signal = get_signal("gauss_pair")
+    nodes = uniform_nodes(256)
+    target = measurement_target(signal, GRID, spatial_grid(16.0, 20), 4)
+
+    def row():
+        approx = reconstruct(signal, GAUSSIAN, 2.5, nodes, GRID, 4)
+        return approx, dataclasses.asdict(error_report(approx, target))
+
+    streamed, streamed_report = row()
+    monkeypatch.setattr(spectral, "ROW_BLOCK", 10**6)
+    monkeypatch.setattr(engine, "ROW_BLOCK", 10**6)
+    whole, whole_report = row()
+    assert np.array_equal(streamed.coefficients, whole.coefficients)
+    assert np.array_equal(streamed.residuals, whole.residuals)
+    assert streamed_report == whole_report

@@ -3,12 +3,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pwamalgam
 from pwamalgam import (
     ContractError,
     condition_bound,
@@ -654,19 +658,51 @@ def test_committed_config_runs(tmp_path, path):
     bytes): a library whose rounding differs fails here, and a change that
     means to keep the outputs must keep this table.
     """
-    commands = [c for p, c in COMMAND_BY_PREFIX.items() if path.name.startswith(p)]
-    assert len(commands) == 1, f"{path.name} has no command prefix"
-    (cmd,) = commands
+    cmd = config_command(path)
     out = tmp_path / "run"
     code, _, _ = run_cli([cmd, "--config", str(path), "--out", str(out)])
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["command"] == cmd
     assert sorted(manifest["files"]) == sorted(p.name for p in out.iterdir())
-    digests = {
-        f"{path.stem}/{name}": hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in manifest["files"]
-        if name != "manifest.json"
+    assert data_digests(path, out) == expected_digests(path)
+
+
+def config_command(path):
+    commands = [c for p, c in COMMAND_BY_PREFIX.items() if path.name.startswith(p)]
+    assert len(commands) == 1, f"{path.name} has no command prefix"
+    return commands[0]
+
+
+def data_digests(path, out):
+    return {
+        f"{path.stem}/{file.name}": hashlib.sha256(file.read_bytes()).hexdigest()
+        for file in out.iterdir()
+        if file.name != "manifest.json"
     }
-    expected = {k: v for k, v in DATA_FILE_SHA256.items() if k.startswith(f"{path.stem}/")}
-    assert digests == expected
+
+
+def expected_digests(path):
+    return {k: v for k, v in DATA_FILE_SHA256.items() if k.startswith(f"{path.stem}/")}
+
+
+@pytest.mark.parametrize("stem", ["sweep_gauss_pair", "reconstruct_tri_band"])
+def test_committed_config_bytes_hold_on_one_blas_thread(tmp_path, stem):
+    """`DATA_FILE_SHA256` holds at one BLAS thread as well as at the default
+    count the other tests run with. OpenBLAS reads its thread count when it
+    loads, so the run is a fresh interpreter."""
+    path = next(p for p in CONFIGS if p.stem == stem)
+    out = tmp_path / "run"
+    src = str(Path(pwamalgam.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    args = ["-m", "pwamalgam.cli", config_command(path), "--config", str(path)]
+    result = subprocess.run(
+        [sys.executable, *args, "--out", str(out)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+    assert data_digests(path, out) == expected_digests(path)

@@ -28,10 +28,21 @@ from pwamalgam import (
 from pwamalgam import engine
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.metrics import window_quadrature
+from pwamalgam.spectral import ROW_BLOCK
 from .oracles import conjugate_gradient_complex
 
 GAUSSIAN = get_family("gaussian")
 POISSON = get_family("poisson")
+
+
+def traced_peak(call):
+    """Peak bytes that numpy and Python allocate during `call()`."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def band_samples(signal_id: str, m: int, nodes, grid):
@@ -301,7 +312,8 @@ def test_batched_reconstruct_matches_single_band_solves():
 
 def test_evaluate_j_peak_memory_stays_near_its_kernel():
     # The N = 256 sweep evaluates on its 928-point window. The kernel is built
-    # in row blocks, so no real copy of the whole matrix sits beside it.
+    # and applied one row block at a time, so the whole 928 x 513 matrix
+    # (7.3 MiB, over twice the bound) never exists.
     nodes = uniform_nodes(256)
     xq, _ = window_quadrature(16.0, 6)
     approx = Approximant(
@@ -312,14 +324,23 @@ def test_evaluate_j_peak_memory_stays_near_its_kernel():
         condition_estimate=1.0,
         residuals=np.zeros(9),
     )
-    kernel_bytes = len(xq) * nodes.count * np.dtype(complex).itemsize
-    tracemalloc.start()
-    try:
-        evaluate_J(approx, xq)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * kernel_bytes
+    out_bytes = len(xq) * np.dtype(complex).itemsize
+    block_bytes = ROW_BLOCK * nodes.count * np.dtype(complex).itemsize
+    assert traced_peak(lambda: evaluate_J(approx, xq)) <= out_bytes + 3 * block_bytes
+
+
+def test_solve_coefficients_makes_no_complex_copy_of_the_matrix():
+    # At N = 256 the real 513 x 513 matrix and its Cholesky factor take
+    # 2 MiB each; a complex copy of the matrix would add 4 MiB more. The
+    # residual check converts one row block at a time instead.
+    nodes = uniform_nodes(256)
+    grid = frequency_grid(256)
+    values = signal_spectrum(get_signal("gauss_pair"), grid, 4).values
+    samples = sample_band_signal(values, grid, nodes)
+    matrix_bytes = nodes.count**2 * np.dtype(float).itemsize
+    block_bytes = ROW_BLOCK * nodes.count * np.dtype(complex).itemsize
+    peak = traced_peak(lambda: solve_coefficients(GAUSSIAN, 1.25, nodes, samples))
+    assert peak <= 2 * matrix_bytes + 2 * block_bytes
 
 
 def test_evaluate_j_sums_modulated_bands():

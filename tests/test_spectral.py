@@ -1,5 +1,7 @@
 """Frequency grids, truncated band spectra, and the three spectral norms."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from pwamalgam import (
     spatial_grid,
 )
 from pwamalgam.metrics import truncated_signal_values
-from pwamalgam.spectral import TWO_PI, band_inverse, gauss_legendre
+from pwamalgam.spectral import ROW_BLOCK, TWO_PI, band_inverse, gauss_legendre
 
 # Oracle values, frozen from independent closed forms:
 # int_{-pi}^{pi} e^{-xi^2} dxi = sqrt(pi) erf(pi), so the band L2 norm of
@@ -184,3 +186,21 @@ def test_spatial_grid_shape():
         spatial_grid(0.0)
     with pytest.raises(ContractError):
         spatial_grid(1.0, density=0)
+
+
+def test_band_inverse_peak_memory_is_its_output_and_a_few_phase_blocks():
+    # The reconstruct study samples its 2561-point spatial grid. The phase
+    # matrix is built one row block at a time, so the whole 2561 x 256 matrix
+    # (10 MiB, over five times the bound) never exists.
+    grid = frequency_grid(256)
+    values = signal_spectrum(get_signal("gauss_pair"), grid, 4).values
+    x = spatial_grid(64.0, 20).points
+    out_bytes = len(values) * len(x) * np.dtype(complex).itemsize
+    block_bytes = ROW_BLOCK * grid.points_per_band * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        band_inverse(values, grid, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out_bytes + 3 * block_bytes
