@@ -14,7 +14,11 @@ matrix depends on ``alpha`` and the nodes but not on the band, so each
 No dense operator exists in full: `evaluate_J` builds the kernel matrix
 ``phi_alpha(x - x_n)``, and the residual check its complex copy, one
 `spectral.row_blocks` block at a time, whose products round as the whole
-matrix's do, and applies each block to every band while it is in cache. Per-band
+matrix's do, and applies each block to every band while it is in cache. A
+block spans only the node columns within `kernels.support_radius` of its
+points, beyond which the gaussian kernel is exactly 0.0: about a quarter of
+the columns at ``N = 256``. Dropping exact-zero terms leaves every product's
+rounding as it was, since BLAS sums each output in column order. Per-band
 products and solves are kept (rather than one matrix-matrix product) because
 the rounding of the blocked BLAS kernels differs from the per-vector ones,
 and large coefficients magnify that difference: at ``N = 256`` and gaussian
@@ -55,7 +59,13 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
 
 from .errors import AccuracyError, ConditioningError, ContractError
-from .kernels import InterpolatorFamily, condition_bound, phi_spatial, phi_spectral
+from .kernels import (
+    InterpolatorFamily,
+    condition_bound,
+    phi_spatial,
+    phi_spectral,
+    support_radius,
+)
 from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
 from .spectral import ROW_BLOCK, TWO_PI, FrequencyGrid, cis, row_blocks
@@ -187,10 +197,15 @@ def solve_coefficients(
                 check_finite=False,
             )
             coeffs[i] = parts[:, 0] + 1j * parts[:, 1]
-            residuals[i] = max(
-                np.max(np.abs(matrix[rows].astype(complex) @ coeffs[i] - stacked[i, rows]))
-                for rows in row_blocks(len(matrix))
-            )
+        radius = support_radius(family, alpha)
+        for rows in row_blocks(nodes.count):
+            cols = _support_columns(nodes, nodes.values[rows], radius)
+            block = matrix[rows, cols].astype(complex)
+            for i in nonzero:
+                error = np.max(np.abs(block @ coeffs[i, cols] - stacked[i, rows]))
+                residuals[i] = max(residuals[i], error)
+            del block  # before the next one is built
+        for i in nonzero:
             scale = 1.0 + float(np.max(np.abs(stacked[i])))
             if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
                 raise AccuracyError(
@@ -227,26 +242,47 @@ def reconstruct(
     return solve_coefficients(family, alpha, nodes, samples)
 
 
+def _support_columns(nodes: NodeSet, points: np.ndarray, radius: float) -> slice:
+    """The columns of the nodes within `radius` of a non-empty `points` block;
+    on all others the kernel is exactly 0.0 (see `kernels.support_radius`)."""
+    lo, hi = np.searchsorted(nodes.values, [np.min(points) - radius, np.max(points) + radius])
+    return slice(int(lo), int(hi))
+
+
 def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarray:
     """Evaluate ``J_alpha f(x) = sum_m e^{2 pi i m x} sum_n a_{m,n} phi_alpha(x - x_n)``.
 
-    Each row block of the kernel matrix ``phi_alpha(x - x_n)`` is applied to
-    every non-empty band's coefficients in ascending band order. A one-row
-    approximant is the baseband interpolant ``I_alpha g``.
+    Each row block of the kernel matrix ``phi_alpha(x - x_n)`` is built on
+    the nodes within `kernels.support_radius` of its points only and applied
+    to every non-empty band's coefficients in ascending band order; one phase
+    build per block gives the modulations of all bands. A lone point keeps
+    every node: numpy multiplies one row as a dot product, whose rounding
+    depends on its length. A one-row approximant is the baseband interpolant
+    ``I_alpha g``.
+
+    Raises
+    ------
+    ContractError
+        If a point is NaN.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.isnan(xs)):
+        raise ContractError("evaluation points must not be NaN")
     out = np.zeros(xs.shape, dtype=complex)
     bands = [i for i, row in enumerate(approx.coefficients) if np.any(row)]  # ascending m
     if bands:
+        omegas = TWO_PI * (np.array(bands) - approx.m_max)
+        radius = support_radius(approx.family, approx.alpha) if len(xs) > 1 else np.inf
         kernel = np.zeros((min(len(xs), ROW_BLOCK), approx.nodes.count), dtype=complex)
         for rows in row_blocks(len(xs)):
-            block = kernel[: len(xs[rows])]
+            cols = _support_columns(approx.nodes, xs[rows], radius)
+            block = kernel[: len(xs[rows]), cols]
             block.real = phi_spatial(
-                approx.family, approx.alpha, xs[rows, None] - approx.nodes.values
+                approx.family, approx.alpha, xs[rows, None] - approx.nodes.values[cols]
             )
-            for i in bands:
-                part = block @ approx.coefficients[i]
-                out[rows] += cis(TWO_PI * (i - approx.m_max) * xs[rows]) * part
+            modulations = cis(np.outer(omegas, xs[rows]))
+            for i, modulation in zip(bands, modulations):
+                out[rows] += modulation * (block @ approx.coefficients[i, cols])
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

@@ -83,6 +83,7 @@ class InterpolatorFamily:
     _spatial: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
     _spectral: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
     _mj_tail: Callable[[float, int], float] = field(repr=False)
+    _support: Callable[[float], float] = field(repr=False)
 
     def check_alpha(self, alpha: float) -> None:
         lo, hi = self.alpha_domain
@@ -102,6 +103,12 @@ def _gaussian_spatial(alpha: float, x: np.ndarray) -> np.ndarray:
     np.exp(exponent, out=exponent, where=~zero)
     np.copyto(exponent, 0.0, where=zero)
     return exponent
+
+
+def _gaussian_support(alpha: float) -> float:
+    # |x| at which the exponent -x^2 / 4a reaches _EXP_ZERO, plus one unit so
+    # that the rounding of x^2 / 4a cannot bring a point beyond it back above.
+    return float(np.sqrt(-4.0 * alpha * _EXP_ZERO)) + 1.0
 
 
 def _gaussian_spectral(alpha: float, xi: np.ndarray) -> np.ndarray:
@@ -140,6 +147,7 @@ _FAMILIES = {
         _spatial=_gaussian_spatial,
         _spectral=_gaussian_spectral,
         _mj_tail=_gaussian_mj_tail,
+        _support=_gaussian_support,
     ),
     "poisson": InterpolatorFamily(
         family_id="poisson",
@@ -151,6 +159,7 @@ _FAMILIES = {
         _spatial=_poisson_spatial,
         _spectral=_poisson_spectral,
         _mj_tail=_poisson_mj_tail,
+        _support=lambda alpha: np.inf,
     ),
 }
 
@@ -178,6 +187,16 @@ def phi_spectral(
     family.check_alpha(alpha)
     out = family._spectral(alpha, np.asarray(xi, dtype=float))
     return float(out) if np.isscalar(xi) or np.asarray(xi).ndim == 0 else out
+
+
+def support_radius(family: InterpolatorFamily, alpha: float) -> float:
+    """Distance beyond which `phi_spatial` is exactly 0.0; inf if it never is.
+
+    For the gaussian this is ``sqrt(-4 alpha _EXP_ZERO) + 1`` (about 40 to 96
+    over its domain); the poisson kernel is positive everywhere.
+    """
+    family.check_alpha(alpha)
+    return family._support(alpha)
 
 
 def m_alpha(family: InterpolatorFamily, alpha: float) -> float:

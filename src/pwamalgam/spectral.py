@@ -66,9 +66,11 @@ class FrequencyGrid:
     points_per_band : int
         Total number of quadrature nodes ``K``.
     nodes : np.ndarray
-        Strictly increasing abscissae in ``(-pi, pi)``.
+        Strictly increasing abscissae in ``(-pi, pi)``, exact mirrors:
+        ``nodes == -nodes[::-1]``.
     weights : np.ndarray
-        Matching positive weights, summing to ``2*pi``.
+        Matching positive weights, summing to ``2*pi``, with
+        ``weights == weights[::-1]``.
     """
 
     points_per_band: int
@@ -82,6 +84,13 @@ class FrequencyGrid:
             raise ContractError("grid arrays must have length points_per_band")
         if not np.all(np.diff(self.nodes) > 0):
             raise ContractError("grid nodes must be strictly increasing")
+        # `band_inverse` and the forward transform of `metrics.error_report`
+        # build the phases of the negative half from those of the positive.
+        if not (
+            np.array_equal(self.nodes, -self.nodes[::-1])
+            and np.array_equal(self.weights, self.weights[::-1])
+        ):
+            raise ContractError("grid nodes and weights must mirror exactly about 0")
         if np.min(self.nodes) < -np.pi or np.max(self.nodes) > np.pi:
             raise ContractError("grid nodes must lie in [-pi, pi]")
         if np.min(self.weights) <= 0:
@@ -205,6 +214,17 @@ def l2_norm_parseval(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
     return float(np.sqrt(squares + spectrum.tail_estimate**2))
 
 
+def _mirrored_columns(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
+    """``cis(outer(x, grid.nodes))`` from ``cos`` and ``sin`` of its ``xi > 0`` half."""
+    half = grid.points_per_band // 2
+    positive = cis(np.outer(x, grid.nodes[half:]))
+    phase = np.empty((len(x), grid.points_per_band), dtype=complex)
+    phase[:, half:] = positive
+    # From a separate array: numpy copies an operand that overlaps its output.
+    np.conjugate(positive[:, ::-1], out=phase[:, :half])
+    return phase
+
+
 def band_inverse(values: np.ndarray, grid: FrequencyGrid, x: np.ndarray) -> np.ndarray:
     """Baseband pieces ``g_m(x) = (2*pi)^{-1/2} sum_k w_k values_{m,k} e^{i x xi_k}``.
 
@@ -213,15 +233,21 @@ def band_inverse(values: np.ndarray, grid: FrequencyGrid, x: np.ndarray) -> np.n
     of the phase matrix, but each keeps its own matrix-vector product, so a row
     is bit-identical to inverting that band alone over all points at once. An
     all-zero band gets a row of exact zeros and no product.
+
+    Each block evaluates ``cos`` and ``sin`` on the ``xi > 0`` half of the grid
+    only: the grid is an exact mirror, ``x * (-xi)`` is ``-(x * xi)`` and numpy's
+    ``cos`` is even and ``sin`` odd bit for bit, so the ``xi < 0`` half is the
+    conjugate of the other, reversed.
     """
     if values.ndim != 2 or len(values) == 0 or values.shape[1] != grid.points_per_band:
         raise ContractError("values need at least one band row of grid size")
     weighted = [(i, grid.weights * band) for i, band in enumerate(values) if np.any(band)]
     out = np.zeros((len(values), len(x)), dtype=complex)
     for rows in row_blocks(len(x)):
-        phase = cis(np.outer(x[rows], grid.nodes))
+        phase = _mirrored_columns(x[rows], grid)
         for i, band in weighted:
             out[i, rows] = TWO_PI**-0.5 * (phase @ band)
+        del phase  # before the next one is built
     return out
 
 

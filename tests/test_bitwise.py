@@ -7,7 +7,12 @@ the outputs silently.
 
 The row-block pins compare each streamed operator (`spectral.row_blocks`)
 with the whole-matrix expression it replaced: a BLAS whose gemv or gemm
-rounding depends on the number of rows fails them.
+rounding depends on the number of rows fails them. The same pins cover the
+two exact cuts inside the blocks: kernel products over the support columns
+only (`engine._support_columns`), which relies on BLAS summing each output in
+column order so that dropped exact zeros change nothing, and phase blocks
+whose ``xi < 0`` half is the conjugate of the ``xi > 0`` half, which relies on
+numpy's ``cos`` being even and its ``sin`` odd bit for bit.
 """
 
 import dataclasses
@@ -31,9 +36,14 @@ from pwamalgam import (
     spatial_grid,
     uniform_nodes,
 )
-from pwamalgam import engine, spectral
+from pwamalgam import engine, metrics, spectral
 from pwamalgam.kernels import _EXP_ZERO, _gaussian_spatial
-from pwamalgam.metrics import error_report, measurement_target, window_quadrature
+from pwamalgam.metrics import (
+    _forward_transform,
+    error_report,
+    measurement_target,
+    window_quadrature,
+)
 from pwamalgam.spectral import ROW_BLOCK, TWO_PI, band_inverse, cis, row_blocks
 
 GRID = frequency_grid(256)
@@ -103,6 +113,7 @@ def test_two_column_band_solve_equals_one_column_solves(nodes, alpha):
 
 
 GAUSSIAN = get_family("gaussian")
+POISSON = get_family("poisson")
 SPATIAL = spatial_grid(64.0, 20).points  # the 2561 points of a reconstruct at N = 128
 SWEEP_GRID = spatial_grid(16.0, 20).points  # the 641 points of the sweep
 # Lengths around the block size: none, one, one full block, one row over.
@@ -126,6 +137,14 @@ def whole_evaluate_J(approx, xs):
         if np.any(row):
             out += cis(TWO_PI * (i - approx.m_max) * xs) * (kernel @ row)
     return out
+
+
+@pytest.mark.parametrize("x", [WINDOW, SPATIAL], ids=["928", "2561"])
+def test_one_modulation_build_equals_one_per_band(x):
+    # `evaluate_J` builds the phases of all bands of a block in one call.
+    ms = np.arange(-6, 7)
+    for m, row in zip(ms, cis(np.outer(TWO_PI * ms, x))):
+        assert np.array_equal(row, cis(TWO_PI * m * x))
 
 
 @pytest.mark.parametrize("count", [*EDGE_LENGTHS, 2 * ROW_BLOCK, 2 * ROW_BLOCK + 1, 2561])
@@ -156,12 +175,19 @@ def test_band_inverse_in_row_blocks_equals_whole_phase_matrix(points, x, signal_
 
 @pytest.fixture(scope="module")
 def approximants():
-    """The N = 256 sweep at its most cancelling alpha, and the perturbed N = 128
-    reconstruction."""
-    uniform = reconstruct(get_signal("gauss_pair"), GAUSSIAN, 2.5, uniform_nodes(256), GRID, 4)
+    """The N = 256 sweep at its most cancelling alpha and at both ends of the
+    gaussian domain (the narrowest and the widest support), the perturbed
+    N = 128 reconstruction, and a poisson approximant (support everywhere)."""
+    pair = get_signal("gauss_pair")
+    n256 = uniform_nodes(256)
     nodes = perturbed_nodes(128, 0.2, 7)
-    perturbed = reconstruct(get_signal("two_band"), GAUSSIAN, 1.5, nodes, GRID, 4)
-    return {"uniform-N256": uniform, "perturbed-N128": perturbed}
+    return {
+        "uniform-N256": reconstruct(pair, GAUSSIAN, 2.5, n256, GRID, 4),
+        "uniform-N256-a0.5": reconstruct(pair, GAUSSIAN, 0.5, n256, GRID, 4),
+        "uniform-N256-a3": reconstruct(pair, GAUSSIAN, 3.0, n256, GRID, 4),
+        "perturbed-N128": reconstruct(get_signal("two_band"), GAUSSIAN, 1.5, nodes, GRID, 4),
+        "poisson-N128": reconstruct(pair, POISSON, 4.0, uniform_nodes(128), GRID, 4),
+    }
 
 
 @pytest.mark.parametrize(
@@ -171,8 +197,25 @@ def approximants():
         ("uniform-N256", SWEEP_GRID),
         ("perturbed-N128", SPATIAL),
         *(("uniform-N256", WINDOW[:n]) for n in EDGE_LENGTHS),
+        ("uniform-N256-a0.5", WINDOW),
+        ("uniform-N256-a0.5", SPATIAL),
+        ("uniform-N256-a3", WINDOW),
+        ("uniform-N256-a3", SPATIAL),
+        ("poisson-N128", WINDOW),
+        ("poisson-N128", SPATIAL[:1]),
     ],
-    ids=["928x513", "641x513", "2561x257", *(f"{n}x513" for n in EDGE_LENGTHS)],
+    ids=[
+        "928x513",
+        "641x513",
+        "2561x257",
+        *(f"{n}x513" for n in EDGE_LENGTHS),
+        "928x513-a0.5",
+        "2561x513-a0.5",
+        "928x513-a3",
+        "2561x513-a3",
+        "928x257-poisson",
+        "1x257-poisson",
+    ],
 )
 def test_evaluate_j_in_row_blocks_equals_whole_kernel(approximants, case, xs):
     approx = approximants[case]
@@ -180,33 +223,37 @@ def test_evaluate_j_in_row_blocks_equals_whole_kernel(approximants, case, xs):
 
 
 @pytest.mark.parametrize(
-    "nodes, alpha",
-    [(uniform_nodes(256), 2.5), (uniform_nodes(128), 1.5), (perturbed_nodes(128, 0.2, 7), 1.5)],
-    ids=["n513", "n257", "perturbed-n257"],
+    "nodes, family, alpha",
+    [
+        (uniform_nodes(256), GAUSSIAN, 2.5),
+        (uniform_nodes(128), GAUSSIAN, 1.5),
+        (perturbed_nodes(128, 0.2, 7), GAUSSIAN, 1.5),
+        (uniform_nodes(256), GAUSSIAN, 0.5),
+        (uniform_nodes(256), GAUSSIAN, 3.0),
+        (uniform_nodes(128), POISSON, 4.0),
+    ],
+    ids=["n513", "n257", "perturbed-n257", "n513-a0.5", "n513-a3", "n257-poisson"],
 )
-def test_residuals_in_row_blocks_equal_whole_complex_matrix(nodes, alpha):
+def test_residuals_in_row_blocks_equal_whole_complex_matrix(nodes, family, alpha):
     values = signal_spectrum(get_signal("gauss_pair"), GRID, 4).values
     samples = sample_band_signal(values, GRID, nodes)
-    approx = solve_coefficients(GAUSSIAN, alpha, nodes, samples)
-    matrix = collocation_matrix(GAUSSIAN, alpha, nodes).astype(complex)
+    approx = solve_coefficients(family, alpha, nodes, samples)
+    matrix = collocation_matrix(family, alpha, nodes).astype(complex)
     whole = [np.max(np.abs(matrix @ c - b)) for c, b in zip(approx.coefficients, samples)]
     assert np.array_equal(approx.residuals, whole)
 
 
-@pytest.mark.parametrize("points", [256, 512])
+@pytest.mark.parametrize("points", [256, 512, 300])
 def test_forward_transform_in_row_blocks_equals_whole_exponential_matrix(approximants, points):
     grid = frequency_grid(points)
     approx = approximants["uniform-N256"]
     target = measurement_target(get_signal("gauss_pair"), grid, spatial_grid(16.0, 20), 4)
     residual = target.wq * (target.on_window - evaluate_J(approx, WINDOW))
+    # The transform of `metrics.error_report`, in its mirrored blocks and whole.
+    streamed = _forward_transform(residual, WINDOW, grid, 6)
     modulated = residual[:, None] * cis(-TWO_PI * np.outer(WINDOW, np.arange(-6, 7)))
-    # The product of `metrics.error_report`, in its blocks and whole.
-    streamed = [
-        TWO_PI**-0.5 * (cis(-np.outer(grid.nodes[rows], WINDOW)) @ modulated)
-        for rows in row_blocks(points)
-    ]
     whole = TWO_PI**-0.5 * (cis(-np.outer(grid.nodes, WINDOW)) @ modulated)
-    assert np.array_equal(np.concatenate(streamed), whole)
+    assert np.array_equal(streamed, whole)
 
 
 def test_sweep_row_is_unchanged_by_whole_matrices(monkeypatch):
@@ -223,6 +270,7 @@ def test_sweep_row_is_unchanged_by_whole_matrices(monkeypatch):
     streamed, streamed_report = row()
     monkeypatch.setattr(spectral, "ROW_BLOCK", 10**6)
     monkeypatch.setattr(engine, "ROW_BLOCK", 10**6)
+    monkeypatch.setattr(metrics, "ROW_BLOCK", 10**6)
     whole, whole_report = row()
     assert np.array_equal(streamed.coefficients, whole.coefficients)
     assert np.array_equal(streamed.residuals, whole.residuals)

@@ -682,22 +682,28 @@ def data_digests(path, out):
     }
 
 
-def expected_digests(path):
-    return {k: v for k, v in DATA_FILE_SHA256.items() if k.startswith(f"{path.stem}/")}
+def expected_digests(path, table=DATA_FILE_SHA256):
+    return {k: v for k, v in table.items() if k.startswith(f"{path.stem}/")}
 
 
 @pytest.mark.parametrize("stem", ["sweep_gauss_pair", "reconstruct_tri_band"])
 def test_committed_config_bytes_hold_on_one_blas_thread(tmp_path, stem):
     """`DATA_FILE_SHA256` holds at one BLAS thread as well as at the default
-    count the other tests run with. OpenBLAS reads its thread count when it
-    loads, so the run is a fresh interpreter."""
+    count the other tests run with."""
     path = next(p for p in CONFIGS if p.stem == stem)
     out = tmp_path / "run"
+    run_fresh(path, out, blas_threads=1)
+    assert data_digests(path, out) == expected_digests(path)
+
+
+def run_fresh(path, out, blas_threads):
+    """Run a study in a fresh interpreter: OpenBLAS reads its thread count
+    when it loads."""
     src = str(Path(pwamalgam.__file__).resolve().parents[1])
     env = {
         **os.environ,
-        "OPENBLAS_NUM_THREADS": "1",
-        "OMP_NUM_THREADS": "1",
+        "OPENBLAS_NUM_THREADS": str(blas_threads),
+        "OMP_NUM_THREADS": str(blas_threads),
         "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     }
     args = ["-m", "pwamalgam.cli", config_command(path), "--config", str(path)]
@@ -705,4 +711,44 @@ def test_committed_config_bytes_hold_on_one_blas_thread(tmp_path, stem):
         [sys.executable, *args, "--out", str(out)], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
-    assert data_digests(path, out) == expected_digests(path)
+
+
+# Studies larger than any committed config. At N = 32 a rounding change in
+# the last row of an operator can pass unseen; these reach the 513th node of
+# an N = 256 sweep and the 2561st point of a reconstruct, where it shows.
+INLINE_STUDIES = {
+    "sweep_gauss_pair_N256": {
+        **json.loads(next(p for p in CONFIGS if p.stem == "sweep_gauss_pair").read_text()),
+        "nodes": {"N": 256, "d": 0.0, "seed": 0, "symmetric": True},
+    },
+    "reconstruct_two_band_perturbed_N128": {
+        "family": {"id": "gaussian"},
+        "alpha_sweep": {"values": [2.5]},
+        "nodes": {"N": 128, "d": 0.2, "seed": 7, "symmetric": False},
+        "signal": {"id": "two_band"},
+    },
+}
+# sha256 of their data files by BLAS thread count: OpenBLAS factorizes the
+# 257- and 513-node collocation matrices differently on one thread and on two
+# (the 65-node ones of the committed configs alike), so each count has its own.
+INLINE_STUDY_SHA256 = {
+    1: {
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "a90589aad2cc2f26879e9b44c37a29c4b1a004d9280244ce08e965f8725cd496",
+        "sweep_gauss_pair_N256/convergence.csv": "429309ddfa76b00aa889e699f1dee67e53e18a1f22575efc9a565c5db22d6532",
+        "sweep_gauss_pair_N256/convergence.json": "143d8ac9fe737c1eec36d26f70ba4ca057742f1e08f9a5556d224272ec938b45",
+    },
+    2: {
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "bc0b9bcb47901ed97f72c780c90896dd74165cfa03d9eb233f686dd8f3d3ca76",
+        "sweep_gauss_pair_N256/convergence.csv": "48bb8108e1a713a69dc4cf91f77f06d0619b7e647846b8ee295475ba3d2e3307",
+        "sweep_gauss_pair_N256/convergence.json": "e5485f033a9bff7512b9ef6df28052706e3907034d35f275a239016a7c0f2d87",
+    },
+}
+
+
+@pytest.mark.parametrize("blas_threads", [1, 2])
+@pytest.mark.parametrize("stem", list(INLINE_STUDIES))
+def test_inline_study_bytes(tmp_path, stem, blas_threads):
+    path = Path(write_config(tmp_path, INLINE_STUDIES[stem], f"{stem}.json"))
+    out = tmp_path / "run"
+    run_fresh(path, out, blas_threads)
+    assert data_digests(path, out) == expected_digests(path, INLINE_STUDY_SHA256[blas_threads])

@@ -358,6 +358,18 @@ def test_evaluate_j_sums_modulated_bands():
     assert scalar == evaluate_J(approx, np.array([0.0]))[0]
 
 
+def test_evaluate_j_beyond_the_support_and_at_nan():
+    # Every node lies beyond the support radius (55.6 at alpha = 1) of these
+    # blocks, so they build no kernel column and each value is an exact zero.
+    # A NaN point would give its block an empty column range, so it is refused.
+    grid = frequency_grid(128)
+    approx = reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, uniform_nodes(8), grid, 2)
+    for far in ([-1e3, -64.0], [64.0, 1e3]):
+        assert np.array_equal(evaluate_J(approx, np.array(far)), np.zeros(2))
+    with pytest.raises(ContractError, match="NaN"):
+        evaluate_J(approx, np.array([0.0, np.nan]))
+
+
 def test_j_spectrum_band_matches_spatial_quadrature():
     # The closed-form transform of a band interpolant agrees with a direct
     # windowed transform of its spatial values; the gaussian tails beyond

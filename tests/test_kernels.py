@@ -60,6 +60,21 @@ def test_alpha_domain_enforced():
         get_family("lorentz")
 
 
+@pytest.mark.parametrize("alpha", [0.5, 3.0])
+def test_gaussian_is_exactly_zero_from_its_support_radius(alpha):
+    # `engine` drops the node columns beyond this radius from every product.
+    gaussian = get_family("gaussian")
+    radius = kernels.support_radius(gaussian, alpha)
+    beyond = radius + np.concatenate([[0.0], np.logspace(-15, 6, 4001), [np.inf]])
+    assert np.all(phi_spatial(gaussian, alpha, np.concatenate([beyond, -beyond])) == 0.0)
+    # The margin is one unit: the kernel is still positive half a unit inside.
+    assert phi_spatial(gaussian, alpha, radius - 1.5) > 0.0
+
+
+def test_poisson_support_radius_is_infinite():
+    assert kernels.support_radius(get_family("poisson"), 0.5) == np.inf
+
+
 @pytest.mark.parametrize("family_id", ["gaussian", "poisson"])
 def test_spectral_matches_quadrature_oracle(family_id):
     family = get_family(family_id)

@@ -1,6 +1,7 @@
 """Interior-window error functionals and the alpha sweep."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pwamalgam import (
 from pwamalgam import engine
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.metrics import (
+    J_MARGIN,
     measurement_target,
     truncated_signal_values,
     window_quadrature,
@@ -221,3 +223,26 @@ def test_sweep_input_validation():
         sweep(get_signal("zero"), GAUSSIAN, [], nodes, grid, x_grid, 1)
     with pytest.raises(ContractError):
         sweep(get_signal("zero"), GAUSSIAN, [2.0, 1.0], nodes, grid, x_grid, 1)
+
+
+def test_error_report_peak_memory_is_one_transform_block():
+    # The N = 256 sweep row. The forward transform holds one phase block of
+    # ROW_BLOCK rows over the window at a time, with the cos/sin angles of its
+    # half and the modulated residual columns; that block is gone before the
+    # kernel blocks of the spatial-grid evaluation are built. Holding the
+    # last block over that evaluation, or one block over the build of the
+    # next, reads about 4.4 MiB.
+    grid = frequency_grid(256)
+    signal = get_signal("gauss_pair")
+    target = measurement_target(signal, grid, spatial_grid(16.0, 20), 4)
+    approx = reconstruct(signal, GAUSSIAN, 2.5, uniform_nodes(256), grid, 4)
+    item = np.dtype(complex).itemsize
+    block_bytes = engine.ROW_BLOCK * len(target.xq) * item
+    modulated_bytes = len(target.xq) * (2 * (4 + J_MARGIN) + 1) * item
+    tracemalloc.start()
+    try:
+        error_report(approx, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * block_bytes + 2 * modulated_bytes

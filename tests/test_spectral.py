@@ -21,7 +21,13 @@ from pwamalgam import (
     spatial_grid,
 )
 from pwamalgam.metrics import truncated_signal_values
-from pwamalgam.spectral import ROW_BLOCK, TWO_PI, band_inverse, gauss_legendre
+from pwamalgam.spectral import (
+    ROW_BLOCK,
+    TWO_PI,
+    FrequencyGrid,
+    band_inverse,
+    gauss_legendre,
+)
 
 # Oracle values, frozen from independent closed forms:
 # int_{-pi}^{pi} e^{-xi^2} dxi = sqrt(pi) erf(pi), so the band L2 norm of
@@ -41,6 +47,24 @@ def test_grid_invariants(points):
     assert np.isclose(grid.weights.sum(), 2 * np.pi, rtol=1e-14)
     # Panel split at zero: node count balances across the sign change.
     assert np.sum(grid.nodes < 0) == np.sum(grid.nodes > 0)
+
+
+@pytest.mark.parametrize("points", [2, 64, 256, 300, 512, 2048])
+def test_frequency_grid_is_an_exact_mirror(points):
+    # The phase builders take the xi < 0 half from the xi > 0 half.
+    grid = frequency_grid(points)
+    assert np.array_equal(grid.nodes, -grid.nodes[::-1])
+    assert np.array_equal(grid.weights, grid.weights[::-1])
+
+
+def test_grid_rejects_a_grid_that_is_no_mirror():
+    grid = frequency_grid(256)
+    with pytest.raises(ContractError, match="mirror"):
+        FrequencyGrid(256, grid.nodes + 1e-6, grid.weights)
+    weights = grid.weights.copy()
+    weights[[0, 1]] += [1e-9, -1e-9]
+    with pytest.raises(ContractError, match="mirror"):
+        FrequencyGrid(256, grid.nodes, weights)
 
 
 def test_grid_rejects_odd_split():
