@@ -25,12 +25,12 @@ runs with the same config produce byte-identical tables. The JSON data files
 (``regularity.json``, ``convergence.json``, ``reconstruction.json``) hold a
 JSON array with one object per line, keys sorted. ``manifest.json`` is
 indented; it records the normalized config echo, library version,
-timestamp, environment (Python, numpy and scipy versions and the BLAS
-library), file listing, run-level checks and the wall seconds of three
-stages under ``timings``: ``build`` (config and inputs), ``compute`` (the
-certificates, the sweep, or the reconstruction and its evaluation, plus the
-run checks) and ``write`` (the data files; the manifest itself is not
-timed). It is written exactly when the run completes, whether clean or with
+timestamp, environment (Python, numpy and scipy versions, and the BLAS
+libraries of numpy and of scipy), file listing, run-level checks and the
+wall seconds of three stages under ``timings``: ``build`` (config and
+inputs), ``compute`` (the certificates, the sweep, or the reconstruction and
+its evaluation, plus the run checks) and ``write`` (the data files; the
+manifest itself is not timed). It is written exactly when the run completes, whether clean or with
 flagged rows.
 
 Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
@@ -51,9 +51,11 @@ import math
 import platform
 import sys
 import time
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 import scipy
@@ -84,12 +86,20 @@ def _cell(value: object) -> str:
     raise ContractError(f"unsupported CSV cell type {type(value).__name__}")
 
 
-def _write_text(path: Path, text: str) -> None:
+@contextmanager
+def _output(path: Path) -> Iterator[TextIO]:
+    """`path` opened for UTF-8 text with LF line endings; a failure to open
+    or write it raises `ConfigError`."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            yield handle
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def _jsonable(value: object) -> object:
@@ -108,9 +118,15 @@ _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _write_rows(path: Path, rows: Iterable[dict]) -> None:
-    """Write a data table as a JSON array with one object per line."""
-    body = ",\n".join(map(_ROW_ENCODER.encode, rows))
-    _write_text(path, f"[\n{body}\n]\n" if body else "[]\n")
+    """Write a data table as a JSON array with one object per line, a row at
+    a time: the text of the whole table never exists at once."""
+    with _output(path) as handle:
+        separator = "[\n"
+        for row in rows:
+            handle.write(separator)
+            handle.write(_ROW_ENCODER.encode(row))
+            separator = ",\n"
+        handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def _columns(report: object) -> dict[str, object]:
@@ -138,18 +154,24 @@ def _write_table(outdir: Path, stem: str, reports: list) -> list[str]:
     return [f"{stem}.csv", f"{stem}.json"]
 
 
-def _environment() -> dict:
-    """Interpreter and library versions, and the BLAS numpy was built against."""
+def _blas_name(show_config: Callable[..., object]) -> str:
+    """``"<name> <version>"`` of the BLAS a library's `show_config` names."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_name = f"{blas['name']} {blas['version']}"
+        blas = show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
-        blas_name = "unknown"
+        return "unknown"
+
+
+def _environment() -> dict:
+    """Interpreter and library versions, the BLAS numpy was built against, and
+    the one scipy bundles, in which the Cholesky factorizations and solves run."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": blas_name,
+        "blas": _blas_name(np.show_config),
+        "scipy_blas": _blas_name(scipy.show_config),
     }
 
 

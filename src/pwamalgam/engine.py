@@ -11,14 +11,17 @@ row ``m + M`` is band ``m`` and column ``k`` is node ``x_k``. The collocation
 matrix depends on ``alpha`` and the nodes but not on the band, so each
 ``alpha`` builds it once, factorizes it once and carries one
 ``condition_estimate``; every band is then solved against that one factor.
-No dense operator exists in full: `evaluate_J` builds the kernel matrix
-``phi_alpha(x - x_n)``, and the residual check its complex copy, one
-`spectral.row_blocks` block at a time, whose products round as the whole
-matrix's do, and applies each block to every band while it is in cache. A
-block spans only the node columns within `kernels.support_radius` of its
-points, beyond which the gaussian kernel is exactly 0.0: about a quarter of
-the columns at ``N = 256``. Dropping exact-zero terms leaves every product's
-rounding as it was, since BLAS sums each output in column order. Per-band
+One copy of the collocation matrix is live at a time: the Cholesky factor
+overwrites it. No other dense operator exists in full: `evaluate_J` builds
+the kernel matrix ``phi_alpha(x - x_n)``, and the residual check the kernel
+matrix on the nodes themselves (equal to the collocation matrix bit for
+bit), one complex `spectral.row_blocks` block at a time, whose products
+round as the whole matrix's do, and applies each block to every band while
+it is in cache. A block spans only the node columns within
+`kernels.support_radius` of its points, beyond which the gaussian kernel is
+exactly 0.0: about a quarter of the columns at ``N = 256``. Dropping
+exact-zero terms leaves every product's rounding as it was, since BLAS sums
+each output in column order. Per-band
 products and solves are kept (rather than one matrix-matrix product) because
 the rounding of the blocked BLAS kernels differs from the per-vector ones,
 and large coefficients magnify that difference: at ``N = 256`` and gaussian
@@ -53,6 +56,7 @@ definiteness raises `ConditioningError`.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +141,11 @@ def solve_coefficients(
 
     Row ``i`` of `samples` is band ``i - M``. The matrix is built, its
     condition estimated (from the source `condition_source` names) and
-    factorized once for all rows.
+    factorized once for all rows. The factor overwrites the matrix: the
+    matrix is exactly symmetric, so its transpose is a Fortran-ordered array
+    holding the bytes LAPACK would otherwise be given a copy of. The residual
+    check therefore builds its row blocks from the kernel again, on the
+    support columns of each block, equal to the matrix's rows bit for bit.
 
     All-zero samples short-circuit to exactly zero coefficients (the
     homogeneous system), preserving exact zeros for signals with empty bands;
@@ -178,7 +186,9 @@ def solve_coefficients(
     residuals = np.zeros(len(stacked))
     if nonzero:
         try:
-            factor = cho_factor(matrix)
+            # In place: the symmetric matrix's transpose is Fortran-ordered,
+            # so LAPACK writes the factor over it instead of over a copy.
+            factor = cho_factor(matrix.T, overwrite_a=True)
         except LinAlgError as exc:
             raise ConditioningError(
                 f"collocation matrix lost positive definiteness at alpha={alpha} "
@@ -197,14 +207,12 @@ def solve_coefficients(
                 check_finite=False,
             )
             coeffs[i] = parts[:, 0] + 1j * parts[:, 1]
+        del matrix, factor  # freed before the residual blocks are built
         radius = support_radius(family, alpha)
-        for rows in row_blocks(nodes.count):
-            cols = _support_columns(nodes, nodes.values[rows], radius)
-            block = matrix[rows, cols].astype(complex)
+        for rows, block, cols in _kernel_blocks(family, alpha, nodes, nodes.values, radius):
             for i in nonzero:
                 error = np.max(np.abs(block @ coeffs[i, cols] - stacked[i, rows]))
                 residuals[i] = max(residuals[i], error)
-            del block  # before the next one is built
         for i in nonzero:
             scale = 1.0 + float(np.max(np.abs(stacked[i])))
             if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
@@ -249,6 +257,24 @@ def _support_columns(nodes: NodeSet, points: np.ndarray, radius: float) -> slice
     return slice(int(lo), int(hi))
 
 
+def _kernel_blocks(
+    family: InterpolatorFamily, alpha: float, nodes: NodeSet, xs: np.ndarray, radius: float
+) -> Iterator[tuple[slice, np.ndarray, slice]]:
+    """``(rows, block, cols)`` for each `spectral.row_blocks` block of the
+    complex kernel matrix ``phi_alpha(xs - x_n)``, on the columns `cols` of
+    the nodes within `radius` of its points.
+
+    Every block is the real part of a view of one complex buffer, whose
+    imaginary part stays zero; the next block overwrites it.
+    """
+    buffer = np.zeros((min(len(xs), ROW_BLOCK), nodes.count), dtype=complex)
+    for rows in row_blocks(len(xs)):
+        cols = _support_columns(nodes, xs[rows], radius)
+        block = buffer[: rows.stop - rows.start, cols]
+        block.real = phi_spatial(family, alpha, xs[rows, None] - nodes.values[cols])
+        yield rows, block, cols
+
+
 def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarray:
     """Evaluate ``J_alpha f(x) = sum_m e^{2 pi i m x} sum_n a_{m,n} phi_alpha(x - x_n)``.
 
@@ -273,13 +299,8 @@ def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarr
     if bands:
         omegas = TWO_PI * (np.array(bands) - approx.m_max)
         radius = support_radius(approx.family, approx.alpha) if len(xs) > 1 else np.inf
-        kernel = np.zeros((min(len(xs), ROW_BLOCK), approx.nodes.count), dtype=complex)
-        for rows in row_blocks(len(xs)):
-            cols = _support_columns(approx.nodes, xs[rows], radius)
-            block = kernel[: len(xs[rows]), cols]
-            block.real = phi_spatial(
-                approx.family, approx.alpha, xs[rows, None] - approx.nodes.values[cols]
-            )
+        blocks = _kernel_blocks(approx.family, approx.alpha, approx.nodes, xs, radius)
+        for rows, block, cols in blocks:
             modulations = cis(np.outer(omegas, xs[rows]))
             for i, modulation in zip(bands, modulations):
                 out[rows] += modulation * (block @ approx.coefficients[i, cols])

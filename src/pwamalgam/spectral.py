@@ -257,7 +257,9 @@ def inverse_ft_at(
     """Inverse transform of a truncated spectrum at point(s) ``x``.
 
     Computes ``sum_m e^{2 pi i m x} g_m(x)`` from the `band_inverse` rows,
-    with the fixed summation order ascending m then ascending k.
+    with the fixed summation order ascending m then ascending k. All-zero
+    bands are skipped: their terms are exact zeros, which leave every sum as
+    it was.
 
     Returns
     -------
@@ -266,8 +268,10 @@ def inverse_ft_at(
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros(xs.shape, dtype=complex)
-    for m, g_m in enumerate(band_inverse(spectrum.values, grid, xs), -spectrum.m_max):
-        out += cis(TWO_PI * m * xs) * g_m
+    rows = [i for i, band in enumerate(spectrum.values) if np.any(band)]  # ascending m
+    if rows:
+        for i, g_m in zip(rows, band_inverse(spectrum.values[rows], grid, xs)):
+            out += cis(TWO_PI * (i - spectrum.m_max) * xs) * g_m
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

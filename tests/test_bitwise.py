@@ -5,6 +5,11 @@ with the numpy and OpenBLAS in use, which keeps every output byte-identical.
 A numpy or BLAS whose rounding differs fails here, loudly, instead of moving
 the outputs silently.
 
+The in-place Cholesky pin compares the factor that `solve_coefficients`
+writes over the collocation matrix with the factor of a copy: it relies on
+the matrix being exactly symmetric, so that its transpose holds the bytes
+of the Fortran-ordered copy LAPACK is otherwise given.
+
 The row-block pins compare each streamed operator (`spectral.row_blocks`)
 with the whole-matrix expression it replaced: a BLAS whose gemv or gemm
 rounding depends on the number of rows fails them. The same pins cover the
@@ -27,6 +32,7 @@ from pwamalgam import (
     frequency_grid,
     get_family,
     get_signal,
+    inverse_ft_at,
     perturbed_nodes,
     phi_spatial,
     reconstruct,
@@ -241,6 +247,45 @@ def test_residuals_in_row_blocks_equal_whole_complex_matrix(nodes, family, alpha
     matrix = collocation_matrix(family, alpha, nodes).astype(complex)
     whole = [np.max(np.abs(matrix @ c - b)) for c, b in zip(approx.coefficients, samples)]
     assert np.array_equal(approx.residuals, whole)
+
+
+@pytest.mark.parametrize(
+    "nodes, family, alpha",
+    [
+        (uniform_nodes(256), GAUSSIAN, 2.5),
+        (uniform_nodes(128), GAUSSIAN, 1.5),
+        (perturbed_nodes(128, 0.2, 7), GAUSSIAN, 1.5),
+        (uniform_nodes(128), POISSON, 4.0),
+    ],
+    ids=["n513", "n257", "perturbed-n257", "n257-poisson"],
+)
+def test_factor_in_place_equals_factor_of_a_copy(monkeypatch, nodes, family, alpha):
+    factored = []
+
+    def recording(a, **kwargs):
+        factor = cho_factor(a, **kwargs)
+        factored.append((a, factor[0]))
+        return factor
+
+    monkeypatch.setattr(engine, "cho_factor", recording)
+    values = signal_spectrum(get_signal("gauss_pair"), GRID, 4).values
+    solve_coefficients(family, alpha, nodes, sample_band_signal(values, GRID, nodes))
+    [(given, factor)] = factored
+    matrix = collocation_matrix(family, alpha, nodes)
+    assert np.array_equal(matrix, matrix.T)
+    # Written over the matrix, not over a copy of it.
+    assert np.shares_memory(factor, given) and given.flags.f_contiguous
+    assert np.array_equal(factor, cho_factor(matrix)[0])
+
+
+def test_inverse_ft_without_empty_bands_equals_sum_over_all_bands():
+    spectrum = signal_spectrum(get_signal("two_band"), GRID, 4)
+    empty = [band for band in spectrum.values if not np.any(band)]
+    assert len(empty) == 7
+    every = np.zeros(len(SPATIAL), dtype=complex)
+    for m, g_m in enumerate(band_inverse(spectrum.values, GRID, SPATIAL), -spectrum.m_max):
+        every += cis(TWO_PI * m * SPATIAL) * g_m
+    assert np.array_equal(inverse_ft_at(spectrum, GRID, SPATIAL), every)
 
 
 @pytest.mark.parametrize("points", [256, 512, 300])

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from pwamalgam import (
     sweep,
     verify_regularity,
 )
-from pwamalgam.cli import main
+from pwamalgam.cli import _write_rows, main
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.kernels import J_MAX
 from pwamalgam.metrics import truncated_signal_values
@@ -90,7 +91,7 @@ def test_sweep_outputs_and_manifest(tmp_path):
         "convergence.csv", "convergence.json", "manifest.json",
     }
     environment = manifest["environment"]
-    assert set(environment) == {"python", "numpy", "scipy", "blas"}
+    assert set(environment) == {"python", "numpy", "scipy", "blas", "scipy_blas"}
     assert environment["numpy"] == np.__version__
     assert all(isinstance(v, str) and v for v in environment.values())
     # The echoed config reproduces the run configuration.
@@ -516,6 +517,26 @@ def test_reconstruct_empty_points(tmp_path):
     assert (out / "reconstruction.json").read_text(encoding="utf-8") == "[]\n"
 
 
+def test_rows_are_written_without_the_whole_text(tmp_path):
+    # 2561 rows, shaped like those of a reconstruct on its default grid. The
+    # writer streams them: its peak stays below the size of the file.
+    xs = np.linspace(-64.0, 64.0, 2561)
+    parts = [np.sin(k * xs) / np.cosh(xs / 7.0) for k in (1.0, 2.0, 3.0, 5.0, 7.0)]
+    rows = (
+        {"x": x, "f": [f_re, f_im], "J": [j_re, j_im], "error": error}
+        for x, f_re, f_im, j_re, j_im, error in zip(xs.tolist(), *map(list, parts))
+    )
+    path = tmp_path / "reconstruction.json"
+    tracemalloc.start()
+    try:
+        _write_rows(path, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(json_rows(path)) == 2561
+    assert peak < path.stat().st_size
+
+
 def test_reconstruct_rejects_multi_alpha_and_bad_points(tmp_path):
     payload = {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0, 2.0]}}
     cfg = write_config(tmp_path, payload)
@@ -654,9 +675,11 @@ def test_committed_config_runs(tmp_path, path):
 
     Its data files must match `DATA_FILE_SHA256` byte for byte. Like
     ``tests/test_bitwise.py``, the table is tied to the numpy and OpenBLAS it
-    was recorded with (numpy 2.4.6; 1 and 2 BLAS threads give the same
-    bytes): a library whose rounding differs fails here, and a change that
-    means to keep the outputs must keep this table.
+    was recorded with (numpy 2.4.6, scipy 1.17.1 with its OpenBLAS 0.3.30):
+    a library whose rounding differs fails here, and a change that means to
+    keep the outputs must keep this table. 1 and 2 BLAS threads give the
+    same bytes at the committed sizes (N = 32) only; from N = 128 up the
+    Cholesky factor depends on the thread count, see `INLINE_STUDY_SHA256`.
     """
     cmd = config_command(path)
     out = tmp_path / "run"

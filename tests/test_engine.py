@@ -343,6 +343,20 @@ def test_solve_coefficients_makes_no_complex_copy_of_the_matrix():
     assert peak <= 2 * matrix_bytes + 2 * block_bytes
 
 
+def test_solve_coefficients_keeps_one_copy_of_the_matrix():
+    # The Cholesky factor overwrites the matrix, and the residual check
+    # builds its row blocks from the kernel: no second 2 MiB array at N = 256.
+    nodes = uniform_nodes(256)
+    grid = frequency_grid(256)
+    values = signal_spectrum(get_signal("gauss_pair"), grid, 4).values
+    samples = sample_band_signal(values, grid, nodes)
+    matrix_bytes = nodes.count**2 * np.dtype(float).itemsize
+    block_bytes = ROW_BLOCK * nodes.count * np.dtype(complex).itemsize
+    for alpha in (1.25, 2.5):
+        peak = traced_peak(lambda: solve_coefficients(GAUSSIAN, alpha, nodes, samples))
+        assert peak <= matrix_bytes + 2 * block_bytes
+
+
 def test_evaluate_j_sums_modulated_bands():
     grid = frequency_grid(128)
     nodes = uniform_nodes(8)
