@@ -74,7 +74,7 @@ from .kernels import precision_boundary, regularity_verdict, verify_regularity
 from .metrics import sweep as run_sweep
 from .metrics import truncated_signal_values
 from .signals import TestSignal, builtin_signals, signal_spectrum
-from .spectral import FrequencyGrid, amalgam_norm, frequency_grid
+from .spectral import FrequencyGrid, amalgam_norm, frequency_grid, row_blocks
 
 
 def _cell(value: object) -> str:
@@ -321,10 +321,11 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
             f"reconstruct needs a single alpha; the sweep resolves to {len(alphas)} values"
         )
     if args.eval_points is None:
-        xs = config.make_spatial_grid().points.tolist()
+        xs = config.make_spatial_grid().points
     else:
-        xs = _parse_eval_points(args.eval_points)
-    xs.sort()
+        xs = np.array(_parse_eval_points(args.eval_points), dtype=float)
+    # Stable, as `list.sort` is: equal points such as 0.0 and -0.0 keep their order.
+    xs = np.sort(xs, kind="stable")
     outdir = _outdir(args, config)
 
     signal = config.make_signal()
@@ -333,15 +334,14 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     grid = config.make_grid()
     timer.lap("build")
     approx = reconstruct(signal, family, alphas[0], nodes, grid, config.m_max)
-    xs_arr = np.asarray(xs, dtype=float)
-    j_vals = evaluate_J(approx, xs_arr)
+    j_vals = evaluate_J(approx, xs)
     # Reference values: the closed spatial form when the signal has one,
     # otherwise the band-truncated quadrature inversion (the same target
     # the approximant is built against).
     if signal.f is not None:
-        f_vals = np.asarray(signal.f(xs_arr), dtype=complex)
+        f_vals = np.asarray(signal.f(xs), dtype=complex)
     else:
-        f_vals = truncated_signal_values(signal, grid, config.m_max, xs_arr)
+        f_vals = truncated_signal_values(signal, grid, config.m_max, xs)
     errors = np.abs(f_vals - j_vals)
     checks = {
         "alpha": alphas[0],
@@ -352,17 +352,12 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "quadrature_drift": _quadrature_drift(config, signal, grid),
     }
     timer.lap("compute")
-    columns = zip(
-        xs,
-        f_vals.real.tolist(),
-        f_vals.imag.tolist(),
-        j_vals.real.tolist(),
-        j_vals.imag.tolist(),
-        errors.tolist(),
-    )
+    # Converted to Python floats one block at a time, not as whole lists.
+    columns = (xs, f_vals.real, f_vals.imag, j_vals.real, j_vals.imag, errors)
     points = (
         {"x": x, "f": [f_re, f_im], "J": [j_re, j_im], "error": error}
-        for x, f_re, f_im, j_re, j_im, error in columns
+        for rows in row_blocks(len(xs))
+        for x, f_re, f_im, j_re, j_im, error in zip(*(c[rows].tolist() for c in columns))
     )
     _write_rows(outdir / "reconstruction.json", points)
     files = ["reconstruction.json", "manifest.json"]

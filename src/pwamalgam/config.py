@@ -16,7 +16,7 @@ JSON) are fixed, not settings.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -39,7 +39,9 @@ def _check_keys(section: str, data: dict, allowed: tuple[str, ...]) -> None:
 def _as_number(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number")
-    if not math.isfinite(float(value)):
+    # Python compares ints with floats exactly, so this also rejects an integer
+    # literal too large for `float`, which would raise OverflowError there.
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"{name} must be finite")
     return float(value)
 
@@ -104,7 +106,12 @@ _KEYS: tuple[tuple, ...] = (
             "{name} must be strictly ascending",
         ),
     ),
-    ("nodes", "N", "nodes_N", _as_int, 32, _at_least(1)),
+    (
+        "nodes", "N", "nodes_N", _as_int, 32, _at_least(1),
+        # Beyond 2**53 the integer nodes are no longer exact floats (and from
+        # about 2**1024 the default T_int of N / 2 overflows).
+        (lambda v, c: v <= 2**53, "{name} must be <= 2**53"),
+    ),
     (
         "nodes", "d", "nodes_d", _as_number, 0.0,
         (
@@ -237,6 +244,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, ValueError) as exc:  # JSONDecodeError is a ValueError
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return parse_config(data)

@@ -11,11 +11,12 @@ row ``m + M`` is band ``m`` and column ``k`` is node ``x_k``. The collocation
 matrix depends on ``alpha`` and the nodes but not on the band, so each
 ``alpha`` builds it once, factorizes it once and carries one
 ``condition_estimate``; every band is then solved against that one factor.
-One copy of the collocation matrix is live at a time: the Cholesky factor
-overwrites it. No other dense operator exists in full: `evaluate_J` builds
-the kernel matrix ``phi_alpha(x - x_n)``, and the residual check the kernel
-matrix on the nodes themselves (equal to the collocation matrix bit for
-bit), one complex `spectral.row_blocks` block at a time, whose products
+One copy of the collocation matrix is live at a time: on perturbed nodes it
+is filled in row blocks, and the Cholesky factor overwrites it. No other
+dense operator exists in full: `evaluate_J` builds the kernel matrix
+``phi_alpha(x - x_n)``, and the residual check the kernel matrix on the
+nodes themselves (equal to the collocation matrix bit for bit), one complex
+`spectral.row_blocks` block at a time, whose products
 round as the whole matrix's do, and applies each block to every band while
 it is in cache. A block spans only the node columns within
 `kernels.support_radius` of its points, beyond which the gaussian kernel is
@@ -118,12 +119,21 @@ def collocation_matrix(
 
     On integer nodes it is the Toeplitz matrix of ``phi_alpha(0..2N)``:
     ``j - k`` is exact and both kernels are exactly even, so this equals the
-    difference build bit for bit.
+    difference build bit for bit. On other nodes it is filled one
+    `spectral.row_blocks` block at a time: each block's differences are
+    written into its rows and replaced there by their kernel values, so no
+    whole difference or exponent array exists beside the matrix. The kernel
+    acts entry by entry, so this equals the whole build bit for bit, and it
+    is exactly symmetric since ``x_j - x_k`` is ``-(x_k - x_j)``.
     """
     values = nodes.values
     if nodes.is_uniform:
         return toeplitz(phi_spatial(family, alpha, values - values[0]))
-    return phi_spatial(family, alpha, values[:, None] - values[None, :])
+    matrix = np.empty((nodes.count, nodes.count))
+    for rows in row_blocks(nodes.count):
+        block = np.subtract(values[rows, None], values, out=matrix[rows])
+        block[...] = phi_spatial(family, alpha, block)
+    return matrix
 
 
 def condition_source(nodes: NodeSet) -> str:

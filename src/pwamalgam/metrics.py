@@ -274,6 +274,7 @@ def sweep(
         try:
             approx = reconstruct(signal, family, alpha, nodes, grid, m_max)
             reports.append(error_report(approx, target))
+            del approx  # freed before the next alpha solves
         except (ConditioningError, AccuracyError) as exc:
             reports.append(
                 ErrorReport(

@@ -30,9 +30,10 @@ import numpy as np
 from .errors import ContractError
 
 TWO_PI = 2.0 * np.pi
-# Rows per block of every dense operator (phase, kernel, forward transform):
-# no operator exists in full, and each block serves all bands while in cache.
-ROW_BLOCK = 128
+# Rows per block of every dense operator (collocation matrix on perturbed
+# nodes, phase, kernel, forward transform): no other operator exists in full,
+# and each block serves all bands while in cache.
+ROW_BLOCK = 64
 
 
 def row_blocks(count: int) -> Iterator[slice]:
@@ -215,13 +216,20 @@ def l2_norm_parseval(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
 
 
 def _mirrored_columns(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """``cis(outer(x, grid.nodes))`` from ``cos`` and ``sin`` of its ``xi > 0`` half."""
+    """``cis(outer(x, grid.nodes))`` from ``cos`` and ``sin`` of its ``xi > 0`` half,
+    written straight into that half of the block."""
     half = grid.points_per_band // 2
-    positive = cis(np.outer(x, grid.nodes[half:]))
     phase = np.empty((len(x), grid.points_per_band), dtype=complex)
-    phase[:, half:] = positive
-    # From a separate array: numpy copies an operand that overlaps its output.
-    np.conjugate(positive[:, ::-1], out=phase[:, :half])
+    positive = phase[:, half:]
+    angles = np.outer(x, grid.nodes[half:])
+    np.cos(angles, out=positive.real)
+    np.sin(angles, out=positive.imag)
+    del angles
+    # The conjugate part by part: numpy copies an operand that may overlap its
+    # output, and a real part is half the size of the complex half block.
+    negative = phase[:, :half]
+    negative.real = positive.real[:, ::-1]
+    np.negative(positive.imag[:, ::-1], out=negative.imag)
     return phase
 
 

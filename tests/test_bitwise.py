@@ -10,9 +10,10 @@ writes over the collocation matrix with the factor of a copy: it relies on
 the matrix being exactly symmetric, so that its transpose holds the bytes
 of the Fortran-ordered copy LAPACK is otherwise given.
 
-The row-block pins compare each streamed operator (`spectral.row_blocks`)
-with the whole-matrix expression it replaced: a BLAS whose gemv or gemm
-rounding depends on the number of rows fails them. The same pins cover the
+The row-block pins compare each streamed operator (`spectral.row_blocks`),
+the collocation matrix on perturbed nodes among them, with the whole-matrix
+expression it replaced: a BLAS whose gemv or gemm rounding depends on the
+number of rows fails them. The same pins cover the
 two exact cuts inside the blocks: kernel products over the support columns
 only (`engine._support_columns`), which relies on BLAS summing each output in
 column order so that dropped exact zeros change nothing, and phase blocks
@@ -143,6 +144,25 @@ def whole_evaluate_J(approx, xs):
         if np.any(row):
             out += cis(TWO_PI * (i - approx.m_max) * xs) * (kernel @ row)
     return out
+
+
+@pytest.mark.parametrize("half_width", [0, 32, 64, 128, 256], ids=lambda n: f"n{2 * n + 1}")
+@pytest.mark.parametrize(
+    "family, alpha",
+    [(GAUSSIAN, 0.5), (GAUSSIAN, 2.5), (GAUSSIAN, 3.0), (POISSON, 4.0)],
+    ids=["a0.5", "a2.5", "a3", "poisson"],
+)
+def test_perturbed_collocation_matrix_in_row_blocks_equals_whole_difference_build(
+    family, alpha, half_width
+):
+    # At 64-row blocks, 65 and 129 nodes leave a lone last row, which borrows
+    # one from the block before.
+    nodes = perturbed_nodes(half_width, 0.2, 7)
+    assert not nodes.is_uniform
+    values = nodes.values
+    matrix = collocation_matrix(family, alpha, nodes)
+    assert np.array_equal(matrix, phi_spatial(family, alpha, values[:, None] - values[None, :]))
+    assert np.array_equal(matrix, matrix.T)
 
 
 @pytest.mark.parametrize("x", [WINDOW, SPATIAL], ids=["928", "2561"])
@@ -320,3 +340,22 @@ def test_sweep_row_is_unchanged_by_whole_matrices(monkeypatch):
     assert np.array_equal(streamed.coefficients, whole.coefficients)
     assert np.array_equal(streamed.residuals, whole.residuals)
     assert streamed_report == whole_report
+
+
+def test_perturbed_reconstruct_is_unchanged_by_whole_matrices(monkeypatch):
+    # The reconstruct-n128 benchmark row at alpha = 2.5: the blocked collocation
+    # matrix, sampling, residual check and evaluation on the 2561-point grid.
+    signal = get_signal("two_band")
+    nodes = perturbed_nodes(128, 0.2, 41)
+
+    def run():
+        approx = reconstruct(signal, GAUSSIAN, 2.5, nodes, GRID, 4)
+        return approx, evaluate_J(approx, SPATIAL)
+
+    streamed, streamed_J = run()
+    for module in (spectral, engine, metrics):
+        monkeypatch.setattr(module, "ROW_BLOCK", 10**6)
+    whole, whole_J = run()
+    assert np.array_equal(streamed.coefficients, whole.coefficients)
+    assert np.array_equal(streamed.residuals, whole.residuals)
+    assert np.array_equal(streamed_J, whole_J)

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -237,6 +238,22 @@ def test_config_error_exits_2_without_manifest(tmp_path):
     assert "Kadec" in err
     assert not (out / "manifest.json").exists()
     assert not (out / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [{"alpha_sweep": {"values": [10**400]}}, {"nodes": {"N": 10**400}}],
+    ids=["alpha", "N"],
+)
+def test_number_beyond_the_float_range_exits_2(tmp_path, section):
+    # Each once raised OverflowError: a traceback and exit 1.
+    cfg = write_config(tmp_path, {**SMALL_SWEEP, **section})
+    out = tmp_path / "run"
+    for command in ("sweep", "reconstruct"):
+        code, _, err = run_cli([command, "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_negative_seed_exits_2_without_output(tmp_path):
@@ -504,6 +521,46 @@ def test_reconstruction_json_is_one_point_per_line(tmp_path):
     assert [row["J"] for row in rows] == np.column_stack([J.real, J.imag]).tolist()
     assert [row["f"] for row in rows] == np.column_stack([f.real, f.imag]).tolist()
     assert [row["error"] for row in rows] == np.abs(f - J).tolist()
+
+
+def test_reconstruct_sorts_points_stably(tmp_path):
+    # 0.0 and -0.0 compare equal, so they keep the order they were given in,
+    # as `list.sort` kept them; the bytes are those the list-sorting writer wrote.
+    cfg = write_config(tmp_path, {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}})
+    orders = [("0.5,0.0,-0.0", [1, -1, 1]), ("-0.0,0.5,0", [-1, 1, 1])]
+    for i, (points, signs) in enumerate(orders):
+        out = tmp_path / f"run{i}"
+        code, _, _ = run_cli(
+            ["reconstruct", "--config", cfg, "--out", str(out), f"--eval-points={points}"]
+        )
+        assert code == 0
+        xs = [row["x"] for row in json_rows(out / "reconstruction.json")]
+        assert xs == [0.0, 0.0, 0.5] and [math.copysign(1, x) for x in xs] == signs
+    digest = hashlib.sha256((tmp_path / "run0" / "reconstruction.json").read_bytes())
+    assert digest.hexdigest() == "79a3c2025d9559c4cbaae9f9d8a9c2141b44f9f2ea1f84d9e82c8b084d3efe46"
+
+
+def test_reconstruct_peak_memory_stays_below_one_mib(tmp_path):
+    # The reconstruct-n128 benchmark row at alpha = 2.5 and seed 41: 257
+    # perturbed nodes, 2561 points. The collocation matrix (0.50 MiB) is built
+    # in row blocks, and the points and outputs become Python floats a block at
+    # a time; built whole and converted whole they peaked at about 1.4 MiB.
+    payload = {
+        "family": {"id": "gaussian"},
+        "alpha_sweep": {"values": [2.5]},
+        "nodes": {"N": 128, "d": 0.2, "seed": 41, "symmetric": False},
+        "signal": {"id": "two_band"},
+    }
+    args = ["reconstruct", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]
+    assert run_cli(args)[0] == 0  # warm
+    tracemalloc.start()
+    try:
+        code = run_cli(args)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(json_rows(tmp_path / "reconstruction.json")) == 2561
+    assert peak <= 2**20
 
 
 def test_reconstruct_empty_points(tmp_path):

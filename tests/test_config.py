@@ -93,6 +93,23 @@ def test_node_count_must_be_positive():
     assert parse_config({"nodes": {"N": 1}}).t_int == 0.5
 
 
+def test_integers_beyond_the_float_range_are_config_errors():
+    # ``float(10**400)`` raises OverflowError, as did ``N / 2.0`` for the
+    # default T_int; either ended the run with a traceback.
+    huge = 10**400
+    for data, message in (
+        ({"alpha_sweep": {"values": [huge]}}, r"alpha_sweep\.values\[0\] must be finite"),
+        ({"spatial": {"T_int": -huge}}, r"spatial\.T_int must be finite"),
+        ({"nodes": {"N": huge}}, r"nodes\.N must be <= 2\*\*53"),
+        ({"nodes": {"N": huge}, "spatial": {"T_int": 1.0}}, r"nodes\.N must be <= 2\*\*53"),
+        ({"nodes": {"N": 2**53 + 1}}, r"nodes\.N must be <= 2\*\*53"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(data)
+    assert parse_config({"nodes": {"N": 2**53}}).t_int == 2.0**52
+    assert parse_config({"alpha_sweep": {"values": [2]}}).alpha_values() == [2.0]
+
+
 def test_node_seed_must_be_nonnegative():
     # numpy's generator rejects a negative seed only when perturbed nodes are
     # drawn; the config rejects it whatever d is.
@@ -188,6 +205,11 @@ def test_load_config_errors(tmp_path):
         bad.write_text(text, encoding="utf-8")
         with pytest.raises(ConfigError, match=f"repeated key '{key}'"):
             load_config(bad)
+    # Python's int parser refuses a literal of over 4300 digits with a plain
+    # ValueError, which is no JSONDecodeError.
+    bad.write_text('{"nodes": {"N": 1%s}}' % ("0" * 5000), encoding="utf-8")
+    with pytest.raises(ConfigError, match="valid JSON"):
+        load_config(bad)
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"nodes": {"N": 8}}), encoding="utf-8")
     assert load_config(good).nodes_N == 8

@@ -357,6 +357,17 @@ def test_solve_coefficients_keeps_one_copy_of_the_matrix():
         assert peak <= matrix_bytes + 2 * block_bytes
 
 
+def test_perturbed_collocation_matrix_is_built_in_row_blocks():
+    # The reconstruct-n128 matrix, 257 x 257. Built whole, its difference array
+    # and the kernel's exponent and masks over it stood beside it: 2.2 times
+    # its size. Built in blocks, only one block's temporaries do.
+    nodes = perturbed_nodes(128, 0.2, 41)
+    matrix_bytes = nodes.count**2 * np.dtype(float).itemsize
+    block_bytes = ROW_BLOCK * nodes.count * np.dtype(float).itemsize
+    peak = traced_peak(lambda: collocation_matrix(GAUSSIAN, 2.5, nodes))
+    assert peak <= matrix_bytes + 2 * block_bytes
+
+
 def test_evaluate_j_sums_modulated_bands():
     grid = frequency_grid(128)
     nodes = uniform_nodes(8)

@@ -231,7 +231,7 @@ def test_error_report_peak_memory_is_one_transform_block():
     # half and the modulated residual columns; that block is gone before the
     # kernel blocks of the spatial-grid evaluation are built. Holding the
     # last block over that evaluation, or one block over the build of the
-    # next, reads about 4.4 MiB.
+    # next, read about 4.4 MiB with 128-row blocks.
     grid = frequency_grid(256)
     signal = get_signal("gauss_pair")
     target = measurement_target(signal, grid, spatial_grid(16.0, 20), 4)
@@ -246,3 +246,25 @@ def test_error_report_peak_memory_is_one_transform_block():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * block_bytes + 2 * modulated_bytes
+
+
+def test_sweep_frees_each_approximant_before_the_next_solve():
+    # An N = 256 approximant is 9 x 513 complex coefficients (74 KB). Held
+    # while the next alpha solves, it lifts a two-alpha sweep above a sweep of
+    # the second alpha alone. The narrow window keeps each row's solve, not
+    # its error report, the peak of the row.
+    grid = frequency_grid(256)
+    nodes = uniform_nodes(256)
+    x_grid = spatial_grid(4.0, 20)
+    signal = get_signal("gauss_pair")
+
+    def peak(alphas):
+        sweep(signal, GAUSSIAN, alphas, nodes, grid, x_grid, 4)  # warm
+        tracemalloc.start()
+        try:
+            sweep(signal, GAUSSIAN, alphas, nodes, grid, x_grid, 4)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak([1.25, 2.5]) <= peak([2.5]) + 10 * 1024
