@@ -36,10 +36,8 @@ flagged rows.
 Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
 ``alpha`` in the family's domain where the Toeplitz condition bound crosses
 the precision cap (null if it never does), and ``sweep`` and ``reconstruct``
-record ``condition_source``, where the condition estimates came from
-(``"toeplitz_symbol"`` on integer nodes, ``"eigvalsh"`` otherwise), and
-``quadrature_drift``, the signal's amalgam-norm change on a frequency grid
-refined by the fixed ``quadrature_refinement_factor`` (2).
+record ``quadrature_drift``, the signal's amalgam-norm change on a frequency
+grid refined by the fixed ``quadrature_refinement_factor`` (2).
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .engine import PRECISION_CAP, condition_source, evaluate_J, reconstruct
+from .engine import PRECISION_CAP, evaluate_J, reconstruct
 from .errors import (
     AccuracyError,
     ConditioningError,
@@ -258,13 +256,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = load_config(args.config)
     outdir = _outdir(args, config)
     signal = config.make_signal()
-    nodes = config.make_nodes()
     grid = config.make_grid()
     inputs = (
         signal,
         config.make_family(),
         config.alpha_values(),
-        nodes,
+        config.make_nodes(),
         grid,
         config.make_spatial_grid(),
     )
@@ -286,7 +283,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "failed_rows": sum(1 for r in reports if r.flags),
         "precision_limited_rows": sum(1 for r in reports if r.precision_limited),
         "excluded_rows": len(reports) - len(trusted),
-        "condition_source": condition_source(nodes),
         "embedding_l2_le_amalgam": all(
             r.l2_error <= r.amalgam_error + 1e-10 for r in trusted
         ),
@@ -347,7 +343,6 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "alpha": alphas[0],
         "points": len(xs),
         "max_pointwise_error": float(errors.max(initial=0.0)),
-        "condition_source": condition_source(nodes),
         "quadrature_refinement_factor": QUADRATURE_REFINEMENT,
         "quadrature_drift": _quadrature_drift(config, signal, grid),
     }

@@ -131,7 +131,12 @@ _KEYS: tuple[tuple, ...] = (
         "spatial", "T_int", "t_int", _as_number, lambda c: c["nodes_N"] / 2.0, _POSITIVE,
         (lambda v, c: v <= c["nodes_N"] / 2.0, "{name} must not exceed N/2 (interior window)"),
     ),
-    ("spatial", "density", "density", _as_int, 20, _at_least(1)),
+    (
+        "spatial", "density", "density", _as_int, 20, _at_least(1),
+        # The grid's 2*T_int*density + 1 floats must fit numpy's array size
+        # limit of 2**63 - 1 bytes; from 10**400 the product overflows a float.
+        (lambda v, c: v < 2**59 / c["t_int"], "{name} must keep 2*T_int*density < 2**60"),
+    ),
     ("output", "directory", "out_directory", _as_string, "."),
 )
 _SECTIONS = tuple(dict.fromkeys(row[0] for row in _KEYS))

@@ -16,13 +16,12 @@ is filled in row blocks, and the Cholesky factor overwrites it. No other
 dense operator exists in full: `evaluate_J` builds the kernel matrix
 ``phi_alpha(x - x_n)``, and the residual check the kernel matrix on the
 nodes themselves (equal to the collocation matrix bit for bit), one complex
-`spectral.row_blocks` block at a time, whose products
-round as the whole matrix's do, and applies each block to every band while
-it is in cache. A block spans only the node columns within
-`kernels.support_radius` of its points, beyond which the gaussian kernel is
-exactly 0.0: about a quarter of the columns at ``N = 256``. Dropping
-exact-zero terms leaves every product's rounding as it was, since BLAS sums
-each output in column order. Per-band
+`spectral.row_blocks` block at a time, whose products round as the whole
+matrix's do, and applies each block to every band while it is in cache. A
+block spans only the node columns within `kernels.support_radius` of its
+points, beyond which the gaussian kernel is exactly 0.0: about a quarter of
+the columns at ``N = 256``. Dropping exact-zero terms leaves every product's
+rounding as it was, since BLAS sums each output in column order. Per-band
 products and solves are kept (rather than one matrix-matrix product) because
 the rounding of the blocked BLAS kernels differs from the per-vector ones,
 and large coefficients magnify that difference: at ``N = 256`` and gaussian
@@ -30,38 +29,27 @@ and large coefficients magnify that difference: at ``N = 256`` and gaussian
 over all bands in `evaluate_J` moved the sweep's ``amalgam_error`` by
 1.49e-6 relative.
 
-Numerical policy: the matrix is factorized by Cholesky; its 2-norm condition
-number is always estimated and reported, from one of two sources (see
-`condition_source`). On the integer nodes ``x_n = n`` the matrix
-``phi_alpha(j - k)`` is Toeplitz: it is built from one row of ``2N+1`` kernel
-values, and the estimate is the symbol ratio ``sigma(0) / sigma(pi)`` of
-`kernels.condition_bound`, an upper bound that needs no decomposition and
-does not saturate near ``1/eps``. It does not depend on ``N``, so it
-overestimates the condition number of a small matrix, and the more so the
-smaller ``N``: about twice the true value at ``N = 32``, seventeen times at
-``N = 16`` and without limit as ``N`` shrinks (gaussian ``alpha = 3`` reads
-3.6e12 at every ``N``, while its ``3 x 3`` matrix at ``N = 1`` has condition
-about 300). A small uniform run can therefore be flagged precision-limited,
-with its residual tolerance unenforced, although its matrix is well
-conditioned. On perturbed nodes, whose Kadec
-bounds are not explicit, the estimate is ``max|lambda| / min|lambda|`` over
-the eigenvalues (one ``eigvalsh`` per ``alpha``), which equals the
-singular-value ratio; beyond about 1e15 it is rounding noise and only serves
-to flag the row. Runs whose condition estimate exceeds ``PRECISION_CAP`` are
-flagged "precision_limited" downstream rather than failed, and the residual
-tolerance ``SOLVER_TOL * (1 + max|samples|)`` is not enforced there (the
-attainable residual scales with the condition number, so enforcement would
-turn a reporting concern into a spurious hard failure). Loss of positive
-definiteness raises `ConditioningError`.
+Numerical policy: the matrix is factorized by Cholesky, and on every node
+set its 1-norm condition number is estimated from the factor in ``O(n^2)``
+(see `_inverse_norm_1`). For a symmetric matrix ``kappa_1 >= kappa_2``; the
+estimate reads 1.0-2.1 times the 2-norm condition number, and above about
+1e16 it saturates, where the row is flagged anyway. Runs whose condition
+estimate exceeds ``PRECISION_CAP`` are flagged "precision_limited"
+downstream rather than failed, and the residual tolerance
+``SOLVER_TOL * (1 + max|samples|)`` is not enforced there (the attainable
+residual scales with the condition number). Loss of positive definiteness
+raises `ConditioningError`, which carries `kernels.condition_bound`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
+from scipy.linalg.lapack import dlange
 
 from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import (
@@ -136,9 +124,29 @@ def collocation_matrix(
     return matrix
 
 
-def condition_source(nodes: NodeSet) -> str:
-    """Where `solve_coefficients` takes its condition estimate from on `nodes`."""
-    return "toeplitz_symbol" if nodes.is_uniform else "eigvalsh"
+def _inverse_norm_1(factor: tuple[np.ndarray, bool]) -> float:
+    """``|A^-1|_1`` of a symmetric ``A`` from its Cholesky factor: the iteration
+    ``dpocon`` runs (LAPACK's Hager-Higham ``dlacn2``), without its overflow
+    scaling. ``dpocon`` reads the same to rounding, but its level-2 BLAS rounds
+    by the address of its work arrays, so its last digit varied from run to
+    run; `cho_solve`, the coefficients' solve, repeats bit for bit."""
+    n = len(factor[0])
+    solve = partial(cho_solve, factor, check_finite=False)
+    x = solve(np.full(n, 1.0 / n))
+    estimate, signs = np.abs(x).sum(), np.where(x >= 0, 1.0, -1.0)
+    j = np.argmax(np.abs(solve(signs)))
+    for _ in range(4):  # dlacn2's ITMAX = 5 counts the start
+        x = solve(np.eye(1, n, j)[0])
+        previous, estimate = estimate, np.abs(x).sum()
+        signs, previous_signs = np.where(x >= 0, 1.0, -1.0), signs
+        if estimate <= previous or np.array_equal(signs, previous_signs):
+            break
+        x = solve(signs)
+        last, j = j, np.argmax(np.abs(x))
+        if x[last] == abs(x[j]):
+            break
+    alternating = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
+    return float(max(estimate, 2 * np.abs(solve(alternating)).sum() / (3 * n)))
 
 
 def solve_coefficients(
@@ -149,17 +157,16 @@ def solve_coefficients(
 ) -> Approximant:
     """Solve the collocation system for a ``(2M+1, nodes)`` stack of band samples.
 
-    Row ``i`` of `samples` is band ``i - M``. The matrix is built, its
-    condition estimated (from the source `condition_source` names) and
-    factorized once for all rows. The factor overwrites the matrix: the
-    matrix is exactly symmetric, so its transpose is a Fortran-ordered array
-    holding the bytes LAPACK would otherwise be given a copy of. The residual
-    check therefore builds its row blocks from the kernel again, on the
-    support columns of each block, equal to the matrix's rows bit for bit.
+    Row ``i`` of `samples` is band ``i - M``. The matrix is built and
+    factorized once for all rows, and its condition estimated from the
+    factor, which overwrites it: the matrix is exactly symmetric, so its
+    transpose is a Fortran-ordered array holding the bytes LAPACK would
+    otherwise be given a copy of. The residual check therefore builds its
+    row blocks from the kernel again, equal to the matrix's rows bit for bit.
 
     All-zero samples short-circuit to exactly zero coefficients (the
     homogeneous system), preserving exact zeros for signals with empty bands;
-    when every row is zero the matrix is not factorized. Each complex row is
+    the matrix is factorized even when every row is zero. Each complex row is
     solved as two real systems against the one real factorization, so a row
     is bit-identical to a one-row solve of that band alone.
 
@@ -168,7 +175,8 @@ def solve_coefficients(
     ContractError
         If `samples` is misshapen or holds a non-finite value.
     ConditioningError
-        If the Cholesky factorization fails (matrix numerically indefinite).
+        If the Cholesky factorization fails (matrix numerically indefinite);
+        it carries `kernels.condition_bound` as its condition estimate.
     AccuracyError
         If a band's interpolation residual exceeds
         ``SOLVER_TOL * (1 + max|samples|)`` while the condition estimate is
@@ -181,58 +189,50 @@ def solve_coefficients(
         raise ContractError("samples must be finite")
     family.check_alpha(alpha)
     matrix = collocation_matrix(family, alpha, nodes)
-    if condition_source(nodes) == "toeplitz_symbol":
-        condition = condition_bound(family, alpha)
-    else:
-        # The matrix is exactly symmetric, so its singular values are the
-        # magnitudes of its eigenvalues: max|lambda| / min|lambda| is the 2-norm
-        # condition number at about half the cost of an SVD. A zero eigenvalue
-        # gives inf, silently.
-        magnitudes = np.abs(np.linalg.eigvalsh(matrix))
-        with np.errstate(divide="ignore"):
-            condition = float(magnitudes.max() / magnitudes.min())
+    # LAPACK reads the norm of the Fortran-ordered transpose and factors it in place.
+    norm = dlange("1", matrix.T)
+    try:
+        factor = cho_factor(matrix.T, overwrite_a=True)
+    except LinAlgError as exc:
+        bound = condition_bound(family, alpha)
+        raise ConditioningError(
+            f"collocation matrix lost positive definiteness at alpha={alpha} "
+            f"(condition bound {bound:.3e})",
+            condition_estimate=bound,
+        ) from exc
+    condition = norm * _inverse_norm_1(factor)
     nonzero = [i for i, row in enumerate(stacked) if np.any(row)]
     coeffs = np.zeros(stacked.shape, dtype=complex)
     residuals = np.zeros(len(stacked))
+    for i in nonzero:
+        # One two-column solve per band, real and imaginary part. OpenBLAS
+        # solves each column alike below 12 columns, so two columns round
+        # as two one-column solves do; all bands in one call would cross
+        # 12 and reblock, changing the rounding of every band. The matrix
+        # and samples were checked finite above.
+        parts = cho_solve(
+            factor,
+            np.column_stack([stacked[i].real, stacked[i].imag]),
+            check_finite=False,
+        )
+        coeffs[i] = parts[:, 0] + 1j * parts[:, 1]
+    del matrix, factor  # freed before the residual blocks are built
     if nonzero:
-        try:
-            # In place: the symmetric matrix's transpose is Fortran-ordered,
-            # so LAPACK writes the factor over it instead of over a copy.
-            factor = cho_factor(matrix.T, overwrite_a=True)
-        except LinAlgError as exc:
-            raise ConditioningError(
-                f"collocation matrix lost positive definiteness at alpha={alpha} "
-                f"(condition estimate {condition:.3e})",
-                condition_estimate=condition,
-            ) from exc
-        for i in nonzero:
-            # One two-column solve per band, real and imaginary part. OpenBLAS
-            # solves each column alike below 12 columns, so two columns round
-            # as two one-column solves do; all bands in one call would cross
-            # 12 and reblock, changing the rounding of every band. The matrix
-            # and samples were checked finite above.
-            parts = cho_solve(
-                factor,
-                np.column_stack([stacked[i].real, stacked[i].imag]),
-                check_finite=False,
-            )
-            coeffs[i] = parts[:, 0] + 1j * parts[:, 1]
-        del matrix, factor  # freed before the residual blocks are built
         radius = support_radius(family, alpha)
         for rows, block, cols in _kernel_blocks(family, alpha, nodes, nodes.values, radius):
             for i in nonzero:
                 error = np.max(np.abs(block @ coeffs[i, cols] - stacked[i, rows]))
                 residuals[i] = max(residuals[i], error)
-        for i in nonzero:
-            scale = 1.0 + float(np.max(np.abs(stacked[i])))
-            if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
-                raise AccuracyError(
-                    f"interpolation residual {residuals[i]:.3e} exceeds "
-                    f"SOLVER_TOL*(1+max|samples|)={SOLVER_TOL * scale:.3e} "
-                    f"for band {i - len(stacked) // 2} at alpha={alpha}",
-                    residual=residuals[i],
-                    condition_estimate=condition,
-                )
+    for i in nonzero:
+        scale = 1.0 + float(np.max(np.abs(stacked[i])))
+        if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
+            raise AccuracyError(
+                f"interpolation residual {residuals[i]:.3e} exceeds "
+                f"SOLVER_TOL*(1+max|samples|)={SOLVER_TOL * scale:.3e} "
+                f"for band {i - len(stacked) // 2} at alpha={alpha}",
+                residual=residuals[i],
+                condition_estimate=condition,
+            )
     return Approximant(alpha, family, nodes, coeffs, condition, residuals)
 
 
@@ -247,9 +247,8 @@ def reconstruct(
     """Slice, sample, and solve every band ``|m| <= m_max``.
 
     All bands are sampled through one streamed phase matrix (see
-    `spectral.band_inverse`) and solved in one
-    `solve_coefficients` call: one collocation matrix, one condition
-    estimate and one Cholesky factorization for this ``alpha``.
+    `spectral.band_inverse`) and solved in one `solve_coefficients` call: one
+    collocation matrix, factorization and condition estimate per ``alpha``.
 
     Raises
     ------

@@ -31,7 +31,7 @@ class ConditioningError(PwAmalgamError):
     Attributes
     ----------
     condition_estimate : float
-        2-norm condition estimate of the matrix that failed to factorize.
+        `kernels.condition_bound`: the matrix has no factor to estimate from.
     """
 
     def __init__(self, message: str, condition_estimate: float) -> None:
@@ -47,7 +47,7 @@ class AccuracyError(PwAmalgamError):
     residual : float
         Max-norm interpolation residual of the rejected solution.
     condition_estimate : float
-        2-norm condition estimate of the collocation matrix that was solved.
+        1-norm condition estimate of the solved matrix, from its factor.
     """
 
     def __init__(self, message: str, residual: float, condition_estimate: float) -> None:

@@ -68,7 +68,7 @@ class ErrorReport:
     zero signal, whose bound is 0). ``precision_limited`` marks runs whose
     condition estimate exceeds the double-precision trust cap; their error
     values are reported but not trustworthy. A failed solve gives a report
-    with NaN measured fields, the condition estimate of its matrix and an
+    with NaN measured fields, the condition estimate the error carries and an
     explanatory flag; ``precision_limited`` labels it too.
     """
 
