@@ -37,7 +37,8 @@ Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
 ``alpha`` in the family's domain where the Toeplitz condition bound crosses
 the precision cap (null if it never does), and ``sweep`` and ``reconstruct``
 record ``quadrature_drift``, the signal's amalgam-norm change on a frequency
-grid refined by the fixed ``quadrature_refinement_factor`` (2).
+grid refined by the fixed ``quadrature_refinement_factor`` (2): the run's grid
+with each of its two panels halved, carrying the same Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ import math
 import platform
 import sys
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -72,7 +73,7 @@ from .kernels import precision_boundary, regularity_verdict, verify_regularity
 from .metrics import sweep as run_sweep
 from .metrics import truncated_signal_values
 from .signals import TestSignal, builtin_signals, signal_spectrum
-from .spectral import FrequencyGrid, amalgam_norm, frequency_grid, row_blocks
+from .spectral import FrequencyGrid, amalgam_norm, halved_panels, row_blocks
 
 
 def _cell(value: object) -> str:
@@ -110,21 +111,56 @@ def _write_json(path: Path, payload: object) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# One encoder for every row: `json.dumps` with `indent` falls back to the
-# pure-Python encoder, and with keyword arguments builds a new encoder per call.
+# One encoder for every table row: `json.dumps` with `indent` falls back to
+# the pure-Python encoder, and with keyword arguments builds a new encoder per
+# call.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _write_rows(path: Path, rows: Iterable[dict]) -> None:
-    """Write a data table as a JSON array with one object per line, a row at
-    a time: the text of the whole table never exists at once."""
+def _write_rows(path: Path, count: int, block_texts: Callable[[slice], list[str]]) -> None:
+    """Write a data table of `count` rows as a JSON array with one object per
+    line. `block_texts` gives the encoded rows of one `row_blocks` block, and
+    each block is written before the next is asked for: the text of the whole
+    table never exists at once."""
     with _output(path) as handle:
         separator = "[\n"
-        for row in rows:
+        for rows in row_blocks(count):
             handle.write(separator)
-            handle.write(_ROW_ENCODER.encode(row))
+            handle.write(",\n".join(block_texts(rows)))
             separator = ",\n"
         handle.write("[]\n" if separator == "[\n" else "\n]\n")
+
+
+def _float_text(value: float) -> str:
+    """`value` as `json` spells it: ``repr``, or NaN, Infinity or -Infinity."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    if math.isnan(value):
+        return "NaN"
+    return "Infinity" if value > 0 else "-Infinity"
+
+
+def _float_texts(column: np.ndarray) -> list[str]:
+    """`_float_text` of each value of a float array, in one pass."""
+    spell = float.__repr__ if np.isfinite(column).all() else _float_text
+    return list(map(spell, column.tolist()))
+
+
+# A point of ``reconstruction.json``, keys sorted as `_ROW_ENCODER` sorts them.
+_POINT = '{{"J": [{}, {}], "error": {}, "f": [{}, {}], "x": {}}}'.format
+
+
+def _write_points(
+    path: Path, xs: np.ndarray, f_vals: np.ndarray, j_vals: np.ndarray, errors: np.ndarray
+) -> None:
+    """Write ``reconstruction.json``: one `_POINT` per x, spelled from one
+    pass of `_float_texts` per column and block, with no row dict."""
+    columns = (j_vals.real, j_vals.imag, errors, f_vals.real, f_vals.imag, xs)
+
+    def block_texts(rows: slice) -> list[str]:
+        return list(map(_POINT, *(_float_texts(column[rows]) for column in columns)))
+
+    _write_rows(path, len(xs), block_texts)
 
 
 def _columns(report: object) -> dict[str, object]:
@@ -147,8 +183,10 @@ def _write_table(outdir: Path, stem: str, reports: list) -> list[str]:
     header = [name for name in rows[0] if name != "flags"]
     lines = [",".join(header)] + [",".join(_cell(row[h]) for h in header) for row in rows]
     _write_text(outdir / f"{stem}.csv", "\n".join(lines) + "\n")
-    mirror = [{name: _jsonable(v) for name, v in row.items()} for row in rows]
-    _write_rows(outdir / f"{stem}.json", mirror)
+    texts = [
+        _ROW_ENCODER.encode({name: _jsonable(v) for name, v in row.items()}) for row in rows
+    ]
+    _write_rows(outdir / f"{stem}.json", len(texts), texts.__getitem__)
     return [f"{stem}.csv", f"{stem}.json"]
 
 
@@ -207,6 +245,7 @@ def _write_manifest(
     _write_json(outdir / "manifest.json", manifest)
 
 
+# Nodes of the drift check's grid per node of the run's: `halved_panels`.
 QUADRATURE_REFINEMENT = 2
 
 
@@ -214,8 +253,8 @@ def _quadrature_drift(
     config: ExperimentConfig, signal: TestSignal, coarse: FrequencyGrid
 ) -> float:
     """One-shot self-check: amalgam norm drift from the run's `coarse` grid
-    to one refined by `QUADRATURE_REFINEMENT`."""
-    fine = frequency_grid(config.points_per_band * QUADRATURE_REFINEMENT)
+    to one refined by `QUADRATURE_REFINEMENT`, its panels halved."""
+    fine = halved_panels(coarse)
     a = amalgam_norm(signal_spectrum(signal, coarse, config.m_max), coarse)
     b = amalgam_norm(signal_spectrum(signal, fine, config.m_max), fine)
     return abs(a - b) / (abs(b) or 1.0)
@@ -347,14 +386,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "quadrature_drift": _quadrature_drift(config, signal, grid),
     }
     timer.lap("compute")
-    # Converted to Python floats one block at a time, not as whole lists.
-    columns = (xs, f_vals.real, f_vals.imag, j_vals.real, j_vals.imag, errors)
-    points = (
-        {"x": x, "f": [f_re, f_im], "J": [j_re, j_im], "error": error}
-        for rows in row_blocks(len(xs))
-        for x, f_re, f_im, j_re, j_im, error in zip(*(c[rows].tolist() for c in columns))
-    )
-    _write_rows(outdir / "reconstruction.json", points)
+    _write_points(outdir / "reconstruction.json", xs, f_vals, j_vals, errors)
     files = ["reconstruction.json", "manifest.json"]
     timer.lap("write")
     _write_manifest(outdir, "reconstruct", config, files, checks, timer.seconds)

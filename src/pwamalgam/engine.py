@@ -22,9 +22,10 @@ block spans only the node columns within `kernels.support_radius` of its
 points, beyond which the gaussian kernel is exactly 0.0: about a quarter of
 the columns at ``N = 256``. Dropping exact-zero terms leaves every product's
 rounding as it was, since BLAS sums each output in column order. Per-band
-products and solves are kept (rather than one matrix-matrix product) because
-the rounding of the blocked BLAS kernels differs from the per-vector ones,
-and large coefficients magnify that difference: at ``N = 256`` and gaussian
+products are kept (rather than one matrix-matrix product), and the solves
+take at most `SOLVE_GROUP` bands (ten real columns) per call, because the
+rounding of the blocked BLAS kernels differs from the per-vector ones, and
+large coefficients magnify that difference: at ``N = 256`` and gaussian
 ``alpha = 2.5`` the coefficients' l1 mass is 3.1e8, and one real product
 over all bands in `evaluate_J` moved the sweep's ``amalgam_error`` by
 1.49e-6 relative.
@@ -67,6 +68,8 @@ from .spectral import ROW_BLOCK, TWO_PI, FrequencyGrid, cis, row_blocks
 PRECISION_CAP = 1e12
 # Absolute interpolation-residual tolerance, scaled by ``1 + max|samples|``.
 SOLVER_TOL = 1e-8
+# Bands per `cho_solve` call: ten real columns, below OpenBLAS's reblocking at 12.
+SOLVE_GROUP = 5
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,31 @@ def collocation_matrix(
     whole difference or exponent array exists beside the matrix. The kernel
     acts entry by entry, so this equals the whole build bit for bit, and it
     is exactly symmetric since ``x_j - x_k`` is ``-(x_k - x_j)``.
+
+    The values are checked finite as they are made, the Toeplitz column or
+    each row block, so the factorization need not check the whole matrix.
+
+    Raises
+    ------
+    ContractError
+        If a kernel value is not finite.
     """
     values = nodes.values
     if nodes.is_uniform:
-        return toeplitz(phi_spatial(family, alpha, values - values[0]))
+        column = phi_spatial(family, alpha, values - values[0])
+        _check_finite(column)
+        return toeplitz(column)
     matrix = np.empty((nodes.count, nodes.count))
     for rows in row_blocks(nodes.count):
         block = np.subtract(values[rows, None], values, out=matrix[rows])
         block[...] = phi_spatial(family, alpha, block)
+        _check_finite(block)
     return matrix
+
+
+def _check_finite(kernel_values: np.ndarray) -> None:
+    if not np.isfinite(kernel_values).all():
+        raise ContractError("collocation matrix entries must be finite")
 
 
 def _inverse_norm_1(factor: tuple[np.ndarray, bool]) -> float:
@@ -167,13 +186,15 @@ def solve_coefficients(
     All-zero samples short-circuit to exactly zero coefficients (the
     homogeneous system), preserving exact zeros for signals with empty bands;
     the matrix is factorized even when every row is zero. Each complex row is
-    solved as two real systems against the one real factorization, so a row
-    is bit-identical to a one-row solve of that band alone.
+    solved as two real columns against the one real factorization, up to
+    `SOLVE_GROUP` rows per call, so a row is bit-identical to one-column
+    solves of its two parts.
 
     Raises
     ------
     ContractError
-        If `samples` is misshapen or holds a non-finite value.
+        If `samples` is misshapen or holds a non-finite value, or the
+        collocation matrix does.
     ConditioningError
         If the Cholesky factorization fails (matrix numerically indefinite);
         it carries `kernels.condition_bound` as its condition estimate.
@@ -189,10 +210,11 @@ def solve_coefficients(
         raise ContractError("samples must be finite")
     family.check_alpha(alpha)
     matrix = collocation_matrix(family, alpha, nodes)
-    # LAPACK reads the norm of the Fortran-ordered transpose and factors it in place.
+    # LAPACK reads the norm of the Fortran-ordered transpose and factors it in
+    # place; `collocation_matrix` checked its entries finite.
     norm = dlange("1", matrix.T)
     try:
-        factor = cho_factor(matrix.T, overwrite_a=True)
+        factor = cho_factor(matrix.T, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         bound = condition_bound(family, alpha)
         raise ConditioningError(
@@ -204,18 +226,21 @@ def solve_coefficients(
     nonzero = [i for i, row in enumerate(stacked) if np.any(row)]
     coeffs = np.zeros(stacked.shape, dtype=complex)
     residuals = np.zeros(len(stacked))
-    for i in nonzero:
-        # One two-column solve per band, real and imaginary part. OpenBLAS
-        # solves each column alike below 12 columns, so two columns round
-        # as two one-column solves do; all bands in one call would cross
-        # 12 and reblock, changing the rounding of every band. The matrix
-        # and samples were checked finite above.
-        parts = cho_solve(
-            factor,
-            np.column_stack([stacked[i].real, stacked[i].imag]),
-            check_finite=False,
-        )
-        coeffs[i] = parts[:, 0] + 1j * parts[:, 1]
+    for start in range(0, len(nonzero), SOLVE_GROUP):
+        # Up to `SOLVE_GROUP` bands per solve, two real columns each. OpenBLAS
+        # solves each column alike below 12 columns, so ten columns round as
+        # ten one-column solves do; all nine bands in one call would cross 12
+        # and reblock, changing the rounding of every band. Rows 2k and 2k+1
+        # of `parts` are band k's real and imaginary parts: its transpose is a
+        # Fortran-ordered right-hand side, solved in place. The matrix and
+        # samples were checked finite above.
+        group = nonzero[start : start + SOLVE_GROUP]
+        parts = np.empty((2 * len(group), nodes.count))
+        for k, i in enumerate(group):
+            parts[2 * k], parts[2 * k + 1] = stacked[i].real, stacked[i].imag
+        parts = cho_solve(factor, parts.T, overwrite_b=True, check_finite=False).T
+        for i, real, imag in zip(group, parts[0::2], parts[1::2]):
+            coeffs[i] = real + 1j * imag
     del matrix, factor  # freed before the residual blocks are built
     if nonzero:
         radius = support_radius(family, alpha)

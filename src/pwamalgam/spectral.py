@@ -137,6 +137,26 @@ def frequency_grid(points_per_band: int = 256) -> FrequencyGrid:
     return FrequencyGrid(points_per_band=points_per_band, nodes=nodes, weights=weights)
 
 
+def halved_panels(grid: FrequencyGrid) -> FrequencyGrid:
+    """A `frequency_grid` rule with each of its two panels halved: ``2K`` nodes.
+
+    Each half panel carries the same ``K/2``-point rule, mapped affinely from
+    its parent panel: a node ``y`` of ``[a, b]`` gives ``(y + a) / 2`` and
+    ``(y + b) / 2``, each with half its weight. So no Gauss-Legendre rule is
+    computed again. The ``xi < 0`` half is built as the mirror of the other,
+    which keeps the refined grid an exact mirror.
+    """
+    half = grid.points_per_band // 2
+    positive = grid.nodes[half:]  # the panel [0, pi]
+    nodes = np.concatenate([0.5 * positive, 0.5 * (positive + np.pi)])
+    weights = np.tile(0.5 * grid.weights[half:], 2)
+    return FrequencyGrid(
+        points_per_band=2 * grid.points_per_band,
+        nodes=np.concatenate([-nodes[::-1], nodes]),
+        weights=np.concatenate([weights[::-1], weights]),
+    )
+
+
 @dataclass(frozen=True)
 class AmalgamSpectrum:
     """Spectrum truncated to ``|m| <= M``: row ``m + M`` of `values` is band ``m``.

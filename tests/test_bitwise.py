@@ -117,6 +117,12 @@ def test_two_column_band_solve_equals_one_column_solves(nodes, alpha):
     for row, band in zip(approx.coefficients, samples):
         one_column = cho_solve(factor, band.real) + 1j * cho_solve(factor, band.imag)
         assert np.array_equal(row, one_column)
+    # The grouped call itself: `engine.SOLVE_GROUP` bands, two real columns each.
+    group = samples[: engine.SOLVE_GROUP]
+    columns = np.column_stack([part for band in group for part in (band.real, band.imag)])
+    assert columns.shape[1] == 10 and np.all(np.any(columns, axis=0))
+    one_column = np.column_stack([cho_solve(factor, column) for column in columns.T])
+    assert np.array_equal(cho_solve(factor, columns), one_column)
 
 
 GAUSSIAN = get_family("gaussian")

@@ -19,7 +19,9 @@ from pwamalgam import (
     ContractError,
     condition_bound,
     evaluate_J,
+    frequency_grid,
     get_family,
+    load_config,
     mj_tail_bound,
     parse_config,
     precision_boundary,
@@ -27,7 +29,7 @@ from pwamalgam import (
     sweep,
     verify_regularity,
 )
-from pwamalgam.cli import _write_rows, main
+from pwamalgam.cli import _float_text, _float_texts, _quadrature_drift, _write_points, main
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.kernels import J_MAX
 from pwamalgam.metrics import truncated_signal_values
@@ -582,23 +584,60 @@ def test_reconstruct_empty_points(tmp_path):
 
 
 def test_rows_are_written_without_the_whole_text(tmp_path):
-    # 2561 rows, shaped like those of a reconstruct on its default grid. The
-    # writer streams them: its peak stays below the size of the file.
+    # 2561 points, shaped like those of a reconstruct on its default grid. The
+    # writer streams them a block at a time: its peak stays below the size of
+    # the file, whose bytes are those of the row encoder of the tables.
     xs = np.linspace(-64.0, 64.0, 2561)
-    parts = [np.sin(k * xs) / np.cosh(xs / 7.0) for k in (1.0, 2.0, 3.0, 5.0, 7.0)]
-    rows = (
-        {"x": x, "f": [f_re, f_im], "J": [j_re, j_im], "error": error}
-        for x, f_re, f_im, j_re, j_im, error in zip(xs.tolist(), *map(list, parts))
+    f_re, f_im, j_re, j_im, error = (
+        np.sin(k * xs) / np.cosh(xs / 7.0) for k in (1.0, 2.0, 3.0, 5.0, 7.0)
     )
+    f, J = f_re + 1j * f_im, j_re + 1j * j_im
     path = tmp_path / "reconstruction.json"
     tracemalloc.start()
     try:
-        _write_rows(path, rows)
+        _write_points(path, xs, f, J, error)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(json_rows(path)) == 2561
     assert peak < path.stat().st_size
+    encoder = json.JSONEncoder(sort_keys=True)
+    rows = (
+        encoder.encode({"x": x, "f": [a, b], "J": [c, d], "error": e})
+        for x, a, b, c, d, e in zip(*(v.tolist() for v in (xs, f_re, f_im, j_re, j_im, error)))
+    )
+    assert path.read_text(encoding="utf-8") == "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+FLOATS = [-0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", FLOATS, ids=repr)
+def test_float_text_is_the_json_spelling(value):
+    assert _float_text(value) == json.dumps(value)
+
+
+def test_float_texts_spell_finite_and_non_finite_columns_as_json_does():
+    finite = [v for v in FLOATS if math.isfinite(v)]
+    for values in (finite, FLOATS):
+        assert _float_texts(np.array(values)) == [json.dumps(v) for v in values]
+
+
+def test_non_finite_points_are_written_as_json_writes_them(tmp_path):
+    xs = np.array([-1.0, 0.0, 1.0])
+    f = np.array([complex(math.nan, 0.0), complex(1.0, math.inf), 2.0])
+    J = np.array([0.5, complex(-math.inf, 1.0), -0.0])
+    errors = np.abs(f - J)
+    path = tmp_path / "reconstruction.json"
+    _write_points(path, xs, f, J, errors)
+    encoder = json.JSONEncoder(sort_keys=True)
+    rows = [
+        encoder.encode(
+            {"x": x, "f": [fv.real, fv.imag], "J": [jv.real, jv.imag], "error": e}
+        )
+        for x, fv, jv, e in zip(xs.tolist(), f.tolist(), J.tolist(), errors.tolist())
+    ]
+    assert path.read_text(encoding="utf-8") == "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def test_reconstruct_rejects_multi_alpha_and_bad_points(tmp_path):
@@ -713,8 +752,8 @@ def test_manifest_records_stage_timings(tmp_path):
 
 
 def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
-    # The drift check compares the run's grid against one refined twice; it
-    # must not build the run's grid a second time.
+    # The drift check refines the run's grid by halving its panels: one
+    # Gauss-Legendre rule per run, the run's own.
     degrees = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -727,7 +766,22 @@ def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, payload)
     args = ["reconstruct", "--config", cfg, "--out", str(tmp_path / "run"), "--eval-points", "0"]
     assert run_cli(args)[0] == 0
-    assert sorted(degrees) == [128, 256]
+    assert sorted(degrees) == [128]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_drift_is_rounding_on_every_committed_config(path):
+    config = load_config(path)
+    drift = _quadrature_drift(config, config.make_signal(), config.make_grid())
+    assert 0.0 <= drift < 1e-12
+
+
+def test_drift_flags_an_under_resolved_grid():
+    # Eight nodes per band, below what a config accepts, cannot resolve
+    # gauss_pair: the refined grid moves its amalgam norm by about 2e-3.
+    config = parse_config({"signal": {"id": "gauss_pair"}})
+    drift = _quadrature_drift(config, config.make_signal(), frequency_grid(8))
+    assert drift > 1e-3
 
 
 COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct_": "reconstruct"}

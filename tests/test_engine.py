@@ -126,6 +126,27 @@ def test_non_finite_samples_raise_contract_error(bad):
         solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
 
 
+@pytest.mark.parametrize(
+    "nodes", [uniform_nodes(32), perturbed_nodes(32, 0.2, 7)], ids=["uniform", "perturbed"]
+)
+def test_non_finite_kernel_values_raise_before_the_factorization(monkeypatch, nodes):
+    # The factorization no longer checks the whole matrix: the Toeplitz column
+    # or each row block is checked as it is made.
+    def with_nan(family, alpha, x):
+        values = phi_spatial(family, alpha, x)
+        values.flat[-1] = np.nan
+        return values
+
+    def factor(*args, **kwargs):
+        raise AssertionError("factorized a matrix with a NaN entry")
+
+    monkeypatch.setattr(engine, "phi_spatial", with_nan)
+    monkeypatch.setattr(engine, "cho_factor", factor)
+    samples = np.ones((3, nodes.count), dtype=complex)
+    with pytest.raises(ContractError, match="finite"):
+        solve_coefficients(GAUSSIAN, 1.0, nodes, samples)
+
+
 @pytest.mark.parametrize("shape", [(9,), (2, 9)], ids=["1-D", "even-rows"])
 def test_solve_needs_odd_stack_of_bands(shape):
     nodes = uniform_nodes(4)
@@ -374,6 +395,20 @@ def test_solve_coefficients_keeps_one_copy_of_the_matrix(nodes):
     for alpha in (1.25, 2.5):
         peak = traced_peak(lambda: solve_coefficients(GAUSSIAN, alpha, nodes, samples))
         assert peak <= matrix_bytes + 2 * block_bytes
+
+
+def test_solve_coefficients_checks_finiteness_without_a_whole_mask():
+    # `np.isfinite` over the matrix, as a checking `cho_factor` runs it, stood
+    # an n x n boolean array (0.25 MiB at N = 256) beside the matrix; the
+    # kernel values are checked as they are made instead.
+    nodes = uniform_nodes(256)
+    grid = frequency_grid(256)
+    values = signal_spectrum(get_signal("gauss_pair"), grid, 4).values
+    samples = sample_band_signal(values, grid, nodes)
+    matrix_bytes = nodes.count**2 * np.dtype(float).itemsize
+    mask_bytes = nodes.count**2 * np.dtype(bool).itemsize
+    peak = traced_peak(lambda: solve_coefficients(GAUSSIAN, 1.25, nodes, samples))
+    assert peak < matrix_bytes + mask_bytes
 
 
 def test_perturbed_collocation_matrix_is_built_in_row_blocks():

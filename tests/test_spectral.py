@@ -27,6 +27,7 @@ from pwamalgam.spectral import (
     FrequencyGrid,
     band_inverse,
     gauss_legendre,
+    halved_panels,
 )
 
 # Oracle values, frozen from independent closed forms:
@@ -65,6 +66,19 @@ def test_grid_rejects_a_grid_that_is_no_mirror():
     weights[[0, 1]] += [1e-9, -1e-9]
     with pytest.raises(ContractError, match="mirror"):
         FrequencyGrid(256, grid.nodes, weights)
+
+
+@pytest.mark.parametrize("points", [2, 8, 64, 256, 300])
+def test_halved_panels_is_the_four_panel_rule(points):
+    # The run's rule with each panel halved: the composite rule of four
+    # panels with the same per-panel count, to rounding, and an exact mirror.
+    fine = halved_panels(frequency_grid(points))
+    nodes, weights = gauss_legendre(np.pi, 4, points // 2)
+    assert fine.points_per_band == 2 * points
+    np.testing.assert_allclose(fine.nodes, nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(fine.weights, weights, rtol=1e-14)
+    assert np.array_equal(fine.nodes, -fine.nodes[::-1])
+    assert np.array_equal(fine.weights, fine.weights[::-1])
 
 
 def test_grid_rejects_odd_split():
