@@ -323,11 +323,11 @@ def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarr
     Raises
     ------
     ContractError
-        If a point is NaN.
+        If a point is NaN or infinite, before any block is built.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.isnan(xs)):
-        raise ContractError("evaluation points must not be NaN")
+    if not np.all(np.isfinite(xs)):
+        raise ContractError("evaluation points must be finite, not NaN or infinite")
     out = np.zeros(xs.shape, dtype=complex)
     bands = [i for i, row in enumerate(approx.coefficients) if np.any(row)]  # ascending m
     if bands:

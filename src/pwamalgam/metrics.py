@@ -12,9 +12,9 @@ interior-window stability under node-set growth is a tested property.
 
 Concretely, the residual is evaluated on a phase-resolved composite
 Gauss-Legendre grid over the window, its band spectra come from the windowed
-forward transform, and the band L2 norms are summed (amalgam) or summed in
-squares (Parseval L2). Mass that the measurement cannot see is accounted
-separately and explicitly:
+forward transform `spectral.band_forward`, and the band L2 norms are summed
+(amalgam) or summed in squares (Parseval L2). Mass that the measurement
+cannot see is accounted separately and explicitly:
 
 - ``tail_slack_f``: the signal's own band norms beyond the reconstruction
   truncation ``M_max`` (analytic per signal),
@@ -43,13 +43,12 @@ from .kernels import InterpolatorFamily, m_alpha, mj_tail_bound, phi_spectral
 from .nodes import NodeSet
 from .signals import TestSignal, signal_spectrum
 from .spectral import (
-    ROW_BLOCK,
     TWO_PI,
     AmalgamSpectrum,
     FrequencyGrid,
     SpatialGrid,
     amalgam_norm,
-    cis,
+    band_forward,
     gauss_legendre,
     inverse_ft_at,
     l2_norm_parseval,
@@ -148,52 +147,15 @@ def measurement_target(
     )
 
 
-def _mirrored_rows(xi: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """``cis(-outer(xi, xq))`` over its conjugate, which is ``cis(outer(xi, xq))``
-    bit for bit: ``x * (-xi)`` is ``-(x * xi)``, and numpy's ``cos`` is even and
-    its ``sin`` odd. ``cos`` and ``sin`` run on the top half only."""
-    angles = np.outer(-xi, xq)
-    phase = np.empty((2 * len(xi), len(xq)), dtype=complex)
-    top = phase[: len(xi)]
-    np.cos(angles, out=top.real)
-    np.sin(angles, out=top.imag)
-    np.conjugate(top, out=phase[len(xi) :])
-    return phase
-
-
-def _forward_transform(
-    weighted: np.ndarray, xq: np.ndarray, grid: FrequencyGrid, j_cap: int
-) -> np.ndarray:
-    """``(2 pi)^{-1/2} sum_q weighted_q e^{-i (xi_k + 2 pi j) x_q}`` in row ``k``
-    and column ``j + j_cap``, for the bands ``|j| <= j_cap``.
-
-    ``e^{-i(xi + 2 pi j) x} = e^{-i xi x} e^{-2 pi i j x}``: one exponential
-    matrix over the base band is applied to the ``2 j_cap + 1`` modulated
-    columns, in blocks of at most ``ROW_BLOCK`` rows that stack rows of
-    ``xi > 0`` on their mirrors (`_mirrored_rows`). Each row's product is the
-    whole matrix's, bit for bit.
-    """
-    js = np.arange(-j_cap, j_cap + 1)
-    modulated = weighted[:, None] * cis(-TWO_PI * np.outer(xq, js))
-    half = grid.points_per_band // 2
-    transforms = np.empty((grid.points_per_band, len(js)), dtype=complex)
-    for start in range(0, half, ROW_BLOCK // 2):
-        xi = grid.nodes[half + start : half + start + ROW_BLOCK // 2]
-        product = TWO_PI**-0.5 * (_mirrored_rows(xi, xq) @ modulated)
-        transforms[half + start : half + start + len(xi)] = product[: len(xi)]
-        transforms[half - start - len(xi) : half - start] = product[len(xi) :][::-1]
-    return transforms
-
-
 def error_report(approx: Approximant, target: Target) -> ErrorReport:
     """Measure the approximant's error functionals on the interior window.
 
     Per band ``|j| <= j_cap = M_max + J_MARGIN`` the residual's band spectrum
-    comes from the windowed forward transform of ``f - J_alpha f`` evaluated
-    over ``[-extent, extent]`` of the target's spatial grid; the amalgam
-    error sums band norms plus the two analytic tail slacks, the L2 error
-    combines them by Parseval, and the sup error is the max over the spatial
-    grid points. The bound side is
+    comes from the windowed forward transform (`spectral.band_forward`) of
+    ``f - J_alpha f`` evaluated over ``[-extent, extent]`` of the target's
+    spatial grid; the amalgam error sums band norms plus the two analytic
+    tail slacks, the L2 error combines them by Parseval, and the sup error is
+    the max over the spatial grid points. The bound side is
     ``sum_j || (m_alpha / phi_hat) fhat(. + 2 pi j) ||`` plus the signal's
     tail beyond ``j_cap``.
 
@@ -212,7 +174,7 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
     xq = target.xq
 
     weighted = target.wq * (target.on_window - evaluate_J(approx, xq))
-    transforms = _forward_transform(weighted, xq, grid, j_cap)
+    transforms = band_forward(weighted, xq, grid, j_cap)
 
     tail_f = signal.tail_bound(m_max)
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)

@@ -31,8 +31,9 @@ from .errors import ContractError
 
 TWO_PI = 2.0 * np.pi
 # Rows per block of every dense operator (collocation matrix on perturbed
-# nodes, phase, kernel, forward transform): no other operator exists in full,
-# and each block serves all bands while in cache.
+# nodes, phase, kernel, and `band_forward`, whose block is ROW_BLOCK // 2 nodes
+# xi > 0 and their mirrors): no other operator exists in full, and each block
+# serves all bands while in cache.
 ROW_BLOCK = 64
 
 
@@ -85,8 +86,8 @@ class FrequencyGrid:
             raise ContractError("grid arrays must have length points_per_band")
         if not np.all(np.diff(self.nodes) > 0):
             raise ContractError("grid nodes must be strictly increasing")
-        # `band_inverse` and the forward transform of `metrics.error_report`
-        # build the phases of the negative half from those of the positive.
+        # `band_inverse` and `band_forward` build the phases of the negative
+        # half from those of the positive.
         if not (
             np.array_equal(self.nodes, -self.nodes[::-1])
             and np.array_equal(self.weights, self.weights[::-1])
@@ -206,11 +207,11 @@ def spatial_grid(extent: float, density: int = 20) -> SpatialGrid:
     Returns
     -------
     SpatialGrid
-        ``2*extent*density + 1`` points including both endpoints.
+        ``2*extent*density + 1`` points (at least 2) including both endpoints.
     """
     if extent <= 0 or density <= 0:
         raise ContractError("extent and density must be positive")
-    count = int(round(2 * extent * density)) + 1
+    count = max(2, int(round(2 * extent * density)) + 1)
     return SpatialGrid(extent=float(extent), points=np.linspace(-extent, extent, count))
 
 
@@ -235,13 +236,14 @@ def l2_norm_parseval(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
     return float(np.sqrt(squares + spectrum.tail_estimate**2))
 
 
-def _mirrored_columns(x: np.ndarray, grid: FrequencyGrid) -> np.ndarray:
-    """``cis(outer(x, grid.nodes))`` from ``cos`` and ``sin`` of its ``xi > 0`` half,
-    written straight into that half of the block."""
-    half = grid.points_per_band // 2
-    phase = np.empty((len(x), grid.points_per_band), dtype=complex)
+def _mirrored_columns(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """``cis(outer(x, [-xi[::-1], xi]))`` for nodes ``xi > 0`` from ``cos`` and ``sin``
+    on `xi` only: ``x * (-xi)`` is ``-(x * xi)``, and numpy's ``cos`` is even and
+    ``sin`` odd bit for bit, so the mirrored half is the other's conjugate, reversed."""
+    half = len(xi)
+    phase = np.empty((len(x), 2 * half), dtype=complex)
     positive = phase[:, half:]
-    angles = np.outer(x, grid.nodes[half:])
+    angles = np.outer(x, xi)
     np.cos(angles, out=positive.real)
     np.sin(angles, out=positive.imag)
     del angles
@@ -263,20 +265,49 @@ def band_inverse(values: np.ndarray, grid: FrequencyGrid, x: np.ndarray) -> np.n
     all-zero band gets a row of exact zeros and no product.
 
     Each block evaluates ``cos`` and ``sin`` on the ``xi > 0`` half of the grid
-    only: the grid is an exact mirror, ``x * (-xi)`` is ``-(x * xi)`` and numpy's
-    ``cos`` is even and ``sin`` odd bit for bit, so the ``xi < 0`` half is the
-    conjugate of the other, reversed.
+    only (`_mirrored_columns`): the grid is an exact mirror.
     """
     if values.ndim != 2 or len(values) == 0 or values.shape[1] != grid.points_per_band:
         raise ContractError("values need at least one band row of grid size")
     weighted = [(i, grid.weights * band) for i, band in enumerate(values) if np.any(band)]
+    positive = grid.nodes[grid.points_per_band // 2 :]
     out = np.zeros((len(values), len(x)), dtype=complex)
     for rows in row_blocks(len(x)):
-        phase = _mirrored_columns(x[rows], grid)
+        phase = _mirrored_columns(x[rows], positive)
         for i, band in weighted:
             out[i, rows] = TWO_PI**-0.5 * (phase @ band)
         del phase  # before the next one is built
     return out
+
+
+def band_forward(
+    weighted: np.ndarray, x: np.ndarray, grid: FrequencyGrid, j_cap: int
+) -> np.ndarray:
+    """``(2 pi)^{-1/2} sum_q weighted_q e^{-i (xi_k + 2 pi j) x_q}`` in row ``k``
+    and column ``j + j_cap``, for the bands ``|j| <= j_cap``: the windowed
+    forward transform, adjoint to `band_inverse` under the grid weights.
+
+    `weighted` holds the values at the points `x` times their quadrature
+    weights. ``e^{-i(xi + 2 pi j) x} = e^{-i xi x} e^{-2 pi i j x}``: one phase
+    matrix over the base band is applied to the ``2 j_cap + 1`` modulated
+    columns, in blocks of ``ROW_BLOCK // 2`` nodes ``xi > 0`` and their mirrors
+    (`_mirrored_columns` at ``-x``). Each row's product is the whole matrix's,
+    bit for bit.
+    """
+    if weighted.shape != x.shape or x.ndim != 1 or j_cap < 0:
+        raise ContractError("weighted values need one per point, and j_cap >= 0")
+    js = np.arange(-j_cap, j_cap + 1)
+    modulated = weighted[:, None] * cis(-TWO_PI * np.outer(x, js))
+    half = grid.points_per_band // 2
+    transforms = np.empty((grid.points_per_band, len(js)), dtype=complex)
+    for start in range(0, half, ROW_BLOCK // 2):
+        xi = grid.nodes[half + start : half + start + ROW_BLOCK // 2]
+        phase = _mirrored_columns(-x, xi)
+        product = TWO_PI**-0.5 * (phase.T @ modulated)
+        del phase  # before the next one is built
+        transforms[half - start - len(xi) : half - start] = product[: len(xi)]
+        transforms[half + start : half + start + len(xi)] = product[len(xi) :]
+    return transforms
 
 
 def inverse_ft_at(
@@ -287,7 +318,7 @@ def inverse_ft_at(
     Computes ``sum_m e^{2 pi i m x} g_m(x)`` from the `band_inverse` rows,
     with the fixed summation order ascending m then ascending k. All-zero
     bands are skipped: their terms are exact zeros, which leave every sum as
-    it was.
+    it was. A NaN or infinite point raises `ContractError`.
 
     Returns
     -------
@@ -295,6 +326,8 @@ def inverse_ft_at(
         Scalar for scalar `x`, array matching `x` otherwise.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ContractError("evaluation points must be finite, not NaN or infinite")
     out = np.zeros(xs.shape, dtype=complex)
     rows = [i for i, band in enumerate(spectrum.values) if np.any(band)]  # ascending m
     if rows:

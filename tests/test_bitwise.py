@@ -43,15 +43,10 @@ from pwamalgam import (
     spatial_grid,
     uniform_nodes,
 )
-from pwamalgam import engine, metrics, spectral
+from pwamalgam import engine, spectral
 from pwamalgam.kernels import _EXP_ZERO, _gaussian_spatial
-from pwamalgam.metrics import (
-    _forward_transform,
-    error_report,
-    measurement_target,
-    window_quadrature,
-)
-from pwamalgam.spectral import ROW_BLOCK, TWO_PI, band_inverse, cis, row_blocks
+from pwamalgam.metrics import error_report, measurement_target, window_quadrature
+from pwamalgam.spectral import ROW_BLOCK, TWO_PI, band_forward, band_inverse, cis, row_blocks
 
 GRID = frequency_grid(256)
 WINDOW, _ = window_quadrature(16.0, 6)  # the 928-point window of the sweep
@@ -321,7 +316,7 @@ def test_forward_transform_in_row_blocks_equals_whole_exponential_matrix(approxi
     target = measurement_target(get_signal("gauss_pair"), grid, spatial_grid(16.0, 20), 4)
     residual = target.wq * (target.on_window - evaluate_J(approx, WINDOW))
     # The transform of `metrics.error_report`, in its mirrored blocks and whole.
-    streamed = _forward_transform(residual, WINDOW, grid, 6)
+    streamed = band_forward(residual, WINDOW, grid, 6)
     modulated = residual[:, None] * cis(-TWO_PI * np.outer(WINDOW, np.arange(-6, 7)))
     whole = TWO_PI**-0.5 * (cis(-np.outer(grid.nodes, WINDOW)) @ modulated)
     assert np.array_equal(streamed, whole)
@@ -341,7 +336,6 @@ def test_sweep_row_is_unchanged_by_whole_matrices(monkeypatch):
     streamed, streamed_report = row()
     monkeypatch.setattr(spectral, "ROW_BLOCK", 10**6)
     monkeypatch.setattr(engine, "ROW_BLOCK", 10**6)
-    monkeypatch.setattr(metrics, "ROW_BLOCK", 10**6)
     whole, whole_report = row()
     assert np.array_equal(streamed.coefficients, whole.coefficients)
     assert np.array_equal(streamed.residuals, whole.residuals)
@@ -359,7 +353,7 @@ def test_perturbed_reconstruct_is_unchanged_by_whole_matrices(monkeypatch):
         return approx, evaluate_J(approx, SPATIAL)
 
     streamed, streamed_J = run()
-    for module in (spectral, engine, metrics):
+    for module in (spectral, engine):
         monkeypatch.setattr(module, "ROW_BLOCK", 10**6)
     whole, whole_J = run()
     assert np.array_equal(streamed.coefficients, whole.coefficients)

@@ -449,6 +449,20 @@ def test_evaluate_j_beyond_the_support_and_at_nan():
         evaluate_J(approx, np.array([0.0, np.nan]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluate_j_refuses_non_finite_points(monkeypatch, bad):
+    grid = frequency_grid(128)
+    approx = reconstruct(get_signal("gauss_pair"), GAUSSIAN, 1.0, uniform_nodes(8), grid, 2)
+
+    def unreachable(*args):
+        raise AssertionError("built a kernel block for a non-finite point")
+
+    monkeypatch.setattr(engine, "phi_spatial", unreachable)
+    for x in (bad, np.array([0.0, bad])):
+        with pytest.raises(ContractError, match="NaN"):
+            evaluate_J(approx, x)
+
+
 def test_j_spectrum_band_matches_spatial_quadrature():
     # The closed-form transform of a band interpolant agrees with a direct
     # windowed transform of its spatial values; the gaussian tails beyond

@@ -20,11 +20,13 @@ from pwamalgam import (
     signal_spectrum,
     spatial_grid,
 )
-from pwamalgam.metrics import truncated_signal_values
+from pwamalgam import spectral
+from pwamalgam.metrics import truncated_signal_values, window_quadrature
 from pwamalgam.spectral import (
     ROW_BLOCK,
     TWO_PI,
     FrequencyGrid,
+    band_forward,
     band_inverse,
     gauss_legendre,
     halved_panels,
@@ -198,6 +200,41 @@ def test_inverse_ft_scalar_matches_vector():
     assert scalar == vector[0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_inverse_ft_refuses_non_finite_points(monkeypatch, bad):
+    grid = frequency_grid(64)
+    spectrum = signal_spectrum(get_signal("gauss_pair"), grid, 2)
+
+    def unreachable(*args):
+        raise AssertionError("built a phase block for a non-finite point")
+
+    monkeypatch.setattr(spectral, "_mirrored_columns", unreachable)
+    for x in (bad, np.array([0.0, bad])):
+        with pytest.raises(ContractError, match="NaN"):
+            inverse_ft_at(spectrum, grid, x)
+        with pytest.raises(ContractError, match="NaN"):
+            truncated_signal_values(get_signal("gauss_pair"), grid, 2, x)
+
+
+@pytest.mark.parametrize("points", [32, 256, 300])
+def test_band_forward_is_the_adjoint_of_band_inverse(points):
+    # <band_inverse(v), s> over the points equals <v, band_forward(s)> under
+    # the grid weights: both are (2 pi)^{-1/2} sum_{k,q} w_k v_k conj(s_q)
+    # e^{i xi_k x_q}. This pins what the operator computes, not its blocking.
+    grid = frequency_grid(points)
+    x, _ = window_quadrature(4.0, 0)
+    rng = np.random.default_rng(points)
+    v = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    s = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
+    forward = band_forward(s, x, grid, 0)
+    assert forward.shape == (points, 1)
+    lhs = np.vdot(s, band_inverse(v[None], grid, x)[0])
+    rhs = np.vdot(forward[:, 0], grid.weights * v)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    with pytest.raises(ContractError):
+        band_forward(s[1:], x, grid, 0)
+
+
 def test_band_inverse_skips_zero_bands():
     grid = frequency_grid(256)
     xs = np.linspace(-8.0, 8.0, 161)
@@ -220,6 +257,8 @@ def test_spatial_grid_shape():
     grid = spatial_grid(4.0, density=10)
     assert grid.points.size == 81
     assert grid.points[0] == -4.0 and grid.points[-1] == 4.0
+    # 2 * extent * density below 1/2 still keeps both endpoints.
+    assert np.array_equal(spatial_grid(0.25, density=1).points, [-0.25, 0.25])
     with pytest.raises(ContractError):
         spatial_grid(0.0)
     with pytest.raises(ContractError):
