@@ -61,7 +61,7 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .engine import PRECISION_CAP, evaluate_J, reconstruct
+from .engine import PRECISION_CAP
 from .errors import (
     AccuracyError,
     ConditioningError,
@@ -70,8 +70,8 @@ from .errors import (
     DomainError,
 )
 from .kernels import precision_boundary, regularity_verdict, verify_regularity
+from .metrics import pointwise_values
 from .metrics import sweep as run_sweep
-from .metrics import truncated_signal_values
 from .signals import TestSignal, builtin_signals, signal_spectrum
 from .spectral import FrequencyGrid, amalgam_norm, halved_panels, row_blocks
 
@@ -368,15 +368,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     nodes = config.make_nodes()
     grid = config.make_grid()
     timer.lap("build")
-    approx = reconstruct(signal, family, alphas[0], nodes, grid, config.m_max)
-    j_vals = evaluate_J(approx, xs)
-    # Reference values: the closed spatial form when the signal has one,
-    # otherwise the band-truncated quadrature inversion (the same target
-    # the approximant is built against).
-    if signal.f is not None:
-        f_vals = np.asarray(signal.f(xs), dtype=complex)
-    else:
-        f_vals = truncated_signal_values(signal, grid, config.m_max, xs)
+    f_vals, j_vals = pointwise_values(signal, family, alphas[0], nodes, grid, config.m_max, xs)
     errors = np.abs(f_vals - j_vals)
     checks = {
         "alpha": alphas[0],

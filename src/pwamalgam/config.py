@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 from .errors import ConfigError
 from .kernels import InterpolatorFamily, get_family
-from .nodes import NodeSet, perturbed_nodes, uniform_nodes
+from .nodes import NodeSet, perturbed_nodes
 from .signals import TestSignal, builtin_signals, get_signal
 from .spectral import FrequencyGrid, SpatialGrid, frequency_grid, spatial_grid
 
@@ -167,8 +167,7 @@ class ExperimentConfig:
         return get_family(self.family_id)
 
     def make_nodes(self) -> NodeSet:
-        if self.nodes_d == 0.0:
-            return uniform_nodes(self.nodes_N)
+        """The node set; at ``d = 0`` these are exactly the integer nodes."""
         return perturbed_nodes(
             self.nodes_N, self.nodes_d, self.nodes_seed, symmetric=self.nodes_symmetric
         )

@@ -39,11 +39,14 @@ estimate exceeds ``PRECISION_CAP`` are flagged "precision_limited"
 downstream rather than failed, and the residual tolerance
 ``SOLVER_TOL * (1 + max|samples|)`` is not enforced there (the attainable
 residual scales with the condition number). Loss of positive definiteness
-raises `ConditioningError`, which carries `kernels.condition_bound`.
+raises `ConditioningError`. On the integer nodes it carries
+`kernels.condition_bound`, the Toeplitz symbol bound; no condition bound holds
+off the integer nodes, so there it carries ``inf``.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -196,8 +199,9 @@ def solve_coefficients(
         If `samples` is misshapen or holds a non-finite value, or the
         collocation matrix does.
     ConditioningError
-        If the Cholesky factorization fails (matrix numerically indefinite);
-        it carries `kernels.condition_bound` as its condition estimate.
+        If the Cholesky factorization fails (matrix numerically indefinite).
+        Its condition estimate is `kernels.condition_bound` on the integer
+        nodes, and ``inf`` off them, where no condition bound holds.
     AccuracyError
         If a band's interpolation residual exceeds
         ``SOLVER_TOL * (1 + max|samples|)`` while the condition estimate is
@@ -216,10 +220,13 @@ def solve_coefficients(
     try:
         factor = cho_factor(matrix.T, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
-        bound = condition_bound(family, alpha)
+        if nodes.is_uniform:
+            bound = condition_bound(family, alpha)
+            detail = f"condition bound {bound:.3e}"
+        else:
+            bound, detail = math.inf, "no condition bound holds off the integer nodes"
         raise ConditioningError(
-            f"collocation matrix lost positive definiteness at alpha={alpha} "
-            f"(condition bound {bound:.3e})",
+            f"collocation matrix lost positive definiteness at alpha={alpha} ({detail})",
             condition_estimate=bound,
         ) from exc
     condition = norm * _inverse_norm_1(factor)

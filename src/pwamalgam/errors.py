@@ -31,7 +31,9 @@ class ConditioningError(PwAmalgamError):
     Attributes
     ----------
     condition_estimate : float
-        `kernels.condition_bound`: the matrix has no factor to estimate from.
+        The matrix has no factor to estimate from. On the integer nodes this
+        is `kernels.condition_bound`, the Toeplitz symbol bound; off them no
+        condition bound holds and it is ``inf``.
     """
 
     def __init__(self, message: str, condition_estimate: float) -> None:

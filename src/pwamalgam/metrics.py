@@ -24,6 +24,12 @@ cannot see is accounted separately and explicitly:
 
 Both slacks are added to the amalgam error, combined in quadrature for the
 L2 error, and reported as separate columns.
+
+Only the kernel changes along an alpha sweep: `sweep` samples the bands at
+the nodes and evaluates the target once, then solves and measures each alpha.
+The reference that approximant values are compared against, the closed form
+of ``f`` or else the band-truncated signal, is chosen here too, in
+`pointwise_values`.
 """
 
 from __future__ import annotations
@@ -37,11 +43,12 @@ from .engine import (
     Approximant,
     evaluate_J,
     reconstruct,
+    solve_coefficients,
 )
 from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import InterpolatorFamily, m_alpha, mj_tail_bound, phi_spectral
 from .nodes import NodeSet
-from .signals import TestSignal, signal_spectrum
+from .signals import TestSignal, sample_band_signal, signal_spectrum
 from .spectral import (
     TWO_PI,
     AmalgamSpectrum,
@@ -220,21 +227,24 @@ def sweep(
 ) -> list[ErrorReport]:
     """One `error_report` per alpha, in sweep order.
 
-    The band-truncated target does not depend on alpha and is evaluated once
-    for the whole sweep. Solver failures at one alpha do not stop the sweep:
-    the failed alpha yields a NaN report flagged with the failure message and
-    carrying the condition estimate of its matrix, and remaining values still
-    run. Callers decide whether flagged failures are fatal.
+    The band samples at the nodes and the band-truncated target do not
+    depend on alpha, so each is computed once for the whole sweep; every
+    alpha only solves the collocation system for those samples (see
+    `engine.solve_coefficients`). Solver failures at one alpha do not stop
+    the sweep: the failed alpha yields a NaN report flagged with the failure
+    message and carrying the condition estimate of its matrix, and remaining
+    values still run. Callers decide whether flagged failures are fatal.
     """
     if not alpha_values:
         raise ContractError("alpha sweep must be nonempty")
     if any(b <= a for a, b in zip(alpha_values, alpha_values[1:])):
         raise ContractError("alpha sweep must be strictly ascending")
     target = measurement_target(signal, grid, x_grid, m_max)
+    samples = sample_band_signal(signal_spectrum(signal, grid, m_max).values, grid, nodes)
     reports = []
     for alpha in alpha_values:
         try:
-            approx = reconstruct(signal, family, alpha, nodes, grid, m_max)
+            approx = solve_coefficients(family, alpha, nodes, samples)
             reports.append(error_report(approx, target))
             del approx  # freed before the next alpha solves
         except (ConditioningError, AccuracyError) as exc:
@@ -247,3 +257,27 @@ def sweep(
                 )
             )
     return reports
+
+
+def pointwise_values(
+    signal: TestSignal,
+    family: InterpolatorFamily,
+    alpha: float,
+    nodes: NodeSet,
+    grid: FrequencyGrid,
+    m_max: int,
+    xs: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(f, J)`` at the points `xs`: the reference values and ``J_alpha f``.
+
+    The reference is the signal's closed spatial form when it has one, and
+    otherwise the band-truncated signal, the target the approximant is built
+    against (see `truncated_signal_values`). The approximant is freed before
+    the reference is evaluated.
+    """
+    j_vals = evaluate_J(reconstruct(signal, family, alpha, nodes, grid, m_max), xs)
+    if signal.f is not None:
+        f_vals = np.asarray(signal.f(xs), dtype=complex)
+    else:
+        f_vals = truncated_signal_values(signal, grid, m_max, xs)
+    return f_vals, j_vals

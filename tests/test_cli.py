@@ -339,6 +339,30 @@ def test_solver_breakdown_rows_exit_1(tmp_path):
     assert mirror[1]["flags"]
 
 
+def test_perturbed_breakdown_row_carries_inf(tmp_path):
+    # No condition bound holds off the integer nodes, so the broken alpha = 16
+    # row carries inf: ``inf`` in the CSV and ``Infinity`` in the JSON, as
+    # `json.dumps` spells it. The row is still labelled precision-limited.
+    payload = {
+        **SMALL_SWEEP,
+        "family": {"id": "poisson"},
+        "alpha_sweep": {"values": [8.0, 16.0]},
+        "nodes": {"N": 16, "d": 0.2, "seed": 3, "symmetric": False},
+        "bands": {"M_max": 1, "points_per_band": 128},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    code, _, _ = run_cli(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == 1
+    _, rows = csv_rows(out / "convergence.csv")
+    assert rows[0]["condition_estimate"] != "inf"
+    assert rows[1]["condition_estimate"] == "inf"
+    assert [r["precision_limited"] for r in rows] == ["False", "True"]
+    mirror = (out / "convergence.json").read_text(encoding="utf-8").split("\n")
+    assert '"condition_estimate": Infinity' in mirror[2]
+    assert json.loads("\n".join(mirror))[1]["condition_estimate"] == math.inf
+
+
 def test_precision_limited_rows_still_exit_0(tmp_path):
     payload = {
         **SMALL_SWEEP,

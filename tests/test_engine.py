@@ -1,5 +1,6 @@
 """Collocation solves, approximant assembly, and spectral bookkeeping."""
 
+import math
 import os
 import subprocess
 import sys
@@ -189,6 +190,19 @@ def test_conditioning_breakdown_raises():
         # bound, the poisson symbol ratio cosh(alpha pi).
         expected = np.cosh(alpha * np.pi)
         assert abs(excinfo.value.condition_estimate - expected) <= 1e-12 * expected
+
+
+def test_perturbed_breakdown_carries_no_condition_bound():
+    # Off the integer nodes the collocation matrix is not Toeplitz and the
+    # symbol bound cosh(alpha pi) does not hold for it: a breakdown there
+    # carries inf and says that no bound holds.
+    grid = frequency_grid(128)
+    nodes = perturbed_nodes(16, 0.2, 3)
+    samples = band_samples("gauss_pair", 0, nodes, grid)
+    with pytest.raises(ConditioningError) as excinfo:
+        solve_coefficients(POISSON, 16.0, nodes, samples)
+    assert excinfo.value.condition_estimate == math.inf
+    assert "no condition bound holds off the integer nodes" in str(excinfo.value)
 
 
 def test_precision_limited_solves_return():

@@ -14,17 +14,19 @@ from pwamalgam import (
     get_family,
     get_signal,
     m_alpha,
+    perturbed_nodes,
     phi_spectral,
     reconstruct,
     spatial_grid,
     sweep,
     uniform_nodes,
 )
-from pwamalgam import engine
+from pwamalgam import engine, signals
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.metrics import (
     J_MARGIN,
     measurement_target,
+    pointwise_values,
     truncated_signal_values,
     window_quadrature,
 )
@@ -268,3 +270,45 @@ def test_sweep_frees_each_approximant_before_the_next_solve():
             tracemalloc.stop()
 
     assert peak([1.25, 2.5]) <= peak([2.5]) + 10 * 1024
+
+
+def test_sweep_samples_the_bands_once(monkeypatch):
+    # Only the kernel changes with alpha: the band samples at the nodes are
+    # one `band_inverse` call per sweep, not one per alpha. The target's
+    # inversions go through `spectral.inverse_ft_at`, which binds its own
+    # `band_inverse`, so they are not counted here.
+    calls = []
+    original = signals.band_inverse
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(signals, "band_inverse", counting)
+    grid = frequency_grid(128)
+    reports = sweep(
+        get_signal("gauss_pair"), GAUSSIAN, [0.75, 1.25, 1.75, 2.25],
+        uniform_nodes(16), grid, spatial_grid(8.0, density=10), 2,
+    )
+    assert len(reports) == 4 and not any(r.flags for r in reports)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("signal_id", ["gauss_pair", "two_band"])
+def test_pointwise_values_are_the_approximant_and_its_reference(signal_id):
+    # gauss_pair has a closed spatial form, which is the reference; two_band
+    # has none, and is compared against its band-truncated signal.
+    signal = get_signal(signal_id)
+    grid = frequency_grid(128)
+    nodes = perturbed_nodes(16, 0.2, 5)
+    xs = spatial_grid(8.0, density=10).points
+    f, J = pointwise_values(signal, GAUSSIAN, 1.5, nodes, grid, 2, xs)
+    approx = reconstruct(signal, GAUSSIAN, 1.5, nodes, grid, 2)
+    assert J.tobytes() == evaluate_J(approx, xs).tobytes()
+    if signal_id == "gauss_pair":
+        expected = np.asarray(signal.f(xs), dtype=complex)
+    else:
+        assert signal.f is None
+        expected = truncated_signal_values(signal, grid, 2, xs)
+    assert f.dtype == complex
+    assert f.tobytes() == expected.tobytes()
