@@ -35,10 +35,9 @@ flagged rows.
 
 Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
 ``alpha`` in the family's domain where the Toeplitz condition bound crosses
-the precision cap (null if it never does), and ``sweep`` and ``reconstruct``
-record ``quadrature_drift``, the signal's amalgam-norm change on a frequency
-grid refined by the fixed ``quadrature_refinement_factor`` (2): the run's grid
-with each of its two panels halved, carrying the same Gauss-Legendre rule.
+the precision cap (null if it never does). The checks of ``sweep`` and
+``reconstruct``, and which sweep rows they trust, are decided in `metrics`
+(`metrics.sweep_checks`, `metrics.quadrature_checks`).
 """
 
 from __future__ import annotations
@@ -70,10 +69,10 @@ from .errors import (
     DomainError,
 )
 from .kernels import precision_boundary, regularity_verdict, verify_regularity
-from .metrics import pointwise_values
+from .metrics import pointwise_values, quadrature_checks, sweep_checks
 from .metrics import sweep as run_sweep
-from .signals import TestSignal, builtin_signals, signal_spectrum
-from .spectral import FrequencyGrid, amalgam_norm, halved_panels, row_blocks
+from .signals import builtin_signals
+from .spectral import row_blocks
 
 
 def _cell(value: object) -> str:
@@ -245,21 +244,6 @@ def _write_manifest(
     _write_json(outdir / "manifest.json", manifest)
 
 
-# Nodes of the drift check's grid per node of the run's: `halved_panels`.
-QUADRATURE_REFINEMENT = 2
-
-
-def _quadrature_drift(
-    config: ExperimentConfig, signal: TestSignal, coarse: FrequencyGrid
-) -> float:
-    """One-shot self-check: amalgam norm drift from the run's `coarse` grid
-    to one refined by `QUADRATURE_REFINEMENT`, its panels halved."""
-    fine = halved_panels(coarse)
-    a = amalgam_norm(signal_spectrum(signal, coarse, config.m_max), coarse)
-    b = amalgam_norm(signal_spectrum(signal, fine, config.m_max), fine)
-    return abs(a - b) / (abs(b) or 1.0)
-
-
 def _outdir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
     outdir = Path(args.out) if args.out else Path(config.out_directory)
     try:
@@ -306,29 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     timer.lap("build")
     reports = run_sweep(*inputs, config.m_max)
-    # The monotone checks read only trustworthy rows: failed rows carry no
-    # errors, and precision-limited rows carry rounding noise.
-    trusted = [r for r in reports if not r.flags and not r.precision_limited]
-    decreasing = all(
-        all(b < a for a, b in zip(col, col[1:]))
-        for col in (
-            [r.l2_error for r in trusted],
-            [r.amalgam_error for r in trusted],
-            [r.sup_error for r in trusted],
-        )
-    )
-    checks = {
-        "rows": len(reports),
-        "failed_rows": sum(1 for r in reports if r.flags),
-        "precision_limited_rows": sum(1 for r in reports if r.precision_limited),
-        "excluded_rows": len(reports) - len(trusted),
-        "embedding_l2_le_amalgam": all(
-            r.l2_error <= r.amalgam_error + 1e-10 for r in trusted
-        ),
-        "errors_strictly_decreasing": decreasing,
-        "quadrature_refinement_factor": QUADRATURE_REFINEMENT,
-        "quadrature_drift": _quadrature_drift(config, signal, grid),
-    }
+    checks = {**sweep_checks(reports), **quadrature_checks(signal, grid, config.m_max)}
     timer.lap("compute")
     files = [*_write_table(outdir, "convergence", reports), "manifest.json"]
     timer.lap("write")
@@ -374,8 +336,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
         "alpha": alphas[0],
         "points": len(xs),
         "max_pointwise_error": float(errors.max(initial=0.0)),
-        "quadrature_refinement_factor": QUADRATURE_REFINEMENT,
-        "quadrature_drift": _quadrature_drift(config, signal, grid),
+        **quadrature_checks(signal, grid, config.m_max),
     }
     timer.lap("compute")
     _write_points(outdir / "reconstruction.json", xs, f_vals, j_vals, errors)

@@ -30,6 +30,13 @@ the nodes and evaluates the target once, then solves and measures each alpha.
 The reference that approximant values are compared against, the closed form
 of ``f`` or else the band-truncated signal, is chosen here too, in
 `pointwise_values`.
+
+The run checks of the ``sweep`` and ``reconstruct`` manifests are decided
+here as well: `sweep_checks` reads a sweep's rows and decides which of them
+are trusted, and `quadrature_checks` records ``quadrature_drift``, the
+signal's amalgam-norm change on a frequency grid refined by the fixed
+``quadrature_refinement_factor`` (2): the run's grid with each of its two
+panels halved, carrying the same Gauss-Legendre rule.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from .spectral import (
     amalgam_norm,
     band_forward,
     gauss_legendre,
+    halved_panels,
     inverse_ft_at,
     l2_norm_parseval,
 )
@@ -64,6 +72,9 @@ from .spectral import (
 
 # Bands the error measurement reads beyond the reconstruction's ``M_max``.
 J_MARGIN = 2
+
+# Nodes of the drift check's grid per node of the run's: `halved_panels`.
+QUADRATURE_REFINEMENT = 2
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -257,6 +268,48 @@ def sweep(
                 )
             )
     return reports
+
+
+def sweep_checks(reports: list[ErrorReport]) -> dict:
+    """The run-level checks of a sweep's rows, in sweep order.
+
+    Row counts cover every row. The embedding and monotone checks read only
+    trusted rows: failed rows carry no errors, and precision-limited rows
+    carry rounding noise. Each error must fall strictly from one trusted row
+    to the next, and the L2 error may exceed the amalgam error by 1e-10.
+    """
+    trusted = [r for r in reports if not r.flags and not r.precision_limited]
+    decreasing = all(
+        all(b < a for a, b in zip(col, col[1:]))
+        for col in (
+            [r.l2_error for r in trusted],
+            [r.amalgam_error for r in trusted],
+            [r.sup_error for r in trusted],
+        )
+    )
+    return {
+        "rows": len(reports),
+        "failed_rows": sum(1 for r in reports if r.flags),
+        "precision_limited_rows": sum(1 for r in reports if r.precision_limited),
+        "excluded_rows": len(reports) - len(trusted),
+        "embedding_l2_le_amalgam": all(
+            r.l2_error <= r.amalgam_error + 1e-10 for r in trusted
+        ),
+        "errors_strictly_decreasing": decreasing,
+    }
+
+
+def quadrature_checks(signal: TestSignal, grid: FrequencyGrid, m_max: int) -> dict:
+    """The quadrature self-check: the relative change of the signal's amalgam
+    norm over bands ``|m| <= m_max`` from the run's `grid` to one refined by
+    `QUADRATURE_REFINEMENT`, its panels halved."""
+    fine = halved_panels(grid)
+    a = amalgam_norm(signal_spectrum(signal, grid, m_max), grid)
+    b = amalgam_norm(signal_spectrum(signal, fine, m_max), fine)
+    return {
+        "quadrature_refinement_factor": QUADRATURE_REFINEMENT,
+        "quadrature_drift": abs(a - b) / (abs(b) or 1.0),
+    }
 
 
 def pointwise_values(

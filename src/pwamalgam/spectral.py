@@ -117,7 +117,7 @@ def gauss_legendre(
     return (half * xs + mid).ravel(), (half * ws).ravel()
 
 
-def frequency_grid(points_per_band: int = 256) -> FrequencyGrid:
+def frequency_grid(points_per_band: int) -> FrequencyGrid:
     """Build the two-panel composite Gauss-Legendre rule on ``[-pi, pi]``.
 
     The panel boundary at 0 keeps spectral accuracy for spectra with a kink
@@ -201,7 +201,7 @@ class SpatialGrid:
             raise ContractError("spatial points must lie in [-extent, extent]")
 
 
-def spatial_grid(extent: float, density: int = 20) -> SpatialGrid:
+def spatial_grid(extent: float, density: int) -> SpatialGrid:
     """Uniform interior grid with `density` points per unit length.
 
     Returns

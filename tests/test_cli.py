@@ -29,10 +29,10 @@ from pwamalgam import (
     sweep,
     verify_regularity,
 )
-from pwamalgam.cli import _float_text, _float_texts, _quadrature_drift, _write_points, main
+from pwamalgam.cli import _float_text, _float_texts, _write_points, main
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.kernels import J_MAX
-from pwamalgam.metrics import truncated_signal_values
+from pwamalgam.metrics import quadrature_checks, truncated_signal_values
 
 from .test_config import CONFIGS
 
@@ -796,16 +796,16 @@ def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
 def test_drift_is_rounding_on_every_committed_config(path):
     config = load_config(path)
-    drift = _quadrature_drift(config, config.make_signal(), config.make_grid())
-    assert 0.0 <= drift < 1e-12
+    checks = quadrature_checks(config.make_signal(), config.make_grid(), config.m_max)
+    assert 0.0 <= checks["quadrature_drift"] < 1e-12
 
 
 def test_drift_flags_an_under_resolved_grid():
     # Eight nodes per band, below what a config accepts, cannot resolve
     # gauss_pair: the refined grid moves its amalgam norm by about 2e-3.
     config = parse_config({"signal": {"id": "gauss_pair"}})
-    drift = _quadrature_drift(config, config.make_signal(), frequency_grid(8))
-    assert drift > 1e-3
+    checks = quadrature_checks(config.make_signal(), frequency_grid(8), config.m_max)
+    assert checks["quadrature_drift"] > 1e-3
 
 
 COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct_": "reconstruct"}
@@ -829,11 +829,84 @@ DATA_FILE_SHA256 = {
 }
 
 
+# The `checks` of every committed config's manifest, as the run writes them
+# (keys, values and types); like `DATA_FILE_SHA256`, tied to the numpy and
+# OpenBLAS it was recorded with.
+MANIFEST_CHECKS = {
+    "reconstruct_tri_band": {
+        "alpha": 1.0,
+        "max_pointwise_error": 0.0017889949537186348,
+        "points": 161,
+        "quadrature_drift": 1.2274417907723579e-15,
+        "quadrature_refinement_factor": 2,
+    },
+    "sweep_gauss_pair": {
+        "embedding_l2_le_amalgam": True,
+        "errors_strictly_decreasing": True,
+        "excluded_rows": 0,
+        "failed_rows": 0,
+        "precision_limited_rows": 0,
+        "quadrature_drift": 2.3251807727466168e-15,
+        "quadrature_refinement_factor": 2,
+        "rows": 4,
+    },
+    "sweep_perturbed_nodes": {
+        "embedding_l2_le_amalgam": True,
+        "errors_strictly_decreasing": True,
+        "excluded_rows": 0,
+        "failed_rows": 0,
+        "precision_limited_rows": 0,
+        "quadrature_drift": 2.3251807727466168e-15,
+        "quadrature_refinement_factor": 2,
+        "rows": 4,
+    },
+    "sweep_precision_edge": {
+        "embedding_l2_le_amalgam": True,
+        "errors_strictly_decreasing": True,
+        "excluded_rows": 1,
+        "failed_rows": 0,
+        "precision_limited_rows": 1,
+        "quadrature_drift": 2.3251807727466168e-15,
+        "quadrature_refinement_factor": 2,
+        "rows": 3,
+    },
+    "sweep_two_band": {
+        "embedding_l2_le_amalgam": True,
+        "errors_strictly_decreasing": True,
+        "excluded_rows": 0,
+        "failed_rows": 0,
+        "precision_limited_rows": 0,
+        "quadrature_drift": 0.0,
+        "quadrature_refinement_factor": 2,
+        "rows": 4,
+    },
+    "verify_gaussian": {
+        "A2": True,
+        "A3": True,
+        "H2": True,
+        "H3_final": True,
+        "H3_monotone": True,
+        "all_pass": True,
+        "precision_boundary_alpha": 2.8698382574849925,
+    },
+    "verify_poisson": {
+        "A2": True,
+        "A3": True,
+        "H2": True,
+        "H3_final": True,
+        "H3_monotone": True,
+        "all_pass": True,
+        "precision_boundary_alpha": 9.015862786705785,
+    },
+}
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
 def test_committed_config_runs(tmp_path, path):
     """Each committed config is a study; its file-name prefix names the command.
 
-    Its data files must match `DATA_FILE_SHA256` byte for byte. Like
+    Its data files must match `DATA_FILE_SHA256` byte for byte, and its
+    manifest's `checks` must equal `MANIFEST_CHECKS`, types included. Like
     ``tests/test_bitwise.py``, the table is tied to the numpy and OpenBLAS it
     was recorded with (numpy 2.4.6, scipy 1.17.1 with its OpenBLAS 0.3.30):
     a library whose rounding differs fails here, and a change that means to
@@ -849,6 +922,13 @@ def test_committed_config_runs(tmp_path, path):
     assert manifest["command"] == cmd
     assert sorted(manifest["files"]) == sorted(p.name for p in out.iterdir())
     assert data_digests(path, out) == expected_digests(path)
+    assert typed(manifest["checks"]) == typed(MANIFEST_CHECKS[path.stem])
+
+
+def typed(checks):
+    """`checks` with each value paired with its type: ``1 == True`` and
+    ``2 == 2.0`` in Python, but not in a manifest."""
+    return {key: (type(value).__name__, value) for key, value in checks.items()}
 
 
 def config_command(path):

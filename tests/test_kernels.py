@@ -21,7 +21,7 @@ from pwamalgam import (
     regularity_verdict,
     verify_regularity,
 )
-from pwamalgam import cli, engine, kernels
+from pwamalgam import engine, kernels, metrics
 from .oracles import transform_by_quadrature
 
 # Frozen closed-form oracle values.
@@ -215,4 +215,4 @@ def test_default_tolerances():
     assert kernels.INFIMUM_GRID_POINTS == 4096
     assert kernels.J_MAX == 10
     assert engine.SOLVER_TOL == 1e-8
-    assert cli.QUADRATURE_REFINEMENT == 2
+    assert metrics.QUADRATURE_REFINEMENT == 2

@@ -25,8 +25,11 @@ from pwamalgam import engine, signals
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.metrics import (
     J_MARGIN,
+    ErrorReport,
     measurement_target,
     pointwise_values,
+    quadrature_checks,
+    sweep_checks,
     truncated_signal_values,
     window_quadrature,
 )
@@ -200,8 +203,9 @@ def test_sweep_flags_precision_limited_rows():
 
 
 def test_sweep_rows_are_error_reports_against_one_target():
-    # sweep is reconstruct + error_report per alpha against one shared target;
-    # the gaussian alpha = 3 row is precision-limited at N = 32.
+    # sweep samples the bands once and calls solve_coefficients per alpha, so
+    # its rows are reconstruct + error_report per alpha against one shared
+    # target; the gaussian alpha = 3 row is precision-limited at N = 32.
     grid = frequency_grid(128)
     nodes = uniform_nodes(32)
     x_grid = spatial_grid(8.0, density=10)
@@ -312,3 +316,70 @@ def test_pointwise_values_are_the_approximant_and_its_reference(signal_id):
         expected = truncated_signal_values(signal, grid, 2, xs)
     assert f.dtype == complex
     assert f.tobytes() == expected.tobytes()
+
+
+def measured_row(alpha, error, *, l2_error=None, precision_limited=False):
+    """A hand-built sweep row: all three errors `error`, unless `l2_error`."""
+    return ErrorReport(
+        alpha=alpha,
+        l2_error=error if l2_error is None else l2_error,
+        amalgam_error=error,
+        sup_error=error,
+        condition_estimate=PRECISION_CAP * 10 if precision_limited else 1e3,
+        precision_limited=precision_limited,
+    )
+
+
+def test_sweep_checks_skip_a_precision_limited_row():
+    rows = [
+        measured_row(1.0, 1e-2),
+        measured_row(2.0, 1e-3),
+        measured_row(3.0, 5e-2, precision_limited=True),
+        measured_row(4.0, 1e-4),
+    ]
+    assert sweep_checks(rows) == {
+        "rows": 4,
+        "failed_rows": 0,
+        "precision_limited_rows": 1,
+        "excluded_rows": 1,
+        "embedding_l2_le_amalgam": True,
+        "errors_strictly_decreasing": True,
+    }
+    # The same rising errors on a trusted row break the monotone check.
+    rows[2] = measured_row(3.0, 5e-2)
+    assert not sweep_checks(rows)["errors_strictly_decreasing"]
+
+
+def test_sweep_checks_count_a_failed_row_and_skip_it():
+    failed = ErrorReport(alpha=2.0, condition_estimate=1e5, flags=("failed: breakdown",))
+    checks = sweep_checks([measured_row(1.0, 1e-2), failed, measured_row(3.0, 1e-3)])
+    assert (checks["rows"], checks["failed_rows"], checks["excluded_rows"]) == (3, 1, 1)
+    assert checks["precision_limited_rows"] == 0
+    assert checks["embedding_l2_le_amalgam"] and checks["errors_strictly_decreasing"]
+    # A failed row that is also precision-limited is excluded once.
+    failed = dataclasses.replace(failed, precision_limited=True)
+    checks = sweep_checks([measured_row(1.0, 1e-2), failed])
+    assert (checks["failed_rows"], checks["precision_limited_rows"]) == (1, 1)
+    assert checks["excluded_rows"] == 1
+
+
+def test_sweep_checks_a_tie_is_not_a_decrease():
+    rows = [measured_row(1.0, 1e-2), measured_row(2.0, 1e-2)]
+    assert not sweep_checks(rows)["errors_strictly_decreasing"]
+    # One tied column is enough.
+    rows[1] = dataclasses.replace(rows[1], l2_error=1e-3, amalgam_error=1e-3)
+    assert not sweep_checks(rows)["errors_strictly_decreasing"]
+
+
+def test_sweep_checks_embedding_slack_is_absolute_1e_10():
+    amalgam = 1e-3
+    held = [measured_row(1.0, amalgam, l2_error=amalgam + 5e-11)]
+    broken = [measured_row(1.0, amalgam, l2_error=amalgam + 2e-10)]
+    assert sweep_checks(held)["embedding_l2_le_amalgam"]
+    assert not sweep_checks(broken)["embedding_l2_le_amalgam"]
+
+
+def test_quadrature_checks_of_the_zero_signal():
+    # Both norms are 0: the drift divides by 1, not by the refined norm.
+    checks = quadrature_checks(get_signal("zero"), frequency_grid(64), 2)
+    assert checks == {"quadrature_refinement_factor": 2, "quadrature_drift": 0.0}

@@ -260,7 +260,7 @@ def test_spatial_grid_shape():
     # 2 * extent * density below 1/2 still keeps both endpoints.
     assert np.array_equal(spatial_grid(0.25, density=1).points, [-0.25, 0.25])
     with pytest.raises(ContractError):
-        spatial_grid(0.0)
+        spatial_grid(0.0, 20)
     with pytest.raises(ContractError):
         spatial_grid(1.0, density=0)
 
