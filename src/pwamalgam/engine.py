@@ -19,16 +19,16 @@ nodes themselves (equal to the collocation matrix bit for bit), one complex
 `spectral.row_blocks` block at a time, whose products round as the whole
 matrix's do, and applies each block to every band while it is in cache. A
 block spans only the node columns within `kernels.support_radius` of its
-points, beyond which the gaussian kernel is exactly 0.0: about a quarter of
-the columns at ``N = 256``. Dropping exact-zero terms leaves every product's
-rounding as it was, since BLAS sums each output in column order. Per-band
-products are kept (rather than one matrix-matrix product), and the solves
-take at most `SOLVE_GROUP` bands (ten real columns) per call, because the
-rounding of the blocked BLAS kernels differs from the per-vector ones, and
-large coefficients magnify that difference: at ``N = 256`` and gaussian
-``alpha = 2.5`` the coefficients' l1 mass is 3.1e8, and one real product
-over all bands in `evaluate_J` moved the sweep's ``amalgam_error`` by
-1.49e-6 relative.
+points, beyond which the gaussian kernel is exactly 0.0: 28% of the columns,
+weighted by rows, over the blocks of an ``N = 256`` sweep. Dropping
+exact-zero terms leaves every product's rounding as it was, since BLAS sums
+each output in column order. Per-band products are kept (rather than one
+matrix-matrix product), and the solves take at most `SOLVE_GROUP` bands (ten
+real columns) per call, because the rounding of the blocked BLAS kernels
+differs from the per-vector ones, and large coefficients magnify that
+difference: at ``N = 256`` and gaussian ``alpha = 2.5`` the coefficients' l1
+mass is 3.1e8, and one real product over all bands in `evaluate_J` moved the
+sweep's ``amalgam_error`` by 1.49e-6 relative.
 
 Numerical policy: the matrix is factorized by Cholesky, and on every node
 set its 1-norm condition number is estimated from the factor in ``O(n^2)``
@@ -151,10 +151,15 @@ def _inverse_norm_1(factor: tuple[np.ndarray, bool]) -> float:
     ``dpocon`` runs (LAPACK's Hager-Higham ``dlacn2``), without its overflow
     scaling. ``dpocon`` reads the same to rounding, but its level-2 BLAS rounds
     by the address of its work arrays, so its last digit varied from run to
-    run; `cho_solve`, the coefficients' solve, repeats bit for bit."""
+    run; `cho_solve`, the coefficients' solve, repeats bit for bit.
+
+    The start vector and the final alternating one are fixed in advance, so
+    they are solved together, as two columns that round as two one-column
+    solves do (see `SOLVE_GROUP`)."""
     n = len(factor[0])
     solve = partial(cho_solve, factor, check_finite=False)
-    x = solve(np.full(n, 1.0 / n))
+    alternating = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
+    x, x_alternating = solve(np.column_stack([np.full(n, 1.0 / n), alternating])).T
     estimate, signs = np.abs(x).sum(), np.where(x >= 0, 1.0, -1.0)
     j = np.argmax(np.abs(solve(signs)))
     for _ in range(4):  # dlacn2's ITMAX = 5 counts the start
@@ -167,8 +172,7 @@ def _inverse_norm_1(factor: tuple[np.ndarray, bool]) -> float:
         last, j = j, np.argmax(np.abs(x))
         if x[last] == abs(x[j]):
             break
-    alternating = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
-    return float(max(estimate, 2 * np.abs(solve(alternating)).sum() / (3 * n)))
+    return float(max(estimate, 2 * np.abs(x_alternating).sum() / (3 * n)))
 
 
 def solve_coefficients(

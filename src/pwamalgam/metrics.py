@@ -26,7 +26,13 @@ Both slacks are added to the amalgam error, combined in quadrature for the
 L2 error, and reported as separate columns.
 
 Only the kernel changes along an alpha sweep: `sweep` samples the bands at
-the nodes and evaluates the target once, then solves and measures each alpha.
+the nodes and evaluates the target once, then solves and measures each alpha,
+keeping its weighted window residual. The window's phase blocks do not depend
+on alpha either, so one pass of `spectral.band_forward` transforms the
+residuals of every alpha after the last solve. They are streamed, not held
+in `Target`: the whole phase matrix over the window would outweigh the
+collocation matrix, the peak of a sweep.
+
 The reference that approximant values are compared against, the closed form
 of ``f`` or else the band-truncated signal, is chosen here too, in
 `pointwise_values`.
@@ -41,7 +47,7 @@ panels halved, carrying the same Gauss-Legendre rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -177,9 +183,20 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
     ``sum_j || (m_alpha / phi_hat) fhat(. + 2 pi j) ||`` plus the signal's
     tail beyond ``j_cap``.
 
-    The forward transform returns, freeing its last phase block, before the
-    spatial grid is evaluated.
+    This is the one-alpha case of `sweep`, through the same two steps: the
+    approximant is measured on the window and the spatial grid, its kernel
+    blocks freed, and only then does the forward transform build its phase
+    blocks.
     """
+    weighted, report = _measure(approx, target)
+    transforms = band_forward(weighted, target.xq, target.grid, target.m_max + J_MARGIN)
+    return _with_window_errors(report, transforms, target.grid)
+
+
+def _measure(approx: Approximant, target: Target) -> tuple[np.ndarray, ErrorReport]:
+    """All that `error_report` needs of the approximant: the window residual
+    ``f - J_alpha f`` times the quadrature weights, and the report with every
+    field but the three that its band transforms give (NaN until then)."""
     m_max = approx.m_max
     if m_max != target.m_max:
         raise ContractError(
@@ -189,10 +206,8 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
     signal, grid = target.signal, target.grid
     family = approx.family
     alpha = approx.alpha
-    xq = target.xq
 
-    weighted = target.wq * (target.on_window - evaluate_J(approx, xq))
-    transforms = band_forward(weighted, xq, grid, j_cap)
+    weighted = target.wq * (target.on_window - evaluate_J(approx, target.xq))
 
     tail_f = signal.tail_bound(m_max)
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)
@@ -202,10 +217,6 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
         else 0.0
     )
 
-    residual = AmalgamSpectrum(transforms.T, float(tail_f + tail_J))
-    amalgam_error = float(amalgam_norm(residual, grid))
-    l2_error = l2_norm_parseval(residual, grid)
-
     residual_s = target.on_grid - evaluate_J(approx, target.x_grid.points)
     sup_error = float(np.max(np.abs(residual_s)))
 
@@ -213,17 +224,30 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
     bands = signal_spectrum(signal, grid, j_cap)
     rhs = amalgam_norm(AmalgamSpectrum(weight * bands.values, bands.tail_estimate), grid)
 
-    return ErrorReport(
+    return weighted, ErrorReport(
         alpha=float(alpha),
-        l2_error=l2_error,
-        amalgam_error=amalgam_error,
         sup_error=sup_error,
         rhs_bound=float(rhs),
-        bound_ratio=float(amalgam_error / rhs) if rhs > 0.0 else 0.0,
         condition_estimate=approx.condition_estimate,
         tail_slack_f=float(tail_f),
         tail_slack_J=float(tail_J),
         precision_limited=approx.condition_estimate > PRECISION_CAP,
+    )
+
+
+def _with_window_errors(
+    report: ErrorReport, transforms: np.ndarray, grid: FrequencyGrid
+) -> ErrorReport:
+    """`report` completed by the L2 and amalgam errors of the window
+    residual's band `transforms` (one column per band), and their bound ratio."""
+    residual = AmalgamSpectrum(transforms.T, report.tail_slack_f + report.tail_slack_J)
+    amalgam_error = float(amalgam_norm(residual, grid))
+    rhs = report.rhs_bound
+    return replace(
+        report,
+        l2_error=l2_norm_parseval(residual, grid),
+        amalgam_error=amalgam_error,
+        bound_ratio=float(amalgam_error / rhs) if rhs > 0.0 else 0.0,
     )
 
 
@@ -241,7 +265,12 @@ def sweep(
     The band samples at the nodes and the band-truncated target do not
     depend on alpha, so each is computed once for the whole sweep; every
     alpha only solves the collocation system for those samples (see
-    `engine.solve_coefficients`). Solver failures at one alpha do not stop
+    `engine.solve_coefficients`) and measures its approximant, which is freed
+    before the next alpha solves. Each alpha keeps its weighted window
+    residual, and the window's phase blocks, which do not depend on alpha
+    either, are built once after the last solve: `spectral.band_forward`
+    applies each block to every alpha's residual in turn, so each row equals
+    its `error_report` bit for bit. Solver failures at one alpha do not stop
     the sweep: the failed alpha yields a NaN report flagged with the failure
     message and carrying the condition estimate of its matrix, and remaining
     values still run. Callers decide whether flagged failures are fatal.
@@ -252,22 +281,30 @@ def sweep(
         raise ContractError("alpha sweep must be strictly ascending")
     target = measurement_target(signal, grid, x_grid, m_max)
     samples = sample_band_signal(signal_spectrum(signal, grid, m_max).values, grid, nodes)
-    reports = []
+    measured: list[tuple[np.ndarray | None, ErrorReport]] = []
     for alpha in alpha_values:
         try:
             approx = solve_coefficients(family, alpha, nodes, samples)
-            reports.append(error_report(approx, target))
+            measured.append(_measure(approx, target))
             del approx  # freed before the next alpha solves
         except (ConditioningError, AccuracyError) as exc:
-            reports.append(
-                ErrorReport(
-                    alpha=float(alpha),
-                    condition_estimate=exc.condition_estimate,
-                    precision_limited=exc.condition_estimate > PRECISION_CAP,
-                    flags=(f"failed: {exc}",),
-                )
+            failed = ErrorReport(
+                alpha=float(alpha),
+                condition_estimate=exc.condition_estimate,
+                precision_limited=exc.condition_estimate > PRECISION_CAP,
+                flags=(f"failed: {exc}",),
             )
-    return reports
+            measured.append((None, failed))
+    residuals = [weighted for weighted, _ in measured if weighted is not None]
+    transforms = iter(
+        band_forward(np.array(residuals), target.xq, grid, m_max + J_MARGIN)
+        if residuals
+        else ()
+    )
+    return [
+        report if weighted is None else _with_window_errors(report, next(transforms), grid)
+        for weighted, report in measured
+    ]
 
 
 def sweep_checks(reports: list[ErrorReport]) -> dict:

@@ -288,26 +288,33 @@ def band_forward(
     forward transform, adjoint to `band_inverse` under the grid weights.
 
     `weighted` holds the values at the points `x` times their quadrature
-    weights. ``e^{-i(xi + 2 pi j) x} = e^{-i xi x} e^{-2 pi i j x}``: one phase
-    matrix over the base band is applied to the ``2 j_cap + 1`` modulated
-    columns, in blocks of ``ROW_BLOCK // 2`` nodes ``xi > 0`` and their mirrors
-    (`_mirrored_columns` at ``-x``). Each row's product is the whole matrix's,
-    bit for bit.
+    weights, or a stack of such rows, one result per row along a leading axis.
+    ``e^{-i(xi + 2 pi j) x} = e^{-i xi x} e^{-2 pi i j x}``: one phase
+    matrix over the base band is applied to each row's ``2 j_cap + 1``
+    modulated columns, in blocks of ``ROW_BLOCK // 2`` nodes ``xi > 0`` and
+    their mirrors (`_mirrored_columns` at ``-x``). Every row keeps its own
+    product with each block, so a row's transform is bit-identical to
+    transforming it alone, and to the whole matrix's product. A row's
+    modulated columns are formed again for each block: held for the four
+    rows of an ``N = 256`` sweep, they lifted its traced peak from 2.36 to
+    2.50 MiB.
     """
-    if weighted.shape != x.shape or x.ndim != 1 or j_cap < 0:
+    rows = np.atleast_2d(weighted)
+    if weighted.ndim not in (1, 2) or rows.shape[1:] != x.shape or x.ndim != 1 or j_cap < 0:
         raise ContractError("weighted values need one per point, and j_cap >= 0")
     js = np.arange(-j_cap, j_cap + 1)
-    modulated = weighted[:, None] * cis(-TWO_PI * np.outer(x, js))
+    modulation = cis(-TWO_PI * np.outer(x, js))
     half = grid.points_per_band // 2
-    transforms = np.empty((grid.points_per_band, len(js)), dtype=complex)
+    transforms = np.empty((len(rows), grid.points_per_band, len(js)), dtype=complex)
     for start in range(0, half, ROW_BLOCK // 2):
         xi = grid.nodes[half + start : half + start + ROW_BLOCK // 2]
         phase = _mirrored_columns(-x, xi)
-        product = TWO_PI**-0.5 * (phase.T @ modulated)
+        for out, row in zip(transforms, rows):
+            product = TWO_PI**-0.5 * (phase.T @ (row[:, None] * modulation))
+            out[half - start - len(xi) : half - start] = product[: len(xi)]
+            out[half + start : half + start + len(xi)] = product[len(xi) :]
         del phase  # before the next one is built
-        transforms[half - start - len(xi) : half - start] = product[: len(xi)]
-        transforms[half + start : half + start + len(xi)] = product[len(xi) :]
-    return transforms
+    return transforms if weighted.ndim == 2 else transforms[0]
 
 
 def inverse_ft_at(

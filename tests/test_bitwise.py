@@ -19,9 +19,15 @@ only (`engine._support_columns`), which relies on BLAS summing each output in
 column order so that dropped exact zeros change nothing, and phase blocks
 whose ``xi < 0`` half is the conjugate of the ``xi > 0`` half, which relies on
 numpy's ``cos`` being even and its ``sin`` odd bit for bit.
+
+The gaussian kernel is the one form that differs from the plain one on
+purpose: it returns 0.0 where plain ``exp`` would be subnormal. Its pins
+compare every number of a solve and an evaluation with the kernel that kept
+the subnormals, and check that no kernel operator holds one.
 """
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -43,13 +49,16 @@ from pwamalgam import (
     spatial_grid,
     uniform_nodes,
 )
-from pwamalgam import engine, spectral
-from pwamalgam.kernels import _EXP_ZERO, _gaussian_spatial
+from pwamalgam import engine, kernels, spectral
+from pwamalgam.kernels import _EXP_ZERO, _gaussian_spatial, support_radius
 from pwamalgam.metrics import error_report, measurement_target, window_quadrature
 from pwamalgam.spectral import ROW_BLOCK, TWO_PI, band_forward, band_inverse, cis, row_blocks
 
 GRID = frequency_grid(256)
 WINDOW, _ = window_quadrature(16.0, 6)  # the 928-point window of the sweep
+SWEEP_GRID = spatial_grid(16.0, 20).points  # the 641 points of the sweep
+GAUSSIAN = get_family("gaussian")
+POISSON = get_family("poisson")
 
 
 @pytest.mark.parametrize(
@@ -77,8 +86,15 @@ def test_cis_keeps_the_rounding_of_each_site():
         assert np.array_equal(cis(TWO_PI * m * WINDOW), np.exp(1j * TWO_PI * m * WINDOW))
 
 
+TINY = np.finfo(float).tiny
+
+
+def subnormal(values):
+    return (values != 0.0) & (np.abs(values) < TINY)
+
+
 @pytest.mark.parametrize("alpha", [0.5, 3.0], ids=["domain-bottom", "domain-top"])
-def test_gaussian_kernel_equals_plain_exp(alpha):
+def test_gaussian_kernel_equals_plain_exp_where_normal(alpha):
     cutoff = np.sqrt(-4.0 * alpha * _EXP_ZERO)  # |x| where the exponent is _EXP_ZERO
     x = np.concatenate(
         [
@@ -89,12 +105,108 @@ def test_gaussian_kernel_equals_plain_exp(alpha):
         ]
     )
     plain = np.exp(-(x**2) / (4.0 * alpha))
-    assert np.array_equal(_gaussian_spatial(alpha, x), plain, equal_nan=True)
-    # The grid straddles the cutoff: exp underflows to 0 on both sides of it.
-    assert np.any(plain > 0.0) and np.any((plain == 0.0) & (np.abs(x) < cutoff))
+    kernel = _gaussian_spatial(alpha, x)
+    normal = plain >= TINY
+    assert np.array_equal(kernel[normal], plain[normal])
+    assert np.all(kernel[~normal & ~np.isnan(x)] == 0.0)
+    assert np.array_equal(np.isnan(kernel), np.isnan(x))
+    assert not np.any(subnormal(kernel))
+    # The grid straddles the cutoff: plain exp is normal inside it, subnormal
+    # just beyond it, and 0 further out.
+    assert np.any(normal) and np.any(subnormal(plain)) and np.any(plain == 0.0)
+    assert not np.any(normal & (np.abs(x) > cutoff + 1e-9))
     for scalar in (0.0, 1.5, cutoff, 2.0 * cutoff):
         value = _gaussian_spatial(alpha, np.asarray(scalar))
-        assert value.shape == () and value == np.exp(-(scalar**2) / (4.0 * alpha))
+        expected = np.exp(-(scalar**2) / (4.0 * alpha))
+        assert value.shape == () and value == (expected if expected >= TINY else 0.0)
+
+
+# The gaussian domain in steps of 0.25; uniform nodes at the sweep sizes
+# N = 32, 128 and 256, and perturbed N = 128 nodes as reconstruct uses them.
+ALPHAS = [0.5 + 0.25 * k for k in range(11)]
+KERNEL_NODES = {
+    "N32": uniform_nodes(32),
+    "N128": uniform_nodes(128),
+    "N256": uniform_nodes(256),
+    "perturbed-N128-seed7": perturbed_nodes(128, 0.2, 7),
+    "perturbed-N128-seed41": perturbed_nodes(128, 0.2, 41),
+}
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("case", list(KERNEL_NODES))
+def test_zeroing_subnormal_kernel_values_changes_no_number(monkeypatch, case, alpha):
+    # The oracle is the kernel that kept its subnormal values (cutoff -746,
+    # where exp itself reaches 0) with the support radius that follows from
+    # it. The solve's acceptance check is lifted on both sides, so that
+    # alpha = 2.75, which fails it on every node set, is compared too.
+    nodes = KERNEL_NODES[case]
+    signal = get_signal("gauss_pair")
+    monkeypatch.setattr(engine, "SOLVER_TOL", np.inf)
+
+    def run():
+        approx = reconstruct(signal, GAUSSIAN, alpha, nodes, GRID, 4)
+        return approx, evaluate_J(approx, SWEEP_GRID)
+
+    normal, normal_J = run()
+    monkeypatch.setattr(kernels, "_EXP_ZERO", -746.0)
+    oracle, oracle_J = run()
+    assert np.array_equal(normal.coefficients, oracle.coefficients)
+    assert normal.condition_estimate == oracle.condition_estimate
+    assert np.array_equal(normal.residuals, oracle.residuals)
+    assert np.array_equal(normal_J, oracle_J)
+
+
+@pytest.mark.parametrize("case", list(KERNEL_NODES))
+def test_no_kernel_operator_holds_a_subnormal(case):
+    nodes = KERNEL_NODES[case]
+    for alpha in ALPHAS:
+        assert not np.any(subnormal(collocation_matrix(GAUSSIAN, alpha, nodes)))
+        radius = support_radius(GAUSSIAN, alpha)
+        # The residual check's points, the sweep's grid and its window.
+        for xs in (nodes.values, SWEEP_GRID, WINDOW):
+            for _, block, _ in engine._kernel_blocks(GAUSSIAN, alpha, nodes, xs, radius):
+                assert not np.any(subnormal(block.real)) and not np.any(block.imag)
+
+
+def test_the_old_cutoff_left_subnormals_in_the_matrix(monkeypatch):
+    # What the test above would catch: at N = 256 the kernel that stopped
+    # at exp's own zero filled the collocation matrix with subnormals.
+    monkeypatch.setattr(kernels, "_EXP_ZERO", -746.0)
+    assert np.any(subnormal(collocation_matrix(GAUSSIAN, 2.5, uniform_nodes(256))))
+
+
+def one_column_inverse_norm_1(factor):
+    """`engine._inverse_norm_1` with one `cho_solve` per vector, as it was
+    before the start and the alternating vector were solved together."""
+    n = len(factor[0])
+    solve = partial(cho_solve, factor, check_finite=False)
+    x = solve(np.full(n, 1.0 / n))
+    estimate, signs = np.abs(x).sum(), np.where(x >= 0, 1.0, -1.0)
+    j = np.argmax(np.abs(solve(signs)))
+    for _ in range(4):
+        x = solve(np.eye(1, n, j)[0])
+        previous, estimate = estimate, np.abs(x).sum()
+        signs, previous_signs = np.where(x >= 0, 1.0, -1.0), signs
+        if estimate <= previous or np.array_equal(signs, previous_signs):
+            break
+        x = solve(signs)
+        last, j = j, np.argmax(np.abs(x))
+        if x[last] == abs(x[j]):
+            break
+    alternating = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
+    return float(max(estimate, 2 * np.abs(solve(alternating)).sum() / (3 * n)))
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [uniform_nodes(32), uniform_nodes(256), perturbed_nodes(128, 0.2, 7)],
+    ids=["N32", "N256", "perturbed-N128"],
+)
+@pytest.mark.parametrize("alpha", [0.5, 1.25, 2.5, 3.0])
+def test_two_column_condition_solve_equals_one_column_solves(nodes, alpha):
+    factor = cho_factor(collocation_matrix(GAUSSIAN, alpha, nodes))
+    assert engine._inverse_norm_1(factor) == one_column_inverse_norm_1(factor)
 
 
 @pytest.mark.parametrize(
@@ -120,10 +232,7 @@ def test_two_column_band_solve_equals_one_column_solves(nodes, alpha):
     assert np.array_equal(cho_solve(factor, columns), one_column)
 
 
-GAUSSIAN = get_family("gaussian")
-POISSON = get_family("poisson")
 SPATIAL = spatial_grid(64.0, 20).points  # the 2561 points of a reconstruct at N = 128
-SWEEP_GRID = spatial_grid(16.0, 20).points  # the 641 points of the sweep
 # Lengths around the block size: none, one, one full block, one row over.
 EDGE_LENGTHS = [0, 1, ROW_BLOCK, ROW_BLOCK + 1]
 
@@ -320,6 +429,27 @@ def test_forward_transform_in_row_blocks_equals_whole_exponential_matrix(approxi
     modulated = residual[:, None] * cis(-TWO_PI * np.outer(WINDOW, np.arange(-6, 7)))
     whole = TWO_PI**-0.5 * (cis(-np.outer(grid.nodes, WINDOW)) @ modulated)
     assert np.array_equal(streamed, whole)
+
+
+def test_band_forward_on_stacked_rows_equals_one_call_per_row():
+    # The weighted window residuals of the N = 256 sweep's four alphas, each
+    # transformed alone and all in one call, as `metrics.sweep` does.
+    signal = get_signal("gauss_pair")
+    nodes = uniform_nodes(256)
+    target = measurement_target(signal, GRID, spatial_grid(16.0, 20), 4)
+    assert np.array_equal(target.xq, WINDOW)
+    rows = np.array(
+        [
+            target.wq
+            * (target.on_window - evaluate_J(reconstruct(signal, GAUSSIAN, a, nodes, GRID, 4), WINDOW))
+            for a in (0.75, 1.25, 1.75, 2.5)
+        ]
+    )
+    stacked = band_forward(rows, WINDOW, GRID, 6)
+    assert stacked.shape == (4, GRID.points_per_band, 13)
+    for row, transform in zip(rows, stacked):
+        assert np.array_equal(transform, band_forward(row, WINDOW, GRID, 6))
+    assert np.array_equal(band_forward(rows[:1], WINDOW, GRID, 6), stacked[:1])
 
 
 def test_sweep_row_is_unchanged_by_whole_matrices(monkeypatch):

@@ -21,8 +21,9 @@ from pwamalgam import (
     sweep,
     uniform_nodes,
 )
-from pwamalgam import engine, signals
+from pwamalgam import engine, metrics, signals
 from pwamalgam.engine import PRECISION_CAP
+from pwamalgam.errors import AccuracyError, ConditioningError
 from pwamalgam.metrics import (
     J_MARGIN,
     ErrorReport,
@@ -202,23 +203,61 @@ def test_sweep_flags_precision_limited_rows():
     assert np.isfinite(reports[0].amalgam_error)
 
 
-def test_sweep_rows_are_error_reports_against_one_target():
-    # sweep samples the bands once and calls solve_coefficients per alpha, so
-    # its rows are reconstruct + error_report per alpha against one shared
-    # target; the gaussian alpha = 3 row is precision-limited at N = 32.
+@pytest.mark.parametrize(
+    "family_id, alphas, kinds",
+    [
+        ("gaussian", [1.0, 2.0, 3.0], ["ok", "ok", "limited"]),
+        ("gaussian", [0.75, 2.5, 2.75, 3.0], ["ok", "ok", "failed", "limited"]),
+        ("poisson", [4.0, 8.0, 16.0], ["ok", "ok", "failed"]),
+    ],
+    ids=["gaussian", "gaussian-accuracy-failure", "poisson-breakdown"],
+)
+def test_sweep_rows_are_error_reports_against_one_target(family_id, alphas, kinds):
+    # sweep samples the bands once, solves each alpha, and transforms the
+    # window residuals of all its alphas in one pass, so its rows are
+    # reconstruct + error_report per alpha against one shared target. A
+    # failed row has no residual, so each row after it must still be matched
+    # with its own transform. The gaussian alpha = 3 row is precision-limited
+    # at N = 32; 2.75 fails the residual check, and poisson 16 breaks down.
+    family = get_family(family_id)
     grid = frequency_grid(128)
     nodes = uniform_nodes(32)
     x_grid = spatial_grid(8.0, density=10)
     signal = get_signal("gauss_pair")
-    alphas = [1.0, 2.0, 3.0]
-    rows = sweep(signal, GAUSSIAN, alphas, nodes, grid, x_grid, 1)
+    rows = sweep(signal, family, alphas, nodes, grid, x_grid, 1)
     target = measurement_target(signal, grid, x_grid, 1)
-    expected = [
-        error_report(reconstruct(signal, GAUSSIAN, alpha, nodes, grid, 1), target)
-        for alpha in alphas
-    ]
-    assert [r.precision_limited for r in rows] == [False, False, True]
-    assert [dataclasses.asdict(r) for r in rows] == [dataclasses.asdict(r) for r in expected]
+    assert [
+        "failed" if r.flags else "limited" if r.precision_limited else "ok" for r in rows
+    ] == kinds
+    for row, alpha in zip(rows, alphas):
+        try:
+            approx = reconstruct(signal, family, alpha, nodes, grid, 1)
+        except (ConditioningError, AccuracyError) as exc:
+            assert row.flags == (f"failed: {exc}",)
+            assert row.condition_estimate == exc.condition_estimate
+            assert np.isnan(row.amalgam_error) and np.isnan(row.l2_error)
+            continue
+        assert dataclasses.asdict(row) == dataclasses.asdict(error_report(approx, target))
+
+
+def test_sweep_transforms_the_window_once(monkeypatch):
+    # One forward transform for the sweep, over the residuals of the alphas
+    # that solved (2.75 fails), not one per alpha.
+    shapes = []
+    original = metrics.band_forward
+
+    def counting(weighted, *args):
+        shapes.append(weighted.shape)
+        return original(weighted, *args)
+
+    monkeypatch.setattr(metrics, "band_forward", counting)
+    x_grid = spatial_grid(8.0, density=10)
+    reports = sweep(
+        get_signal("gauss_pair"), GAUSSIAN, [0.75, 1.25, 2.75, 3.0],
+        uniform_nodes(32), frequency_grid(128), x_grid, 1,
+    )
+    assert [bool(r.flags) for r in reports] == [False, False, True, False]
+    assert shapes == [(3, len(window_quadrature(x_grid.extent, 1 + J_MARGIN)[0]))]
 
 
 def test_sweep_input_validation():

@@ -233,6 +233,10 @@ def test_band_forward_is_the_adjoint_of_band_inverse(points):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
     with pytest.raises(ContractError):
         band_forward(s[1:], x, grid, 0)
+    # Stacked rows must each hold one value per point, in two dimensions.
+    for bad in (s[None, 1:], s[None, None], np.asarray(s[0])):
+        with pytest.raises(ContractError):
+            band_forward(bad, x, grid, 0)
 
 
 def test_band_inverse_skips_zero_bands():
