@@ -30,14 +30,14 @@ libraries of numpy and of scipy), file listing, run-level checks and the
 wall seconds of three stages under ``timings``: ``build`` (config and
 inputs), ``compute`` (the certificates, the sweep, or the reconstruction and
 its evaluation, plus the run checks) and ``write`` (the data files; the
-manifest itself is not timed). It is written exactly when the run completes, whether clean or with
-flagged rows.
+manifest itself is not timed). It is written exactly when the run
+completes, whether clean or with flagged rows.
 
-Among the checks, ``verify-family`` records ``precision_boundary_alpha``, the
-``alpha`` in the family's domain where the Toeplitz condition bound crosses
-the precision cap (null if it never does). The checks of ``sweep`` and
-``reconstruct``, and which sweep rows they trust, are decided in `metrics`
-(`metrics.sweep_checks`, `metrics.quadrature_checks`).
+The checks are decided beside their numbers: those of ``verify-family`` by
+`kernels.regularity_checks` (``precision_boundary_alpha`` is the ``alpha``
+where the Toeplitz condition bound crosses the precision cap, null if it
+never does), those of ``sweep`` and ``reconstruct``, and which sweep rows
+they trust, by `metrics.sweep_checks` and `metrics.quadrature_checks`.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .engine import PRECISION_CAP
 from .errors import (
     AccuracyError,
     ConditioningError,
@@ -68,7 +67,7 @@ from .errors import (
     ContractError,
     DomainError,
 )
-from .kernels import precision_boundary, regularity_verdict, verify_regularity
+from .kernels import regularity_checks, verify_regularity
 from .metrics import pointwise_values, quadrature_checks, sweep_checks
 from .metrics import sweep as run_sweep
 from .signals import builtin_signals
@@ -261,12 +260,7 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
     alphas = config.alpha_values()
     timer.lap("build")
     reports = verify_regularity(family, alphas)
-    verdict = regularity_verdict(reports)
-    checks = {
-        **verdict,
-        "all_pass": all(verdict.values()),
-        "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
-    }
+    checks = regularity_checks(family, reports)
     timer.lap("compute")
     files = [*_write_table(outdir, "regularity", reports), "manifest.json"]
     timer.lap("write")

@@ -57,6 +57,7 @@ from scipy.linalg.lapack import dlange
 
 from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import (
+    PRECISION_CAP,
     InterpolatorFamily,
     condition_bound,
     phi_spatial,
@@ -67,8 +68,6 @@ from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
 from .spectral import ROW_BLOCK, TWO_PI, FrequencyGrid, cis, row_blocks
 
-# Condition estimate beyond which solves are flagged instead of failed.
-PRECISION_CAP = 1e12
 # Absolute interpolation-residual tolerance, scaled by ``1 + max|samples|``.
 SOLVER_TOL = 1e-8
 # Bands per `cho_solve` call: ten real columns, below OpenBLAS's reblocking at 12.

@@ -59,6 +59,8 @@ INFIMUM_GRID_POINTS = 4096
 H2_CAP = 2.5
 A3_TAIL_REL = 1e-12
 H3_FINAL = 1e-3
+# Condition estimate beyond which solves are flagged instead of failed.
+PRECISION_CAP = 1e12
 # Exponents below this give the gaussian kernel exactly 0.0: it is the log of
 # the smallest normal double, exp of it is normal, and exp of the next double
 # down is subnormal. Zeroing the subnormals, 2.2% of the kernel entries that
@@ -324,9 +326,9 @@ def verify_regularity(
         raise ContractError("alpha_sweep must be strictly ascending")
     reports: list[RegularityReport] = []
     prev_profile: dict[float, float] | None = None
+    grid = np.linspace(-np.pi, np.pi, INFIMUM_GRID_POINTS + 1)
     for alpha in alpha_sweep:
         family.check_alpha(alpha)
-        grid = np.linspace(-np.pi, np.pi, INFIMUM_GRID_POINTS + 1)
         delta_estimate = float(np.min(phi_spectral(family, alpha, grid)))
         m_a = m_alpha(family, alpha)
         if not np.isclose(delta_estimate, m_a, rtol=1e-12, atol=0.0):
@@ -375,4 +377,15 @@ def regularity_verdict(reports: list[RegularityReport]) -> dict[str, bool]:
         "H2": all(r.pass_H2 for r in reports),
         "H3_monotone": all(r.pass_H3 for r in reports),
         "H3_final": all(v < H3_FINAL for v in final.h3_ratio_at.values()),
+    }
+
+
+def regularity_checks(family: InterpolatorFamily, reports: list[RegularityReport]) -> dict:
+    """The checks of a regularity sweep: its `regularity_verdict`, ``all_pass``
+    and the `precision_boundary` at `PRECISION_CAP`."""
+    verdict = regularity_verdict(reports)
+    return {
+        **verdict,
+        "all_pass": all(verdict.values()),
+        "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
     }

@@ -26,12 +26,13 @@ Both slacks are added to the amalgam error, combined in quadrature for the
 L2 error, and reported as separate columns.
 
 Only the kernel changes along an alpha sweep: `sweep` samples the bands at
-the nodes and evaluates the target once, then solves and measures each alpha,
-keeping its weighted window residual. The window's phase blocks do not depend
-on alpha either, so one pass of `spectral.band_forward` transforms the
-residuals of every alpha after the last solve. They are streamed, not held
-in `Target`: the whole phase matrix over the window would outweigh the
-collocation matrix, the peak of a sweep.
+the nodes and builds the `Target` once, then solves each alpha and evaluates
+``J_alpha f`` once on the target's points. The window's phase blocks do not
+depend on alpha either, so after the last solve the finishing step that
+`error_report` takes too transforms every alpha's window residual in one
+pass of `spectral.band_forward`. They are streamed, not held in `Target`: the
+whole phase matrix over the window would outweigh the collocation matrix,
+the peak of a sweep.
 
 The reference that approximant values are compared against, the closed form
 of ``f`` or else the band-truncated signal, is chosen here too, in
@@ -51,15 +52,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import (
-    PRECISION_CAP,
-    Approximant,
-    evaluate_J,
-    reconstruct,
-    solve_coefficients,
-)
+from .engine import Approximant, evaluate_J, reconstruct, solve_coefficients
 from .errors import AccuracyError, ConditioningError, ContractError
-from .kernels import InterpolatorFamily, m_alpha, mj_tail_bound, phi_spectral
+from .kernels import PRECISION_CAP, InterpolatorFamily, m_alpha, mj_tail_bound, phi_spectral
 from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
 from .spectral import (
@@ -136,9 +131,9 @@ def truncated_signal_values(
 
 @dataclass(frozen=True)
 class Target:
-    """What an approximant is measured against: the band-truncated signal on
-    the window quadrature and on the spatial grid, with the signal, grids and
-    truncation it came from.
+    """What an approximant is measured against: the band-truncated signal
+    `values` at `points`, the window quadrature nodes `xq` and then the
+    spatial grid, and its tail ``tail_f`` beyond ``m_max``.
 
     It does not depend on ``alpha``, so `sweep` builds it once and measures
     every approximant against it.
@@ -146,12 +141,12 @@ class Target:
 
     signal: TestSignal
     grid: FrequencyGrid
-    x_grid: SpatialGrid
     m_max: int
     xq: np.ndarray
     wq: np.ndarray
-    on_window: np.ndarray
-    on_grid: np.ndarray
+    points: np.ndarray
+    values: np.ndarray
+    tail_f: float
 
 
 def measurement_target(
@@ -159,15 +154,16 @@ def measurement_target(
 ) -> Target:
     """The `Target` that `error_report` measures approximants of `m_max` against."""
     xq, wq = window_quadrature(x_grid.extent, m_max + J_MARGIN)
+    points = np.concatenate([xq, x_grid.points])
     return Target(
         signal=signal,
         grid=grid,
-        x_grid=x_grid,
         m_max=m_max,
-        xq=xq,
+        xq=points[: len(xq)],
         wq=wq,
-        on_window=truncated_signal_values(signal, grid, m_max, xq),
-        on_grid=truncated_signal_values(signal, grid, m_max, x_grid.points),
+        points=points,
+        values=truncated_signal_values(signal, grid, m_max, points),
+        tail_f=float(signal.tail_bound(m_max)),
     )
 
 
@@ -184,71 +180,84 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
     tail beyond ``j_cap``.
 
     This is the one-alpha case of `sweep`, through the same two steps: the
-    approximant is measured on the window and the spatial grid, its kernel
-    blocks freed, and only then does the forward transform build its phase
-    blocks.
+    approximant is evaluated once on the target's points, its kernel blocks
+    freed, and only then does the forward transform build its phase blocks.
     """
-    weighted, report = _measure(approx, target)
-    transforms = band_forward(weighted, target.xq, target.grid, target.m_max + J_MARGIN)
-    return _with_window_errors(report, transforms, target.grid)
+    return _finish([_measure(approx, target)], target)[0]
+
+
+def _report(alpha: float, condition: float, **fields) -> ErrorReport:
+    """An `ErrorReport`: the one place that decides ``precision_limited``."""
+    limited = condition > PRECISION_CAP
+    return ErrorReport(
+        alpha=float(alpha), condition_estimate=condition, precision_limited=limited, **fields
+    )
 
 
 def _measure(approx: Approximant, target: Target) -> tuple[np.ndarray, ErrorReport]:
     """All that `error_report` needs of the approximant: the window residual
     ``f - J_alpha f`` times the quadrature weights, and the report with every
     field but the three that its band transforms give (NaN until then)."""
-    m_max = approx.m_max
+    m_max, family, alpha = approx.m_max, approx.family, approx.alpha
     if m_max != target.m_max:
         raise ContractError(
             f"approximant has M_max={m_max} but the target was built for {target.m_max}"
         )
     j_cap = m_max + J_MARGIN
-    signal, grid = target.signal, target.grid
-    family = approx.family
-    alpha = approx.alpha
 
-    weighted = target.wq * (target.on_window - evaluate_J(approx, target.xq))
+    # One evaluation: the window's residual first, then the spatial grid's.
+    residual = evaluate_J(approx, target.points)
+    np.subtract(target.values, residual, out=residual)
+    weighted = target.wq * residual[: len(target.wq)]
+    sup_error = float(np.max(np.abs(residual[len(target.wq) :])))
+    del residual  # before the bound side's spectrum is built
 
-    tail_f = signal.tail_bound(m_max)
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)
     tail_J = (
-        np.sqrt(TWO_PI) * coeff_l1 * mj_tail_bound(family, alpha, j_cap - m_max)
+        np.sqrt(TWO_PI) * coeff_l1 * mj_tail_bound(family, alpha, J_MARGIN)
         if coeff_l1 > 0.0
         else 0.0
     )
 
-    residual_s = target.on_grid - evaluate_J(approx, target.x_grid.points)
-    sup_error = float(np.max(np.abs(residual_s)))
+    weight = m_alpha(family, alpha) / phi_spectral(family, alpha, target.grid.nodes)
+    bands = signal_spectrum(target.signal, target.grid, j_cap)
+    rhs = amalgam_norm(AmalgamSpectrum(weight * bands.values, bands.tail_estimate), target.grid)
 
-    weight = m_alpha(family, alpha) / phi_spectral(family, alpha, grid.nodes)
-    bands = signal_spectrum(signal, grid, j_cap)
-    rhs = amalgam_norm(AmalgamSpectrum(weight * bands.values, bands.tail_estimate), grid)
-
-    return weighted, ErrorReport(
-        alpha=float(alpha),
+    return weighted, _report(
+        alpha,
+        approx.condition_estimate,
         sup_error=sup_error,
         rhs_bound=float(rhs),
-        condition_estimate=approx.condition_estimate,
-        tail_slack_f=float(tail_f),
+        tail_slack_f=target.tail_f,
         tail_slack_J=float(tail_J),
-        precision_limited=approx.condition_estimate > PRECISION_CAP,
     )
 
 
-def _with_window_errors(
-    report: ErrorReport, transforms: np.ndarray, grid: FrequencyGrid
-) -> ErrorReport:
-    """`report` completed by the L2 and amalgam errors of the window
-    residual's band `transforms` (one column per band), and their bound ratio."""
-    residual = AmalgamSpectrum(transforms.T, report.tail_slack_f + report.tail_slack_J)
-    amalgam_error = float(amalgam_norm(residual, grid))
-    rhs = report.rhs_bound
-    return replace(
-        report,
-        l2_error=l2_norm_parseval(residual, grid),
-        amalgam_error=amalgam_error,
-        bound_ratio=float(amalgam_error / rhs) if rhs > 0.0 else 0.0,
+def _finish(
+    measured: list[tuple[np.ndarray | None, ErrorReport]], target: Target
+) -> list[ErrorReport]:
+    """Each report completed by the L2 and amalgam errors of its weighted
+    window residual's band transforms, all from one `band_forward` pass, and
+    their bound ratio. A failed row, which has no residual, passes through."""
+    grid, j_cap = target.grid, target.m_max + J_MARGIN
+    residuals = [weighted for weighted, _ in measured if weighted is not None]
+    transforms = iter(
+        band_forward(np.array(residuals), target.xq, grid, j_cap) if residuals else ()
     )
+    reports = []
+    for weighted, report in measured:
+        if weighted is not None:
+            slack = report.tail_slack_f + report.tail_slack_J
+            residual = AmalgamSpectrum(next(transforms).T, slack)
+            error, rhs = float(amalgam_norm(residual, grid)), report.rhs_bound
+            report = replace(
+                report,
+                l2_error=l2_norm_parseval(residual, grid),
+                amalgam_error=error,
+                bound_ratio=float(error / rhs) if rhs > 0.0 else 0.0,
+            )
+        reports.append(report)
+    return reports
 
 
 def sweep(
@@ -262,18 +271,18 @@ def sweep(
 ) -> list[ErrorReport]:
     """One `error_report` per alpha, in sweep order.
 
-    The band samples at the nodes and the band-truncated target do not
-    depend on alpha, so each is computed once for the whole sweep; every
-    alpha only solves the collocation system for those samples (see
-    `engine.solve_coefficients`) and measures its approximant, which is freed
-    before the next alpha solves. Each alpha keeps its weighted window
-    residual, and the window's phase blocks, which do not depend on alpha
-    either, are built once after the last solve: `spectral.band_forward`
-    applies each block to every alpha's residual in turn, so each row equals
-    its `error_report` bit for bit. Solver failures at one alpha do not stop
-    the sweep: the failed alpha yields a NaN report flagged with the failure
-    message and carrying the condition estimate of its matrix, and remaining
-    values still run. Callers decide whether flagged failures are fatal.
+    The band samples at the nodes and the `Target` do not depend on alpha, so
+    each is computed once for the whole sweep; every alpha only solves the
+    collocation system for those samples (see `engine.solve_coefficients`)
+    and evaluates its approximant once on the target's points, freeing it
+    before the next alpha solves. The window's phase blocks do not depend on
+    alpha either: after the last solve, the finishing step of `error_report`
+    transforms every alpha's weighted window residual in one `band_forward`
+    pass, so each row equals its `error_report` bit for bit. Solver failures
+    at one alpha do not stop the sweep: the failed alpha yields a NaN report
+    flagged with the failure message and carrying the condition estimate of
+    its matrix, and remaining values still run. Callers decide whether
+    flagged failures are fatal.
     """
     if not alpha_values:
         raise ContractError("alpha sweep must be nonempty")
@@ -288,23 +297,9 @@ def sweep(
             measured.append(_measure(approx, target))
             del approx  # freed before the next alpha solves
         except (ConditioningError, AccuracyError) as exc:
-            failed = ErrorReport(
-                alpha=float(alpha),
-                condition_estimate=exc.condition_estimate,
-                precision_limited=exc.condition_estimate > PRECISION_CAP,
-                flags=(f"failed: {exc}",),
-            )
+            failed = _report(alpha, exc.condition_estimate, flags=(f"failed: {exc}",))
             measured.append((None, failed))
-    residuals = [weighted for weighted, _ in measured if weighted is not None]
-    transforms = iter(
-        band_forward(np.array(residuals), target.xq, grid, m_max + J_MARGIN)
-        if residuals
-        else ()
-    )
-    return [
-        report if weighted is None else _with_window_errors(report, next(transforms), grid)
-        for weighted, report in measured
-    ]
+    return _finish(measured, target)
 
 
 def sweep_checks(reports: list[ErrorReport]) -> dict:

@@ -423,12 +423,29 @@ def test_forward_transform_in_row_blocks_equals_whole_exponential_matrix(approxi
     grid = frequency_grid(points)
     approx = approximants["uniform-N256"]
     target = measurement_target(get_signal("gauss_pair"), grid, spatial_grid(16.0, 20), 4)
-    residual = target.wq * (target.on_window - evaluate_J(approx, WINDOW))
+    assert np.array_equal(target.points[: len(WINDOW)], WINDOW)
+    residual = target.wq * (target.values[: len(WINDOW)] - evaluate_J(approx, WINDOW))
     # The transform of `metrics.error_report`, in its mirrored blocks and whole.
-    streamed = band_forward(residual, WINDOW, grid, 6)
+    [streamed] = band_forward(residual[None], WINDOW, grid, 6)
     modulated = residual[:, None] * cis(-TWO_PI * np.outer(WINDOW, np.arange(-6, 7)))
     whole = TWO_PI**-0.5 * (cis(-np.outer(grid.nodes, WINDOW)) @ modulated)
     assert np.array_equal(streamed, whole)
+
+
+@pytest.mark.parametrize("case", ["uniform-N256", "uniform-N256-a0.5", "poisson-N128"])
+def test_one_evaluation_over_window_and_grid_equals_one_per_point_set(approximants, case):
+    # `metrics.Target` holds the window and the spatial grid as one point set,
+    # so one row block spans both sets where they meet, and the band-truncated
+    # signal is inverted over both at once.
+    approx = approximants[case]
+    points = np.concatenate([WINDOW, SWEEP_GRID])
+    joint = evaluate_J(approx, points)
+    assert np.array_equal(joint[: len(WINDOW)], evaluate_J(approx, WINDOW))
+    assert np.array_equal(joint[len(WINDOW) :], evaluate_J(approx, SWEEP_GRID))
+    spectrum = signal_spectrum(get_signal("gauss_pair"), GRID, 4)
+    joint = inverse_ft_at(spectrum, GRID, points)
+    assert np.array_equal(joint[: len(WINDOW)], inverse_ft_at(spectrum, GRID, WINDOW))
+    assert np.array_equal(joint[len(WINDOW) :], inverse_ft_at(spectrum, GRID, SWEEP_GRID))
 
 
 def test_band_forward_on_stacked_rows_equals_one_call_per_row():
@@ -441,14 +458,17 @@ def test_band_forward_on_stacked_rows_equals_one_call_per_row():
     rows = np.array(
         [
             target.wq
-            * (target.on_window - evaluate_J(reconstruct(signal, GAUSSIAN, a, nodes, GRID, 4), WINDOW))
+            * (
+                target.values[: len(WINDOW)]
+                - evaluate_J(reconstruct(signal, GAUSSIAN, a, nodes, GRID, 4), WINDOW)
+            )
             for a in (0.75, 1.25, 1.75, 2.5)
         ]
     )
     stacked = band_forward(rows, WINDOW, GRID, 6)
     assert stacked.shape == (4, GRID.points_per_band, 13)
     for row, transform in zip(rows, stacked):
-        assert np.array_equal(transform, band_forward(row, WINDOW, GRID, 6))
+        assert np.array_equal(transform, band_forward(row[None], WINDOW, GRID, 6)[0])
     assert np.array_equal(band_forward(rows[:1], WINDOW, GRID, 6), stacked[:1])
 
 

@@ -337,6 +337,46 @@ def test_sweep_samples_the_bands_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("alphas", [[1.25], [0.75, 1.25, 1.75, 2.25]])
+def test_sweep_measures_each_alpha_in_one_evaluation(monkeypatch, alphas):
+    # The target is one point set, the window quadrature and then the spatial
+    # grid, inverted once per sweep; each alpha evaluates its approximant on
+    # it once.
+    calls = {"evaluate_J": 0, "truncated_signal_values": 0}
+
+    def counted(name):
+        original = getattr(metrics, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(metrics, name, counting)
+
+    counted("evaluate_J")
+    counted("truncated_signal_values")
+    reports = sweep(
+        get_signal("gauss_pair"), GAUSSIAN, alphas,
+        uniform_nodes(16), frequency_grid(128), spatial_grid(8.0, density=10), 2,
+    )
+    assert len(reports) == len(alphas) and not any(r.flags for r in reports)
+    assert calls == {"evaluate_J": len(alphas), "truncated_signal_values": 1}
+
+
+def test_target_is_the_window_then_the_spatial_grid():
+    signal = get_signal("gauss_pair")
+    grid = frequency_grid(128)
+    x_grid = spatial_grid(8.0, density=10)
+    target = measurement_target(signal, grid, x_grid, 2)
+    xq, wq = window_quadrature(x_grid.extent, 2 + J_MARGIN)
+    assert np.array_equal(target.xq, xq) and np.array_equal(target.wq, wq)
+    assert np.array_equal(target.points, np.concatenate([xq, x_grid.points]))
+    assert target.values.tobytes() == (
+        truncated_signal_values(signal, grid, 2, target.points).tobytes()
+    )
+    assert target.tail_f == signal.tail_bound(2)
+
+
 @pytest.mark.parametrize("signal_id", ["gauss_pair", "two_band"])
 def test_pointwise_values_are_the_approximant_and_its_reference(signal_id):
     # gauss_pair has a closed spatial form, which is the reference; two_band

@@ -1,5 +1,5 @@
-"""The README's Quick start, Configuration table and the package export list
-match the current API."""
+"""The README's Quick start, Configuration table, Layout block and the
+package export list match the current API."""
 
 import contextlib
 import io
@@ -54,3 +54,13 @@ def test_configuration_table_matches_parser():
     rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.MULTILINE)
     documented = {(name, key) for name, keys in rows for key in re.findall(r"`(\w+)` \(", keys)}
     assert documented == {(row[0], row[1]) for row in config._KEYS}
+
+
+def test_layout_names_every_module():
+    # The Layout block lists each module of the package, one line each.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"^  (\w+\.py) ", section, flags=re.MULTILINE))
+    package = README.parent / "src" / "pwamalgam"
+    modules = {p.name for p in package.glob("*.py")} - {"__init__.py"}
+    assert listed == modules

@@ -226,15 +226,16 @@ def test_band_forward_is_the_adjoint_of_band_inverse(points):
     rng = np.random.default_rng(points)
     v = rng.standard_normal(points) + 1j * rng.standard_normal(points)
     s = rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x))
-    forward = band_forward(s, x, grid, 0)
+    [forward] = band_forward(s[None], x, grid, 0)
     assert forward.shape == (points, 1)
     lhs = np.vdot(s, band_inverse(v[None], grid, x)[0])
     rhs = np.vdot(forward[:, 0], grid.weights * v)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
     with pytest.raises(ContractError):
-        band_forward(s[1:], x, grid, 0)
-    # Stacked rows must each hold one value per point, in two dimensions.
-    for bad in (s[None, 1:], s[None, None], np.asarray(s[0])):
+        band_forward(s[None, 1:], x, grid, 0)
+    # Rows come stacked, each with one value per point, in two dimensions:
+    # a lone row is a one-row stack.
+    for bad in (s, s[1:], s[None, None], np.asarray(s[0])):
         with pytest.raises(ContractError):
             band_forward(bad, x, grid, 0)
 
