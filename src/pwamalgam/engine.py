@@ -10,7 +10,8 @@ An `Approximant` holds the coefficients as one complex ``(2M+1, n)`` array:
 row ``m + M`` is band ``m`` and column ``k`` is node ``x_k``. The collocation
 matrix depends on ``alpha`` and the nodes but not on the band, so each
 ``alpha`` builds it once, factorizes it once and carries one
-``condition_estimate``; every band is then solved against that one factor.
+``condition_estimate``; every band is then solved against that one factor, in
+one call.
 One copy of the collocation matrix is live at a time: on perturbed nodes it
 is filled in row blocks, and the Cholesky factor overwrites it. No other
 dense operator exists in full: `evaluate_J` builds the kernel matrix
@@ -23,8 +24,7 @@ points, beyond which the gaussian kernel is exactly 0.0: 28% of the columns,
 weighted by rows, over the blocks of an ``N = 256`` sweep. Dropping
 exact-zero terms leaves every product's rounding as it was, since BLAS sums
 each output in column order. Per-band products are kept (rather than one
-matrix-matrix product), and the solves take at most `SOLVE_GROUP` bands (ten
-real columns) per call, because the rounding of the blocked BLAS kernels
+matrix-matrix product), because the rounding of the blocked BLAS kernels
 differs from the per-vector ones, and large coefficients magnify that
 difference: at ``N = 256`` and gaussian ``alpha = 2.5`` the coefficients' l1
 mass is 3.1e8, and one real product over all bands in `evaluate_J` moved the
@@ -70,8 +70,6 @@ from .spectral import ROW_BLOCK, TWO_PI, FrequencyGrid, cis, row_blocks
 
 # Absolute interpolation-residual tolerance, scaled by ``1 + max|samples|``.
 SOLVER_TOL = 1e-8
-# Bands per `cho_solve` call: ten real columns, below OpenBLAS's reblocking at 12.
-SOLVE_GROUP = 5
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def _inverse_norm_1(factor: tuple[np.ndarray, bool]) -> float:
 
     The start vector and the final alternating one are fixed in advance, so
     they are solved together, as two columns that round as two one-column
-    solves do (see `SOLVE_GROUP`)."""
+    solves do."""
     n = len(factor[0])
     solve = partial(cho_solve, factor, check_finite=False)
     alternating = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
@@ -191,10 +189,10 @@ def solve_coefficients(
 
     All-zero samples short-circuit to exactly zero coefficients (the
     homogeneous system), preserving exact zeros for signals with empty bands;
-    the matrix is factorized even when every row is zero. Each complex row is
-    solved as two real columns against the one real factorization, up to
-    `SOLVE_GROUP` rows per call, so a row is bit-identical to one-column
-    solves of its two parts.
+    the matrix is factorized even when every row is zero. Each non-empty
+    complex row is two real columns of one right-hand side, solved against the
+    one real factorization in one call; the coefficients are allocated only
+    once the factor is freed.
 
     Raises
     ------
@@ -207,8 +205,9 @@ def solve_coefficients(
         nodes, and ``inf`` off them, where no condition bound holds.
     AccuracyError
         If a band's interpolation residual exceeds
-        ``SOLVER_TOL * (1 + max|samples|)`` while the condition estimate is
-        below `PRECISION_CAP`; the first such band in row order is named.
+        ``SOLVER_TOL * (1 + max|samples|)`` of its row while the condition
+        estimate is below `PRECISION_CAP`; the first such band in row order
+        is named.
     """
     stacked = np.asarray(samples, dtype=complex)
     if stacked.ndim != 2 or stacked.shape[0] % 2 == 0 or stacked.shape[1] != nodes.count:
@@ -234,40 +233,34 @@ def solve_coefficients(
         ) from exc
     condition = norm * _inverse_norm_1(factor)
     nonzero = [i for i, row in enumerate(stacked) if np.any(row)]
+    # Rows 2k and 2k+1 of `parts` are band k's real and imaginary parts: its
+    # transpose is a Fortran-ordered right-hand side, solved in place. The
+    # matrix and samples were checked finite above.
+    parts = np.empty((2 * len(nonzero), nodes.count))
+    for k, i in enumerate(nonzero):
+        parts[2 * k], parts[2 * k + 1] = stacked[i].real, stacked[i].imag
+    parts = cho_solve(factor, parts.T, overwrite_b=True, check_finite=False).T
+    del matrix, factor  # freed before the coefficients and residual blocks are built
     coeffs = np.zeros(stacked.shape, dtype=complex)
+    coeffs[nonzero] = parts[0::2] + 1j * parts[1::2]
     residuals = np.zeros(len(stacked))
-    for start in range(0, len(nonzero), SOLVE_GROUP):
-        # Up to `SOLVE_GROUP` bands per solve, two real columns each. OpenBLAS
-        # solves each column alike below 12 columns, so ten columns round as
-        # ten one-column solves do; all nine bands in one call would cross 12
-        # and reblock, changing the rounding of every band. Rows 2k and 2k+1
-        # of `parts` are band k's real and imaginary parts: its transpose is a
-        # Fortran-ordered right-hand side, solved in place. The matrix and
-        # samples were checked finite above.
-        group = nonzero[start : start + SOLVE_GROUP]
-        parts = np.empty((2 * len(group), nodes.count))
-        for k, i in enumerate(group):
-            parts[2 * k], parts[2 * k + 1] = stacked[i].real, stacked[i].imag
-        parts = cho_solve(factor, parts.T, overwrite_b=True, check_finite=False).T
-        for i, real, imag in zip(group, parts[0::2], parts[1::2]):
-            coeffs[i] = real + 1j * imag
-    del matrix, factor  # freed before the residual blocks are built
     if nonzero:
         radius = support_radius(family, alpha)
         for rows, block, cols in _kernel_blocks(family, alpha, nodes, nodes.values, radius):
             for i in nonzero:
                 error = np.max(np.abs(block @ coeffs[i, cols] - stacked[i, rows]))
                 residuals[i] = max(residuals[i], error)
-    for i in nonzero:
-        scale = 1.0 + float(np.max(np.abs(stacked[i])))
-        if residuals[i] > SOLVER_TOL * scale and condition <= PRECISION_CAP:
-            raise AccuracyError(
-                f"interpolation residual {residuals[i]:.3e} exceeds "
-                f"SOLVER_TOL*(1+max|samples|)={SOLVER_TOL * scale:.3e} "
-                f"for band {i - len(stacked) // 2} at alpha={alpha}",
-                residual=residuals[i],
-                condition_estimate=condition,
-            )
+    tolerances = SOLVER_TOL * (1.0 + np.max(np.abs(stacked), axis=1))
+    over = np.flatnonzero(residuals > tolerances)
+    if over.size and condition <= PRECISION_CAP:
+        i = over[0]
+        raise AccuracyError(
+            f"interpolation residual {residuals[i]:.3e} exceeds "
+            f"SOLVER_TOL*(1+max|samples|)={tolerances[i]:.3e} "
+            f"for band {i - len(stacked) // 2} at alpha={alpha}",
+            residual=residuals[i],
+            condition_estimate=condition,
+        )
     return Approximant(alpha, family, nodes, coeffs, condition, residuals)
 
 

@@ -32,7 +32,8 @@ depend on alpha either, so after the last solve the finishing step that
 `error_report` takes too transforms every alpha's window residual in one
 pass of `spectral.band_forward`. They are streamed, not held in `Target`: the
 whole phase matrix over the window would outweigh the collocation matrix,
-the peak of a sweep.
+the peak of a sweep. The same step builds the signal's bands up to ``j_cap``
+once and weighs them by each alpha's kernel for the bound side.
 
 The reference that approximant values are compared against, the closed form
 of ``f`` or else the band-truncated signal, is chosen here too, in
@@ -183,7 +184,7 @@ def error_report(approx: Approximant, target: Target) -> ErrorReport:
     approximant is evaluated once on the target's points, its kernel blocks
     freed, and only then does the forward transform build its phase blocks.
     """
-    return _finish([_measure(approx, target)], target)[0]
+    return _finish([_measure(approx, target)], target, approx.family)[0]
 
 
 def _report(alpha: float, condition: float, **fields) -> ErrorReport:
@@ -197,20 +198,18 @@ def _report(alpha: float, condition: float, **fields) -> ErrorReport:
 def _measure(approx: Approximant, target: Target) -> tuple[np.ndarray, ErrorReport]:
     """All that `error_report` needs of the approximant: the window residual
     ``f - J_alpha f`` times the quadrature weights, and the report with every
-    field but the three that its band transforms give (NaN until then)."""
+    field but the four that `_finish` gives (NaN until then)."""
     m_max, family, alpha = approx.m_max, approx.family, approx.alpha
     if m_max != target.m_max:
         raise ContractError(
             f"approximant has M_max={m_max} but the target was built for {target.m_max}"
         )
-    j_cap = m_max + J_MARGIN
 
     # One evaluation: the window's residual first, then the spatial grid's.
     residual = evaluate_J(approx, target.points)
     np.subtract(target.values, residual, out=residual)
     weighted = target.wq * residual[: len(target.wq)]
     sup_error = float(np.max(np.abs(residual[len(target.wq) :])))
-    del residual  # before the bound side's spectrum is built
 
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)
     tail_J = (
@@ -219,41 +218,46 @@ def _measure(approx: Approximant, target: Target) -> tuple[np.ndarray, ErrorRepo
         else 0.0
     )
 
-    weight = m_alpha(family, alpha) / phi_spectral(family, alpha, target.grid.nodes)
-    bands = signal_spectrum(target.signal, target.grid, j_cap)
-    rhs = amalgam_norm(AmalgamSpectrum(weight * bands.values, bands.tail_estimate), target.grid)
-
     return weighted, _report(
         alpha,
         approx.condition_estimate,
         sup_error=sup_error,
-        rhs_bound=float(rhs),
         tail_slack_f=target.tail_f,
         tail_slack_J=float(tail_J),
     )
 
 
 def _finish(
-    measured: list[tuple[np.ndarray | None, ErrorReport]], target: Target
+    measured: list[tuple[np.ndarray | None, ErrorReport]],
+    target: Target,
+    family: InterpolatorFamily,
 ) -> list[ErrorReport]:
     """Each report completed by the L2 and amalgam errors of its weighted
-    window residual's band transforms, all from one `band_forward` pass, and
-    their bound ratio. A failed row, which has no residual, passes through."""
+    window residual's band transforms, all from one `band_forward` pass, its
+    bound side ``rhs_bound`` and their bound ratio. The signal's bands up to
+    ``j_cap`` that the bound side weighs are built once for every alpha. A
+    failed row, which has no residual, passes through."""
     grid, j_cap = target.grid, target.m_max + J_MARGIN
     residuals = [weighted for weighted, _ in measured if weighted is not None]
     transforms = iter(
         band_forward(np.array(residuals), target.xq, grid, j_cap) if residuals else ()
     )
+    bands = signal_spectrum(target.signal, grid, j_cap)
     reports = []
     for weighted, report in measured:
         if weighted is not None:
             slack = report.tail_slack_f + report.tail_slack_J
             residual = AmalgamSpectrum(next(transforms).T, slack)
-            error, rhs = float(amalgam_norm(residual, grid)), report.rhs_bound
+            error = float(amalgam_norm(residual, grid))
+            alpha = report.alpha
+            weight = m_alpha(family, alpha) / phi_spectral(family, alpha, grid.nodes)
+            bound = AmalgamSpectrum(weight * bands.values, bands.tail_estimate)
+            rhs = float(amalgam_norm(bound, grid))
             report = replace(
                 report,
                 l2_error=l2_norm_parseval(residual, grid),
                 amalgam_error=error,
+                rhs_bound=rhs,
                 bound_ratio=float(error / rhs) if rhs > 0.0 else 0.0,
             )
         reports.append(report)
@@ -278,11 +282,11 @@ def sweep(
     before the next alpha solves. The window's phase blocks do not depend on
     alpha either: after the last solve, the finishing step of `error_report`
     transforms every alpha's weighted window residual in one `band_forward`
-    pass, so each row equals its `error_report` bit for bit. Solver failures
-    at one alpha do not stop the sweep: the failed alpha yields a NaN report
-    flagged with the failure message and carrying the condition estimate of
-    its matrix, and remaining values still run. Callers decide whether
-    flagged failures are fatal.
+    pass and builds the bound side's signal bands once, so each row equals
+    its `error_report` bit for bit. Solver failures at one alpha do not stop
+    the sweep: the failed alpha yields a NaN report flagged with the failure
+    message and carrying the condition estimate of its matrix, and remaining
+    values still run. Callers decide whether flagged failures are fatal.
     """
     if not alpha_values:
         raise ContractError("alpha sweep must be nonempty")
@@ -299,7 +303,7 @@ def sweep(
         except (ConditioningError, AccuracyError) as exc:
             failed = _report(alpha, exc.condition_estimate, flags=(f"failed: {exc}",))
             measured.append((None, failed))
-    return _finish(measured, target)
+    return _finish(measured, target, family)
 
 
 def sweep_checks(reports: list[ErrorReport]) -> dict:

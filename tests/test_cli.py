@@ -997,8 +997,8 @@ INLINE_STUDIES = {
 INLINE_STUDY_SHA256 = {
     1: {
         "reconstruct_two_band_perturbed_N128/reconstruction.json": "a90589aad2cc2f26879e9b44c37a29c4b1a004d9280244ce08e965f8725cd496",
-        "sweep_gauss_pair_N256/convergence.csv": "19602936e0712ce95c7b457be533f5b2f871190787c9857cedd163b7f885cf3f",
-        "sweep_gauss_pair_N256/convergence.json": "2d642c581352de21e8a639f8808ce1bb0d5e0d8e7ce955fd6c0c429a767d6759",
+        "sweep_gauss_pair_N256/convergence.csv": "f82bdb4b7c51c4731da155a573ea28dd2acc469475f0ec70957e38d19c055c0d",
+        "sweep_gauss_pair_N256/convergence.json": "8b7fd70dc2daa428365e9ac33475b549611e7f7f076a9f706f6d00d79e25c12c",
     },
     2: {
         "reconstruct_two_band_perturbed_N128/reconstruction.json": "bc0b9bcb47901ed97f72c780c90896dd74165cfa03d9eb233f686dd8f3d3ca76",

@@ -411,6 +411,22 @@ def test_solve_coefficients_keeps_one_copy_of_the_matrix(nodes):
         assert peak <= matrix_bytes + 2 * block_bytes
 
 
+def test_solve_coefficients_holds_one_right_hand_side_beside_the_matrix():
+    # While the matrix or its factor lives, the only other array of band size
+    # is the one real right-hand side of all bands, as large as the complex
+    # samples; the coefficients are allocated once the factor is freed.
+    # Solving in groups, with the coefficients allocated beside the factor,
+    # read about 2.1 samples' worth above the matrix.
+    nodes = uniform_nodes(256)
+    grid = frequency_grid(256)
+    values = signal_spectrum(get_signal("gauss_pair"), grid, 4).values
+    samples = sample_band_signal(values, grid, nodes)
+    matrix_bytes = nodes.count**2 * np.dtype(float).itemsize
+    for alpha in (1.25, 2.5):
+        peak = traced_peak(lambda: solve_coefficients(GAUSSIAN, alpha, nodes, samples))
+        assert peak <= matrix_bytes + 1.5 * samples.nbytes
+
+
 def test_solve_coefficients_checks_finiteness_without_a_whole_mask():
     # `np.isfinite` over the matrix, as a checking `cho_factor` runs it, stood
     # an n x n boolean array (0.25 MiB at N = 256) beside the matrix; the

@@ -363,6 +363,28 @@ def test_sweep_measures_each_alpha_in_one_evaluation(monkeypatch, alphas):
     assert calls == {"evaluate_J": len(alphas), "truncated_signal_values": 1}
 
 
+@pytest.mark.parametrize("alphas", [[1.25], [0.75, 1.25, 1.75, 2.25]])
+def test_sweep_builds_the_bound_side_spectrum_once(monkeypatch, alphas):
+    # The bound side weighs the signal's bands up to j_cap by an alpha's
+    # kernel; the bands themselves do not depend on alpha, so a sweep builds
+    # them once, after the last solve.
+    m_max = 2
+    caps = []
+    original = metrics.signal_spectrum
+
+    def counting(signal, grid, m):
+        caps.append(m)
+        return original(signal, grid, m)
+
+    monkeypatch.setattr(metrics, "signal_spectrum", counting)
+    reports = sweep(
+        get_signal("gauss_pair"), GAUSSIAN, alphas,
+        uniform_nodes(16), frequency_grid(128), spatial_grid(8.0, density=10), m_max,
+    )
+    assert len(reports) == len(alphas) and not any(r.flags for r in reports)
+    assert caps.count(m_max + J_MARGIN) == 1
+
+
 def test_target_is_the_window_then_the_spatial_grid():
     signal = get_signal("gauss_pair")
     grid = frequency_grid(128)
