@@ -13,8 +13,9 @@ matrix depends on ``alpha`` and the nodes but not on the band, so each
 ``condition_estimate``; every band is then solved against that one factor, in
 one call.
 One copy of the collocation matrix is live at a time: on perturbed nodes it
-is filled in row blocks, and the Cholesky factor overwrites it. No other
-dense operator exists in full: `evaluate_J` builds the kernel matrix
+is filled in row blocks, which take their kernel values in place, and the
+Cholesky factor overwrites it. No other dense operator exists in full:
+`evaluate_J` builds the kernel matrix
 ``phi_alpha(x - x_n)``, and the residual check the kernel matrix on the
 nodes themselves (equal to the collocation matrix bit for bit), one complex
 `spectral.row_blocks` block at a time, whose products round as the whole
@@ -112,10 +113,13 @@ def collocation_matrix(
     ``j - k`` is exact and both kernels are exactly even, so this equals the
     difference build bit for bit. On other nodes it is filled one
     `spectral.row_blocks` block at a time: each block's differences are
-    written into its rows and replaced there by their kernel values, so no
-    whole difference or exponent array exists beside the matrix. The kernel
-    acts entry by entry, so this equals the whole build bit for bit, and it
-    is exactly symmetric since ``x_j - x_k`` is ``-(x_k - x_j)``.
+    written into its rows, a row at a time, and `phi_spatial` replaces them
+    there by their kernel values (``out=`` the block). So no difference or
+    exponent array exists beside the matrix, only the gaussian kernel's one
+    boolean mask and the finiteness check's: a difference ufunc over the whole
+    block would have numpy allocate hidden buffers for its broadcast operand.
+    The kernel acts entry by entry, so this equals the whole build bit for
+    bit, and it is exactly symmetric since ``x_j - x_k`` is ``-(x_k - x_j)``.
 
     The values are checked finite as they are made, the Toeplitz column or
     each row block, so the factorization need not check the whole matrix.
@@ -132,9 +136,10 @@ def collocation_matrix(
         return toeplitz(column)
     matrix = np.empty((nodes.count, nodes.count))
     for rows in row_blocks(nodes.count):
-        block = np.subtract(values[rows, None], values, out=matrix[rows])
-        block[...] = phi_spatial(family, alpha, block)
-        _check_finite(block)
+        block = matrix[rows]
+        for point, row in zip(values[rows], block):
+            np.subtract(point, values, out=row)
+        _check_finite(phi_spatial(family, alpha, block, out=block))
     return matrix
 
 
@@ -302,13 +307,17 @@ def _kernel_blocks(
     the nodes within `radius` of its points.
 
     Every block is the real part of a view of one complex buffer, whose
-    imaginary part stays zero; the next block overwrites it.
+    imaginary part stays zero; the next block overwrites it. The kernel is
+    applied in place to each block's difference array, which is freed before
+    the block is yielded, so it never stands beside the next one.
     """
     buffer = np.zeros((min(len(xs), ROW_BLOCK), nodes.count), dtype=complex)
     for rows in row_blocks(len(xs)):
         cols = _support_columns(nodes, xs[rows], radius)
         block = buffer[: rows.stop - rows.start, cols]
-        block.real = phi_spatial(family, alpha, xs[rows, None] - nodes.values[cols])
+        differences = xs[rows, None] - nodes.values[cols]
+        block.real = phi_spatial(family, alpha, differences, out=differences)
+        del differences  # not held beside the next block's
         yield rows, block, cols
 
 

@@ -84,7 +84,7 @@ class InterpolatorFamily:
 
     family_id: str
     alpha_domain: tuple[float, float]
-    _spatial: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
+    _spatial: Callable[..., np.ndarray] = field(repr=False)
     _spectral: Callable[[float, np.ndarray], np.ndarray] = field(repr=False)
     _mj_tail: Callable[[float, int], float] = field(repr=False)
     _support: Callable[[float], float] = field(repr=False)
@@ -97,16 +97,20 @@ class InterpolatorFamily:
             )
 
 
-def _gaussian_spatial(alpha: float, x: np.ndarray) -> np.ndarray:
-    # The exponent is built in one buffer (``out=`` keeps 0-d input an array),
-    # and exp runs only where its result is normal; elsewhere it is 0.0.
-    exponent = np.square(x, out=np.empty_like(x))
-    np.negative(exponent, out=exponent)
-    exponent /= 4.0 * alpha
-    zero = exponent < _EXP_ZERO
-    np.exp(exponent, out=exponent, where=~zero)
-    np.copyto(exponent, 0.0, where=zero)
-    return exponent
+def _gaussian_spatial(
+    alpha: float, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    # The exponent is built in `out`, which may be `x`, or in a new array
+    # (``out=`` keeps 0-d input an array), and exp runs only where its result
+    # is normal; elsewhere it is 0.0. One mask serves both steps, inverted in
+    # place between them.
+    out = np.square(x, out=np.empty_like(x) if out is None else out)
+    np.negative(out, out=out)
+    out /= 4.0 * alpha
+    mask = np.less(out, _EXP_ZERO, out=np.empty_like(out, dtype=bool))
+    np.exp(out, out=out, where=np.logical_not(mask, out=mask))
+    np.copyto(out, 0.0, where=np.logical_not(mask, out=mask))
+    return out
 
 
 def _gaussian_support(alpha: float) -> float:
@@ -127,8 +131,12 @@ def _gaussian_mj_tail(alpha: float, j_max: int) -> float:
     return float(2.0 * first / (1.0 - ratio))
 
 
-def _poisson_spatial(alpha: float, x: np.ndarray) -> np.ndarray:
-    return alpha / (x**2 + alpha**2)
+def _poisson_spatial(
+    alpha: float, x: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    out = np.square(x, out=np.empty_like(x) if out is None else out)
+    out += alpha**2
+    return np.divide(alpha, out, out=out)
 
 
 def _poisson_spectral(alpha: float, xi: np.ndarray) -> np.ndarray:
@@ -176,12 +184,22 @@ def get_family(family_id: str) -> InterpolatorFamily:
 
 
 def phi_spatial(
-    family: InterpolatorFamily, alpha: float, x: float | np.ndarray
+    family: InterpolatorFamily,
+    alpha: float,
+    x: float | np.ndarray,
+    out: np.ndarray | None = None,
 ) -> float | np.ndarray:
-    """Evaluate the kernel ``phi_alpha`` at point(s) ``x``."""
+    """Evaluate the kernel ``phi_alpha`` at point(s) ``x``.
+
+    With `out`, a float array of the shape of `x` that may be `x` itself, the
+    values are written there and `out` is returned; the kernel allocates
+    nothing beside it but the gaussian's one boolean mask. The values are the
+    same bits either way: each entry goes through the same operations in the
+    same order.
+    """
     family.check_alpha(alpha)
-    out = family._spatial(alpha, np.asarray(x, dtype=float))
-    return float(out) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    values = family._spatial(alpha, np.asarray(x, dtype=float), out)
+    return float(values) if out is None and values.ndim == 0 else values
 
 
 def phi_spectral(

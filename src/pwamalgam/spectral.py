@@ -239,19 +239,32 @@ def l2_norm_parseval(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
 def _mirrored_columns(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """``cis(outer(x, [-xi[::-1], xi]))`` for nodes ``xi > 0`` from ``cos`` and ``sin``
     on `xi` only: ``x * (-xi)`` is ``-(x * xi)``, and numpy's ``cos`` is even and
-    ``sin`` odd bit for bit, so the mirrored half is the other's conjugate, reversed."""
+    ``sin`` odd bit for bit, so the mirrored half is the other's conjugate, reversed.
+
+    The phase is filled at most ``ROW_BLOCK`` rows at a time through two
+    contiguous float temporaries of that many rows, so its extra memory does
+    not grow with the number of points. Every ufunc acts on whole contiguous
+    arrays: a broadcast operand (as in ``np.outer``) or a strided ``.real`` or
+    ``.imag`` output makes numpy allocate hidden buffers of up to 8192
+    elements, and copying one half of the phase into the other copies its
+    source first, since both are views of one array.
+    """
     half = len(xi)
     phase = np.empty((len(x), 2 * half), dtype=complex)
-    positive = phase[:, half:]
-    angles = np.outer(x, xi)
-    np.cos(angles, out=positive.real)
-    np.sin(angles, out=positive.imag)
-    del angles
-    # The conjugate part by part: numpy copies an operand that may overlap its
-    # output, and a real part is half the size of the complex half block.
-    negative = phase[:, :half]
-    negative.real = positive.real[:, ::-1]
-    np.negative(positive.imag[:, ::-1], out=negative.imag)
+    angles = np.empty((min(len(x), ROW_BLOCK), half))
+    parts = np.empty_like(angles)  # the points, then cos, then sin
+    for start in range(0, len(x), ROW_BLOCK):
+        points = x[start : start + ROW_BLOCK]
+        rows = slice(start, start + len(points))
+        a, p = angles[: len(points)], parts[: len(points)]
+        a[...], p[...] = xi, points[:, None]  # assignment broadcasts without buffers
+        np.multiply(p, a, out=a)
+        np.cos(a, out=p)
+        phase[rows, half:].real = p
+        phase[rows, :half].real = p[:, ::-1]
+        np.sin(a, out=p)
+        phase[rows, half:].imag = p
+        phase[rows, :half].imag = np.negative(p, out=p)[:, ::-1]
     return phase
 
 

@@ -126,6 +126,30 @@ def test_gaussian_kernel_equals_plain_exp_where_normal(alpha):
         assert value.shape == () and value == (expected if expected >= TINY else 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 3.0], ids=["domain-bottom", "domain-top"])
+@pytest.mark.parametrize("family", [GAUSSIAN, POISSON], ids=["gaussian", "poisson"])
+def test_kernel_in_place_equals_kernel_into_a_new_array(family, alpha):
+    # The collocation blocks and `evaluate_J`'s difference arrays are replaced
+    # by their kernel values where they stand: `out` is `x` itself. On a grid
+    # that straddles the gaussian's cutoff, at NaN and infinite points and for
+    # 0-d input, every value keeps its bits.
+    cutoff = np.sqrt(-4.0 * alpha * _EXP_ZERO)  # |x| where the exponent is _EXP_ZERO
+    x = np.concatenate(
+        [
+            np.linspace(-2.0 * cutoff, 2.0 * cutoff, 4001),
+            cutoff + np.linspace(-2.0, 2.0, 40001),
+            [cutoff, np.nextafter(cutoff, 0.0), np.nextafter(cutoff, np.inf)],
+            [0.0, -0.0, np.inf, -np.inf, np.nan],
+        ]
+    )
+    zero_d = [np.asarray(point) for point in (0.0, 1.5, cutoff, 2.0 * cutoff, np.inf, np.nan)]
+    for points in [x, x[:44000].reshape(200, 220), *zero_d]:
+        expected = np.asarray(phi_spatial(family, alpha, points), dtype=float)
+        values = points.copy()
+        assert phi_spatial(family, alpha, values, out=values) is values
+        assert values.shape == points.shape and values.tobytes() == expected.tobytes()
+
+
 # The gaussian domain in steps of 0.25; uniform nodes at the sweep sizes
 # N = 32, 128 and 256, and perturbed N = 128 nodes as reconstruct uses them.
 ALPHAS = [0.5 + 0.25 * k for k in range(11)]

@@ -7,7 +7,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -34,6 +33,7 @@ from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.kernels import J_MAX
 from pwamalgam.metrics import quadrature_checks, truncated_signal_values
 
+from .memory import traced_peak
 from .test_config import CONFIGS
 
 GAUSSIAN = get_family("gaussian")
@@ -573,11 +573,10 @@ def test_reconstruct_sorts_points_stably(tmp_path):
     assert digest.hexdigest() == "79a3c2025d9559c4cbaae9f9d8a9c2141b44f9f2ea1f84d9e82c8b084d3efe46"
 
 
-def test_reconstruct_peak_memory_stays_below_one_mib(tmp_path):
-    # The reconstruct-n128 benchmark row at alpha = 2.5 and seed 41: 257
-    # perturbed nodes, 2561 points. The collocation matrix (0.50 MiB) is built
-    # in row blocks, and the points and outputs become Python floats a block at
-    # a time; built whole and converted whole they peaked at about 1.4 MiB.
+def traced_reconstruct(tmp_path):
+    """Exit code and traced peak of the reconstruct-n128 benchmark row at
+    alpha = 2.5 and seed 41 (257 perturbed nodes, 2561 points), run a second
+    time: the first run warms up."""
     payload = {
         "family": {"id": "gaussian"},
         "alpha_sweep": {"values": [2.5]},
@@ -586,14 +585,28 @@ def test_reconstruct_peak_memory_stays_below_one_mib(tmp_path):
     }
     args = ["reconstruct", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]
     assert run_cli(args)[0] == 0  # warm
-    tracemalloc.start()
-    try:
-        code = run_cli(args)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    codes = []
+    peak = traced_peak(lambda: codes.append(run_cli(args)[0]))
+    return codes[0], peak
+
+
+def test_reconstruct_peak_memory_stays_below_one_mib(tmp_path):
+    # The collocation matrix (0.50 MiB) is built in row blocks, and the points
+    # and outputs become Python floats a block at a time; built whole and
+    # converted whole they peaked at about 1.4 MiB.
+    code, peak = traced_reconstruct(tmp_path)
     assert code == 0 and len(json_rows(tmp_path / "reconstruction.json")) == 2561
     assert peak <= 2**20
+
+
+def test_reconstruct_peak_memory_is_the_sampling_of_its_grid(tmp_path):
+    # The collocation blocks take their kernel values in place, so the peak is
+    # the `band_inverse` of the 2561-point grid (0.64 MiB), not the build. With
+    # each block's differences, exponent and masks beside the matrix it read
+    # 0.75 MiB.
+    code, peak = traced_reconstruct(tmp_path)
+    assert code == 0
+    assert peak <= 0.70 * 2**20
 
 
 def test_reconstruct_empty_points(tmp_path):
@@ -617,12 +630,7 @@ def test_rows_are_written_without_the_whole_text(tmp_path):
     )
     f, J = f_re + 1j * f_im, j_re + 1j * j_im
     path = tmp_path / "reconstruction.json"
-    tracemalloc.start()
-    try:
-        _write_points(path, xs, f, J, error)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: _write_points(path, xs, f, J, error))
     assert len(json_rows(path)) == 2561
     assert peak < path.stat().st_size
     encoder = json.JSONEncoder(sort_keys=True)

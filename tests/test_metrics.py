@@ -1,7 +1,6 @@
 """Interior-window error functionals and the alpha sweep."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +33,8 @@ from pwamalgam.metrics import (
     truncated_signal_values,
     window_quadrature,
 )
+
+from .memory import traced_peak
 
 GAUSSIAN = get_family("gaussian")
 
@@ -284,12 +285,7 @@ def test_error_report_peak_memory_is_one_transform_block():
     item = np.dtype(complex).itemsize
     block_bytes = engine.ROW_BLOCK * len(target.xq) * item
     modulated_bytes = len(target.xq) * (2 * (4 + J_MARGIN) + 1) * item
-    tracemalloc.start()
-    try:
-        error_report(approx, target)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: error_report(approx, target))
     assert peak <= 1.5 * block_bytes + 2 * modulated_bytes
 
 
@@ -305,12 +301,7 @@ def test_sweep_frees_each_approximant_before_the_next_solve():
 
     def peak(alphas):
         sweep(signal, GAUSSIAN, alphas, nodes, grid, x_grid, 4)  # warm
-        tracemalloc.start()
-        try:
-            sweep(signal, GAUSSIAN, alphas, nodes, grid, x_grid, 4)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return traced_peak(lambda: sweep(signal, GAUSSIAN, alphas, nodes, grid, x_grid, 4))
 
     assert peak([1.25, 2.5]) <= peak([2.5]) + 10 * 1024
 
