@@ -298,8 +298,10 @@ def _parse_eval_points(text: str) -> list[float]:
         points = [float(t) for t in items]
     except ValueError as exc:
         raise ConfigError(f"--eval-points must be comma-separated reals: {exc}") from exc
-    if not all(map(math.isfinite, points)):
-        raise ConfigError(f"--eval-points must be finite, got {text!r}")
+    # Within 2**53, the bound on nodes.N, every quantity the run forms (x**2,
+    # 2*pi*m*x, pi*x/2) is finite; the comparison also fails for NaN.
+    if not all(abs(x) <= 2**53 for x in points):
+        raise ConfigError(f"--eval-points must be finite and within 2**53 of 0, got {text!r}")
     return points
 
 

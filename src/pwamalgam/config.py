@@ -8,9 +8,10 @@ silently override the first. Validation messages name the violated rule
 
 ``alpha_sweep`` is one explicit list ``{values: [...]}``, strictly
 ascending, since the convergence claim reads ``J_alpha f`` along increasing
-``alpha``. A family's ``alpha`` domain, the error-accounting band cap
-(``metrics.J_MARGIN`` bands beyond ``M_max``) and the output tables (CSV and
-JSON) are fixed, not settings.
+``alpha``. A family's ``alpha`` domain, the reconstructed bands
+(``M_max`` = 4) and the points per band (``K`` = 256), the error-accounting
+band cap (``metrics.J_MARGIN`` bands beyond ``M_max``) and the output tables
+(CSV and JSON) are fixed, not settings.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from .errors import ConfigError
 from .kernels import InterpolatorFamily, get_family
@@ -121,11 +122,6 @@ _KEYS: tuple[tuple, ...] = (
     ),
     ("nodes", "seed", "nodes_seed", _as_int, 0, _at_least(0)),
     ("nodes", "symmetric", "nodes_symmetric", _as_bool, True),
-    ("bands", "M_max", "m_max", _as_int, 4, _at_least(0)),
-    (
-        "bands", "points_per_band", "points_per_band", _as_int, 256, _at_least(32),
-        (lambda v, c: v % 2 == 0, "{name} must be even (two quadrature panels)"),
-    ),
     ("signal", "id", "signal_id", _one_of(*_SIGNAL_IDS), "gauss_pair"),
     (
         "spatial", "T_int", "t_int", _as_number, lambda c: c["nodes_N"] / 2.0, _POSITIVE,
@@ -152,12 +148,16 @@ class ExperimentConfig:
     nodes_d: float
     nodes_seed: int
     nodes_symmetric: bool
-    m_max: int
-    points_per_band: int
     signal_id: str
     t_int: float
     density: int
     out_directory: str
+
+    # Every study reconstructs the bands |m| <= M_max on a K-point grid per
+    # band and books the rest as `tail_slack_f`: discretization constants,
+    # not settings. The library's functions take other values.
+    m_max: ClassVar[int] = 4
+    points_per_band: ClassVar[int] = 256
 
     def alpha_values(self) -> list[float]:
         """The sweep, strictly ascending."""

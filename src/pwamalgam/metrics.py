@@ -133,8 +133,8 @@ def truncated_signal_values(
 @dataclass(frozen=True)
 class Target:
     """What an approximant is measured against: the band-truncated signal
-    `values` at `points`, the window quadrature nodes `xq` and then the
-    spatial grid, and its tail ``tail_f`` beyond ``m_max``.
+    `values` at `points`, the window quadrature nodes (one per weight of
+    `wq`) and then the spatial grid, and its tail ``tail_f`` beyond ``m_max``.
 
     It does not depend on ``alpha``, so `sweep` builds it once and measures
     every approximant against it.
@@ -143,7 +143,6 @@ class Target:
     signal: TestSignal
     grid: FrequencyGrid
     m_max: int
-    xq: np.ndarray
     wq: np.ndarray
     points: np.ndarray
     values: np.ndarray
@@ -160,7 +159,6 @@ def measurement_target(
         signal=signal,
         grid=grid,
         m_max=m_max,
-        xq=points[: len(xq)],
         wq=wq,
         points=points,
         values=truncated_signal_values(signal, grid, m_max, points),
@@ -238,10 +236,9 @@ def _finish(
     ``j_cap`` that the bound side weighs are built once for every alpha. A
     failed row, which has no residual, passes through."""
     grid, j_cap = target.grid, target.m_max + J_MARGIN
+    xq = target.points[: len(target.wq)]
     residuals = [weighted for weighted, _ in measured if weighted is not None]
-    transforms = iter(
-        band_forward(np.array(residuals), target.xq, grid, j_cap) if residuals else ()
-    )
+    transforms = iter(band_forward(np.array(residuals), xq, grid, j_cap) if residuals else ())
     bands = signal_spectrum(target.signal, grid, j_cap)
     reports = []
     for weighted, report in measured:

@@ -65,8 +65,6 @@ class FrequencyGrid:
 
     Parameters
     ----------
-    points_per_band : int
-        Total number of quadrature nodes ``K``.
     nodes : np.ndarray
         Strictly increasing abscissae in ``(-pi, pi)``, exact mirrors:
         ``nodes == -nodes[::-1]``.
@@ -75,15 +73,12 @@ class FrequencyGrid:
         ``weights == weights[::-1]``.
     """
 
-    points_per_band: int
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.nodes.shape != (self.points_per_band,) or self.weights.shape != (
-            self.points_per_band,
-        ):
-            raise ContractError("grid arrays must have length points_per_band")
+        if self.nodes.ndim != 1 or self.weights.shape != self.nodes.shape:
+            raise ContractError("grid nodes and weights must be 1-D and of one length")
         if not np.all(np.diff(self.nodes) > 0):
             raise ContractError("grid nodes must be strictly increasing")
         # `band_inverse` and `band_forward` build the phases of the negative
@@ -100,6 +95,11 @@ class FrequencyGrid:
         total = float(np.sum(self.weights))
         if abs(total - TWO_PI) > 1e-12 * TWO_PI:
             raise ContractError("grid weights must sum to 2*pi")
+
+    @property
+    def points_per_band(self) -> int:
+        """The number of quadrature nodes ``K``."""
+        return len(self.nodes)
 
 
 def gauss_legendre(
@@ -135,7 +135,7 @@ def frequency_grid(points_per_band: int) -> FrequencyGrid:
     if points_per_band <= 0 or points_per_band % 2 != 0:
         raise ContractError("points_per_band must be positive and even")
     nodes, weights = gauss_legendre(np.pi, 2, points_per_band // 2)
-    return FrequencyGrid(points_per_band=points_per_band, nodes=nodes, weights=weights)
+    return FrequencyGrid(nodes=nodes, weights=weights)
 
 
 def halved_panels(grid: FrequencyGrid) -> FrequencyGrid:
@@ -152,7 +152,6 @@ def halved_panels(grid: FrequencyGrid) -> FrequencyGrid:
     nodes = np.concatenate([0.5 * positive, 0.5 * (positive + np.pi)])
     weights = np.tile(0.5 * grid.weights[half:], 2)
     return FrequencyGrid(
-        points_per_band=2 * grid.points_per_band,
         nodes=np.concatenate([-nodes[::-1], nodes]),
         weights=np.concatenate([weights[::-1], weights]),
     )

@@ -536,7 +536,7 @@ def test_band_forward_on_stacked_rows_equals_one_call_per_row():
     signal = get_signal("gauss_pair")
     nodes = uniform_nodes(256)
     target = measurement_target(signal, GRID, spatial_grid(16.0, 20), 4)
-    assert np.array_equal(target.xq, WINDOW)
+    assert np.array_equal(target.points[: len(target.wq)], WINDOW)
     rows = np.array(
         [
             target.wq

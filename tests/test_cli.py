@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -42,7 +43,6 @@ SMALL_SWEEP = {
     "family": {"id": "gaussian"},
     "alpha_sweep": {"values": [0.75, 1.25]},
     "nodes": {"N": 16, "d": 0.0, "seed": 0, "symmetric": True},
-    "bands": {"M_max": 2, "points_per_band": 128},
     "signal": {"id": "gauss_pair"},
     "spatial": {"T_int": 8.0, "density": 10},
     "output": {"directory": "."},
@@ -124,7 +124,6 @@ MIRROR_RUNS = {
             "family": {"id": "poisson"},
             "alpha_sweep": {"values": [8.0, 16.0]},
             "nodes": {"N": 32},
-            "bands": {"M_max": 1, "points_per_band": 128},
         },
         1,
     ),
@@ -179,9 +178,10 @@ REMOVED_KEYS = [
     [
         {"parallel": {"workers": 1}},
         {"tolerances": {"solver": 1e-8, "quadrature_refinement": 2}},
-        *({name: {**SMALL_SWEEP[name], key: value}} for name, key, value in REMOVED_KEYS),
+        {"bands": {"M_max": 4, "points_per_band": 256}},
+        *({name: {**SMALL_SWEEP.get(name, {}), key: value}} for name, key, value in REMOVED_KEYS),
     ],
-    ids=["parallel", "tolerances", *(key for _, key, _ in REMOVED_KEYS)],
+    ids=["parallel", "tolerances", "bands", *(key for _, key, _ in REMOVED_KEYS)],
 )
 def test_removed_section_exits_2(tmp_path, section):
     # Configs written while these sections or keys existed must stop, not run
@@ -318,7 +318,6 @@ def test_solver_breakdown_rows_exit_1(tmp_path):
         "family": {"id": "poisson"},
         "alpha_sweep": {"values": [8.0, 16.0]},
         "nodes": {"N": 32},
-        "bands": {"M_max": 1, "points_per_band": 128},
         "spatial": {"T_int": 8.0, "density": 10},
     }
     cfg = write_config(tmp_path, payload)
@@ -348,7 +347,6 @@ def test_perturbed_breakdown_row_carries_inf(tmp_path):
         "family": {"id": "poisson"},
         "alpha_sweep": {"values": [8.0, 16.0]},
         "nodes": {"N": 16, "d": 0.2, "seed": 3, "symmetric": False},
-        "bands": {"M_max": 1, "points_per_band": 128},
     }
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "run"
@@ -368,7 +366,6 @@ def test_precision_limited_rows_still_exit_0(tmp_path):
         **SMALL_SWEEP,
         "alpha_sweep": {"values": [2.5, 3.0]},
         "nodes": {"N": 32},
-        "bands": {"M_max": 1, "points_per_band": 128},
     }
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "run"
@@ -390,7 +387,6 @@ def test_precision_limited_rows_leave_monotone_checks(tmp_path):
         "family": {"id": "poisson"},
         "alpha_sweep": {"values": [4.0, 8.0, 12.0]},
         "nodes": {"N": 32},
-        "bands": {"M_max": 2},
         "spatial": {"T_int": 8.0},
     }
     cfg = write_config(tmp_path, payload)
@@ -478,7 +474,6 @@ def test_list_signals():
 RECONSTRUCT_BASE = {
     "family": {"id": "gaussian"},
     "nodes": {"N": 32},
-    "bands": {"M_max": 2, "points_per_band": 128},
     "output": {"directory": "."},
 }
 
@@ -511,7 +506,6 @@ def test_reconstruct_pointwise_error_shrinks_with_alpha(tmp_path):
             **RECONSTRUCT_BASE,
             "alpha_sweep": {"values": [alpha]},
             "signal": {"id": "gauss_pair"},
-            "bands": {"M_max": 4, "points_per_band": 256},
         }
         cfg = write_config(tmp_path, payload, f"rec_{alpha}.json")
         out = tmp_path / f"run_{alpha}"
@@ -570,7 +564,7 @@ def test_reconstruct_sorts_points_stably(tmp_path):
         xs = [row["x"] for row in json_rows(out / "reconstruction.json")]
         assert xs == [0.0, 0.0, 0.5] and [math.copysign(1, x) for x in xs] == signs
     digest = hashlib.sha256((tmp_path / "run0" / "reconstruction.json").read_bytes())
-    assert digest.hexdigest() == "79a3c2025d9559c4cbaae9f9d8a9c2141b44f9f2ea1f84d9e82c8b084d3efe46"
+    assert digest.hexdigest() == "e2243746b3938b695c08c56e6abd7a074409ce823125c36214499ad960481d8b"
 
 
 def traced_reconstruct(tmp_path):
@@ -692,16 +686,33 @@ def test_reconstruct_rejects_multi_alpha_and_bad_points(tmp_path):
 
 def test_reconstruct_rejects_non_finite_points(tmp_path):
     # NaN and infinity parse as floats, but would write invalid JSON tokens
-    # and drop out of the manifest's max_pointwise_error.
+    # and drop out of the manifest's max_pointwise_error. From |x| of about
+    # 7.2e306 the phase 2*pi*m*x of the |m| = 4 bands overflows, and at
+    # 1.7e308 so does np.sinc's pi*x: those wrote NaN values and exited 0.
     cfg = write_config(tmp_path, {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}})
-    for i, points in enumerate(["0,nan,inf,0.4", "-Infinity", "0.2,NaN"]):
+    for i, points in enumerate(
+        ["0,nan,inf,0.4", "-Infinity", "0.2,NaN", "3e307", "0,1.7e308", "-1e16"]
+    ):
         out = tmp_path / f"run{i}"
         code, _, err = run_cli(
             ["reconstruct", "--config", cfg, "--out", str(out), f"--eval-points={points}"]
         )
         assert code == 2
-        assert "eval-points must be finite" in err
+        assert "eval-points must be finite and within 2**53 of 0" in err
         assert not out.exists()
+
+
+def test_reconstruct_values_stay_finite_up_to_2_to_53(tmp_path):
+    gauss_pair = write_config(tmp_path, {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}})
+    tri_band = str(next(p for p in CONFIGS if p.stem == "reconstruct_tri_band"))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in (gauss_pair, tri_band):
+            args = ["reconstruct", "--config", cfg, "--out", str(out)]
+            assert run_cli([*args, f"--eval-points={-(2**53)},{2**53}"])[0] == 0
+            rows = json_rows(out / "reconstruction.json")
+            assert all(math.isfinite(v) for row in rows for v in (*row["f"], *row["J"]))
 
 
 def test_reconstruct_complex_signal_reports_both_parts(tmp_path):
@@ -809,7 +820,7 @@ def test_drift_is_rounding_on_every_committed_config(path):
 
 
 def test_drift_flags_an_under_resolved_grid():
-    # Eight nodes per band, below what a config accepts, cannot resolve
+    # Eight nodes per band, far below the studies' 256, cannot resolve
     # gauss_pair: the refined grid moves its amalgam norm by about 2e-3.
     config = parse_config({"signal": {"id": "gauss_pair"}})
     checks = quadrature_checks(config.make_signal(), frequency_grid(8), config.m_max)

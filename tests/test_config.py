@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwamalgam import ConfigError, load_config, parse_config
+from pwamalgam import ConfigError, ExperimentConfig, load_config, parse_config
 
 
 def test_empty_config_gets_full_defaults():
@@ -15,12 +15,20 @@ def test_empty_config_gets_full_defaults():
     assert config.nodes_N == 32
     assert config.nodes_d == 0.0
     assert config.nodes_symmetric is True
-    assert config.m_max == 4
-    assert config.points_per_band == 256
     assert config.signal_id == "gauss_pair"
     assert config.t_int == 16.0
     assert config.density == 20
     assert config.alpha_values() == [0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5]
+
+
+def test_bands_are_constants_not_settings():
+    # What bench/oracle.py reads of a config: M_max and the K-point grid.
+    assert ExperimentConfig.m_max == 4
+    assert len(parse_config({}).make_grid().nodes) == 256
+    # A `bands` section, even one spelling these values, is an unknown key.
+    for bands in ({}, {"M_max": 4, "points_per_band": 256}, {"points_per_band": 16}):
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['bands'\] in 'config'"):
+            parse_config({"bands": bands})
 
 
 # Every key of every section set away from its default.
@@ -28,7 +36,6 @@ NON_DEFAULT = {
     "family": {"id": "poisson"},
     "alpha_sweep": {"values": [1.0, 2.0, 4.0]},
     "nodes": {"N": 16, "d": 0.1, "seed": 3, "symmetric": False},
-    "bands": {"M_max": 2, "points_per_band": 64},
     "signal": {"id": "two_band"},
     "spatial": {"T_int": 6.5, "density": 7},
     "output": {"directory": "runs/x"},
@@ -42,7 +49,6 @@ def test_echo_round_trips():
     assert (config.family_id, config.alpha_values()) == ("poisson", [1.0, 2.0, 4.0])
     assert (config.nodes_N, config.nodes_d, config.nodes_seed) == (16, 0.1, 3)
     assert config.nodes_symmetric is False
-    assert (config.m_max, config.points_per_band) == (2, 64)
     assert (config.signal_id, config.t_int, config.density) == ("two_band", 6.5, 7)
     assert config.out_directory == "runs/x"
 
@@ -52,7 +58,6 @@ def test_default_echo_is_complete():
         "family": {"id": "gaussian"},
         "alpha_sweep": {"values": [0.75, 1.0, 1.25, 1.5, 1.75, 2.0, 2.25, 2.5]},
         "nodes": {"N": 32, "d": 0.0, "seed": 0, "symmetric": True},
-        "bands": {"M_max": 4, "points_per_band": 256},
         "signal": {"id": "gauss_pair"},
         "spatial": {"T_int": 16.0, "density": 20},
         "output": {"directory": "."},
@@ -74,7 +79,6 @@ def test_unknown_keys_rejected_everywhere():
         "family",
         "alpha_sweep",
         "nodes",
-        "bands",
         "signal",
         "spatial",
         "output",
@@ -145,11 +149,7 @@ def test_alpha_domain_checked_at_config_time():
     parse_config({"family": {"id": "poisson"}, "alpha_sweep": {"values": [5.0]}})
 
 
-def test_band_and_spatial_constraints():
-    with pytest.raises(ConfigError):
-        parse_config({"bands": {"points_per_band": 16}})  # too coarse
-    with pytest.raises(ConfigError):
-        parse_config({"bands": {"points_per_band": 33}})  # odd
+def test_spatial_window_stays_inside_the_nodes():
     with pytest.raises(ConfigError, match="interior"):
         parse_config({"nodes": {"N": 16}, "spatial": {"T_int": 9.0}})
     parse_config({"nodes": {"N": 16}, "spatial": {"T_int": 8.0}})
@@ -174,14 +174,12 @@ def test_builders_produce_consistent_objects():
     config = parse_config(
         {
             "nodes": {"N": 8, "d": 0.1, "seed": 5, "symmetric": True},
-            "bands": {"M_max": 2, "points_per_band": 64},
             "spatial": {"T_int": 3.0, "density": 4},
         }
     )
     nodes = config.make_nodes()
     assert nodes.count == 17
     assert np.array_equal(nodes.values[::-1], -nodes.values)
-    assert config.make_grid().points_per_band == 64
     assert config.make_spatial_grid().extent == 3.0
     assert config.make_signal().signal_id == "gauss_pair"
     assert config.make_family().family_id == "gaussian"

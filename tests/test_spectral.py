@@ -64,11 +64,22 @@ def test_frequency_grid_is_an_exact_mirror(points):
 def test_grid_rejects_a_grid_that_is_no_mirror():
     grid = frequency_grid(256)
     with pytest.raises(ContractError, match="mirror"):
-        FrequencyGrid(256, grid.nodes + 1e-6, grid.weights)
+        FrequencyGrid(grid.nodes + 1e-6, grid.weights)
     weights = grid.weights.copy()
     weights[[0, 1]] += [1e-9, -1e-9]
     with pytest.raises(ContractError, match="mirror"):
-        FrequencyGrid(256, grid.nodes, weights)
+        FrequencyGrid(grid.nodes, weights)
+
+
+def test_grid_takes_its_size_from_its_nodes():
+    grid = frequency_grid(64)
+    assert grid.points_per_band == len(grid.nodes) == 64
+    for nodes, weights in (
+        (grid.nodes, grid.weights[1:-1]),
+        (grid.nodes[None], grid.weights[None]),
+    ):
+        with pytest.raises(ContractError, match="1-D and of one length"):
+            FrequencyGrid(nodes, weights)
 
 
 @pytest.mark.parametrize("points", [2, 8, 64, 256, 300])
