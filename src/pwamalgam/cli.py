@@ -25,13 +25,19 @@ runs with the same config produce byte-identical tables. The JSON data files
 (``regularity.json``, ``convergence.json``, ``reconstruction.json``) hold a
 JSON array with one object per line, keys sorted. ``manifest.json`` is
 indented; it records the normalized config echo, library version,
-timestamp, environment (Python, numpy and scipy versions, and the BLAS
-libraries of numpy and of scipy), file listing, run-level checks and the
+timestamp, environment (Python, numpy and scipy versions, the BLAS
+libraries of numpy and of scipy, and ``git_revision``, the commit of the
+source checkout or null outside one), file listing, run-level checks and the
 wall seconds of three stages under ``timings``: ``build`` (config and
 inputs), ``compute`` (the certificates, the sweep, or the reconstruction and
 its evaluation, plus the run checks) and ``write`` (the data files; the
 manifest itself is not timed). It is written exactly when the run
 completes, whether clean or with flagged rows.
+
+`main` may be called any number of times in one process. One parser,
+built by the first call, serves every call, and each call runs the
+``cmd_<command>`` function that the module holds when it runs; a call leaves
+no parser behind for the cyclic collector.
 
 The checks are decided beside their numbers: those of ``verify-family`` by
 `kernels.regularity_checks` (``precision_boundary_alpha`` is the ``alpha``
@@ -197,15 +203,44 @@ def _blas_name(show_config: Callable[..., object]) -> str:
         return "unknown"
 
 
+# The checkout that holds this package's source: ``<root>/src/pwamalgam``.
+_SOURCE_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _git_revision(root: Path) -> str | None:
+    """The commit that ``HEAD`` of the repository ``<root>/.git`` names, read
+    from its files (a ``ref:`` is followed into its ref file or
+    ``packed-refs``; a detached ``HEAD`` holds the sha itself), or None where
+    there is no such repository or the ref has no commit. No ``git`` process
+    runs: it would cost milliseconds per call."""
+    git = root / ".git"
+    try:
+        head = (git / "HEAD").read_text(encoding="utf-8").strip()
+        if not head.startswith("ref: "):
+            return head
+        ref = head.removeprefix("ref: ")
+        if (git / ref).is_file():
+            return (git / ref).read_text(encoding="utf-8").strip()
+        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return sha
+    except OSError:
+        pass
+    return None
+
+
 def _environment() -> dict:
-    """Interpreter and library versions, the BLAS numpy was built against, and
-    the one scipy bundles, in which the Cholesky factorizations and solves run."""
+    """Interpreter and library versions, the BLAS numpy was built against, the
+    one scipy bundles, in which the Cholesky factorizations and solves run, and
+    the git revision of the source checkout (null outside one)."""
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": _blas_name(np.show_config),
         "scipy_blas": _blas_name(scipy.show_config),
+        "git_revision": _git_revision(_SOURCE_ROOT),
     }
 
 
@@ -353,20 +388,32 @@ def cmd_list_signals(args: argparse.Namespace) -> int:
     return 0
 
 
+# The parser, built by the first `build_parser` call and shared by every later
+# one: a parser is 161 objects in reference cycles (32 KB) that only the cyclic
+# collector frees, so one per call would leave them behind on every call.
+_PARSER: argparse.ArgumentParser | None = None
+
+_COMMANDS = (
+    ("verify-family", "certify interpolator regularity over an alpha sweep"),
+    ("sweep", "run a reconstruction error sweep"),
+    ("reconstruct", "evaluate the approximant pointwise"),
+    ("list-signals", "print the builtin signal catalog"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and returned by every
+    later one. It holds no command function: `main` looks up ``cmd_<command>``
+    when the call runs."""
+    global _PARSER
+    if _PARSER is not None:
+        return _PARSER
     parser = argparse.ArgumentParser(
         prog="pwamalgam",
         description="Band-decomposition reconstruction experiments with regular interpolators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    specs = [
-        ("verify-family", cmd_verify_family, "certify interpolator regularity over an alpha sweep"),
-        ("sweep", cmd_sweep, "run a reconstruction error sweep"),
-        ("reconstruct", cmd_reconstruct, "evaluate the approximant pointwise"),
-        ("list-signals", cmd_list_signals, "print the builtin signal catalog"),
-    ]
-    for name, func, help_text in specs:
+    for name, help_text in _COMMANDS:
         cmd = sub.add_parser(name, help=help_text)
         if name != "list-signals":
             cmd.add_argument("--config", required=True, help="path to the JSON config")
@@ -379,14 +426,15 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="comma-separated x values; defaults to the interior spatial grid",
             )
-        cmd.set_defaults(func=func)
+    _PARSER = parser
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, DomainError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -336,7 +336,10 @@ def inverse_ft_at(
     Computes ``sum_m e^{2 pi i m x} g_m(x)`` from the `band_inverse` rows,
     with the fixed summation order ascending m then ascending k. All-zero
     bands are skipped: their terms are exact zeros, which leave every sum as
-    it was. A NaN or infinite point raises `ContractError`.
+    it was. The result is allocated only once `band_inverse` has returned its
+    rows, so no array the length of `x` stands beside a phase block, and the
+    call peaks where `band_inverse` does. A NaN or infinite point raises
+    `ContractError`.
 
     Returns
     -------
@@ -346,11 +349,11 @@ def inverse_ft_at(
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(xs)):
         raise ContractError("evaluation points must be finite, not NaN or infinite")
-    out = np.zeros(xs.shape, dtype=complex)
     rows = [i for i, band in enumerate(spectrum.values) if np.any(band)]  # ascending m
-    if rows:
-        for i, g_m in zip(rows, band_inverse(spectrum.values[rows], grid, xs)):
-            out += cis(TWO_PI * (i - spectrum.m_max) * xs) * g_m
+    pieces = band_inverse(spectrum.values[rows], grid, xs) if rows else ()
+    out = np.zeros(xs.shape, dtype=complex)
+    for i, g_m in zip(rows, pieces):
+        out += cis(TWO_PI * (i - spectrum.m_max) * xs) * g_m
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(out[0])
     return out

@@ -298,6 +298,20 @@ def test_band_inverse_peak_memory_is_its_output_and_a_few_phase_blocks():
     assert peak <= out_bytes + 1.75 * block_bytes
 
 
+def test_inverse_ft_at_peak_memory_is_that_of_its_band_rows():
+    # The reconstruct study's inversion: two_band (2 of 9 bands non-empty) on
+    # its 2561-point spatial grid. The result is allocated after
+    # `band_inverse` returns, so no array of the points' length stands beside
+    # a phase block. Allocated first, it peaked 41,088 B above.
+    grid = frequency_grid(256)
+    spectrum = signal_spectrum(get_signal("two_band"), grid, 4)
+    x = spatial_grid(64.0, 20).points
+    rows = [i for i, band in enumerate(spectrum.values) if np.any(band)]
+    assert len(rows) == 2
+    inverse_peak = traced_peak(lambda: band_inverse(spectrum.values[rows], grid, x))
+    assert traced_peak(lambda: inverse_ft_at(spectrum, grid, x)) <= inverse_peak + 1024
+
+
 @pytest.mark.parametrize(
     "points, half, bound", [(64, 128, 1.6), (928, 32, 1.4)], ids=["64x128", "928x32"]
 )
