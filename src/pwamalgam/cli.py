@@ -10,7 +10,8 @@ sweep
     ``convergence.json``.
 reconstruct
     Pointwise values of the approximant at chosen points; writes
-    ``reconstruction.json`` (a JSON array ordered by x).
+    ``reconstruction.json`` (a JSON array ordered by x, of finite numbers
+    only: a NaN or inf is a contract error and leaves no file).
 list-signals
     Print the builtin signal catalog.
 
@@ -121,50 +122,41 @@ def _write_json(path: Path, payload: object) -> None:
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _write_rows(path: Path, count: int, block_texts: Callable[[slice], list[str]]) -> None:
+def _write_rows(path: Path, count: int, block_text: Callable[[slice], str]) -> None:
     """Write a data table of `count` rows as a JSON array with one object per
-    line. `block_texts` gives the encoded rows of one `row_blocks` block, and
-    each block is written before the next is asked for: the text of the whole
-    table never exists at once."""
+    line. `block_text` gives the encoded rows of one `row_blocks` block,
+    joined by ``",\\n"``, and each block is written before the next is asked
+    for: the text of the whole table never exists at once."""
     with _output(path) as handle:
         separator = "[\n"
         for rows in row_blocks(count):
             handle.write(separator)
-            handle.write(",\n".join(block_texts(rows)))
+            handle.write(block_text(rows))
             separator = ",\n"
         handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
-def _float_text(value: float) -> str:
-    """`value` as `json` spells it: ``repr``, or NaN, Infinity or -Infinity."""
-    if math.isfinite(value):
-        return float.__repr__(value)
-    if math.isnan(value):
-        return "NaN"
-    return "Infinity" if value > 0 else "-Infinity"
-
-
-def _float_texts(column: np.ndarray) -> list[str]:
-    """`_float_text` of each value of a float array, in one pass."""
-    spell = float.__repr__ if np.isfinite(column).all() else _float_text
-    return list(map(spell, column.tolist()))
-
-
 # A point of ``reconstruction.json``, keys sorted as `_ROW_ENCODER` sorts them.
-_POINT = '{{"J": [{}, {}], "error": {}, "f": [{}, {}], "x": {}}}'.format
+# ``%r`` of a float is ``float.__repr__``, the spelling `json` gives a finite
+# float.
+_POINT = '{"J": [%r, %r], "error": %r, "f": [%r, %r], "x": %r}'
 
 
 def _write_points(
     path: Path, xs: np.ndarray, f_vals: np.ndarray, j_vals: np.ndarray, errors: np.ndarray
 ) -> None:
-    """Write ``reconstruction.json``: one `_POINT` per x, spelled from one
-    pass of `_float_texts` per column and block, with no row dict."""
+    """Write ``reconstruction.json``: each block one ``%`` of `_POINT` repeated
+    once per x, with no row dict. The file holds finite numbers only: a NaN or
+    an infinity raises `ContractError` before the file is opened."""
     columns = (j_vals.real, j_vals.imag, errors, f_vals.real, f_vals.imag, xs)
+    if not all(np.isfinite(column).all() for column in columns):
+        raise ContractError("reconstruction.json holds finite numbers only, not NaN or inf")
 
-    def block_texts(rows: slice) -> list[str]:
-        return list(map(_POINT, *(_float_texts(column[rows]) for column in columns)))
+    def block_text(rows: slice) -> str:
+        values = np.stack([column[rows] for column in columns], axis=1)
+        return ",\n".join([_POINT] * len(values)) % tuple(values.ravel().tolist())
 
-    _write_rows(path, len(xs), block_texts)
+    _write_rows(path, len(xs), block_text)
 
 
 def _columns(report: object) -> dict[str, object]:
@@ -190,7 +182,7 @@ def _write_table(outdir: Path, stem: str, reports: list) -> list[str]:
     texts = [
         _ROW_ENCODER.encode({name: _jsonable(v) for name, v in row.items()}) for row in rows
     ]
-    _write_rows(outdir / f"{stem}.json", len(texts), texts.__getitem__)
+    _write_rows(outdir / f"{stem}.json", len(texts), lambda rows: ",\n".join(texts[rows]))
     return [f"{stem}.csv", f"{stem}.json"]
 
 
@@ -208,20 +200,29 @@ _SOURCE_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _git_revision(root: Path) -> str | None:
-    """The commit that ``HEAD`` of the repository ``<root>/.git`` names, read
-    from its files (a ``ref:`` is followed into its ref file or
-    ``packed-refs``; a detached ``HEAD`` holds the sha itself), or None where
-    there is no such repository or the ref has no commit. No ``git`` process
-    runs: it would cost milliseconds per call."""
+    """The commit that ``HEAD`` of the repository at `root` names, read from
+    its files, or None where there is no such repository or the ref has no
+    commit. In a worktree or submodule checkout ``<root>/.git`` is a file
+    whose ``gitdir:`` line, absolute or relative to `root`, names the git
+    directory; refs are read from the directory its ``commondir`` file
+    names, or from the git directory itself when there is none. A ``ref:``
+    is followed into its ref file or ``packed-refs``; a detached ``HEAD``
+    holds the sha itself. No ``git`` process runs: it would cost
+    milliseconds per call."""
     git = root / ".git"
     try:
+        if git.is_file():
+            git = root / git.read_text(encoding="utf-8").strip().removeprefix("gitdir: ")
         head = (git / "HEAD").read_text(encoding="utf-8").strip()
         if not head.startswith("ref: "):
             return head
+        common = git
+        if (git / "commondir").is_file():
+            common = git / (git / "commondir").read_text(encoding="utf-8").strip()
         ref = head.removeprefix("ref: ")
-        if (git / ref).is_file():
-            return (git / ref).read_text(encoding="utf-8").strip()
-        for line in (git / "packed-refs").read_text(encoding="utf-8").splitlines():
+        if (common / ref).is_file():
+            return (common / ref).read_text(encoding="utf-8").strip()
+        for line in (common / "packed-refs").read_text(encoding="utf-8").splitlines():
             sha, _, name = line.partition(" ")
             if name == ref:
                 return sha

@@ -7,8 +7,14 @@ exterior unrepresentative: the bi-infinite coefficient sequence carries
 slowly decaying mass beyond the node window that grows with alpha, so global
 spectral functionals of the truncated approximant are dominated by window
 effects rather than by the interpolation method. Windowed functionals track
-the method itself; the restriction is part of the measurement contract and
-interior-window stability under node-set growth is a tested property.
+the method itself once the node set reaches well beyond the window; the
+restriction is part of the measurement contract and interior-window
+stability under node-set growth is a tested property. The node truncation
+still shows inside the window at large alpha: with the same window,
+``sweep_gauss_pair`` at N=32 reads ``amalgam_error`` +27.7%, ``l2_error``
++27.1% and ``sup_error`` +35.0% above N=128 at alpha 2.5, against +5.4%
+(``amalgam_error``) at 1.75 and +0.01% at 0.75. ROADMAP item 13 accounts for
+it.
 
 Concretely, the residual is evaluated on a phase-resolved composite
 Gauss-Legendre grid over the window, its band spectra come from the windowed

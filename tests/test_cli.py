@@ -32,8 +32,6 @@ from pwamalgam import (
 )
 from pwamalgam.cli import (
     _SOURCE_ROOT,
-    _float_text,
-    _float_texts,
     _git_revision,
     _write_points,
     main,
@@ -518,6 +516,34 @@ def test_git_revision_reads_packed_refs_and_a_detached_head(tmp_path):
     assert _git_revision(tmp_path) == "a" * 40
 
 
+def test_git_revision_follows_the_gitdir_of_a_worktree_or_submodule(tmp_path):
+    # A worktree: ".git" is a file naming its git directory relative to the
+    # checkout, whose "commondir" leads to the refs of the main repository.
+    sha = "0123456789abcdef0123456789abcdef01234567"
+    common = tmp_path / "main" / ".git"
+    (common / "refs" / "heads").mkdir(parents=True)
+    (common / "refs" / "heads" / "main").write_text(f"{sha}\n", encoding="utf-8")
+    gitdir = common / "worktrees" / "wt"
+    gitdir.mkdir(parents=True)
+    (gitdir / "commondir").write_text("../..\n", encoding="utf-8")
+    (gitdir / "HEAD").write_text("ref: refs/heads/main\n", encoding="utf-8")
+    checkout = tmp_path / "wt"
+    checkout.mkdir()
+    (checkout / ".git").write_text("gitdir: ../main/.git/worktrees/wt\n", encoding="utf-8")
+    assert _git_revision(checkout) == sha
+    (gitdir / "HEAD").write_text(f"{'b' * 40}\n", encoding="utf-8")
+    assert _git_revision(checkout) == "b" * 40
+    # A submodule: an absolute gitdir with no "commondir" keeps its own refs.
+    module = common / "modules" / "sub"
+    module.mkdir(parents=True)
+    (module / "HEAD").write_text("ref: refs/heads/main\n", encoding="utf-8")
+    (module / "packed-refs").write_text(f"{'c' * 40} refs/heads/main\n", encoding="utf-8")
+    submodule = tmp_path / "sub"
+    submodule.mkdir()
+    (submodule / ".git").write_text(f"gitdir: {module}\n", encoding="utf-8")
+    assert _git_revision(submodule) == "c" * 40
+
+
 def unreachable_after(call):
     """The objects that `call()` leaves for the cyclic collector, which is
     paused while it runs."""
@@ -720,35 +746,46 @@ def test_rows_are_written_without_the_whole_text(tmp_path):
     assert path.read_text(encoding="utf-8") == "[\n" + ",\n".join(rows) + "\n]\n"
 
 
-FLOATS = [-0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+def write_point_columns(path, x, f_re, f_im, j_re, j_im, error):
+    """`_write_points` of six real columns, each complex pair joined
+    without arithmetic, which would turn a -0.0 real part into 0.0."""
+    f, J = np.empty(len(x), dtype=complex), np.empty(len(x), dtype=complex)
+    f.real, f.imag, J.real, J.imag = f_re, f_im, j_re, j_im
+    _write_points(path, x, f, J, error)
 
 
-@pytest.mark.parametrize("value", FLOATS, ids=repr)
-def test_float_text_is_the_json_spelling(value):
-    assert _float_text(value) == json.dumps(value)
-
-
-def test_float_texts_spell_finite_and_non_finite_columns_as_json_does():
-    finite = [v for v in FLOATS if math.isfinite(v)]
-    for values in (finite, FLOATS):
-        assert _float_texts(np.array(values)) == [json.dumps(v) for v in values]
-
-
-def test_non_finite_points_are_written_as_json_writes_them(tmp_path):
-    xs = np.array([-1.0, 0.0, 1.0])
-    f = np.array([complex(math.nan, 0.0), complex(1.0, math.inf), 2.0])
-    J = np.array([0.5, complex(-math.inf, 1.0), -0.0])
-    errors = np.abs(f - J)
+@pytest.mark.parametrize(
+    "value", [-0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308], ids=repr
+)
+def test_finite_points_are_written_as_json_writes_them(tmp_path, value):
+    # The value in each of the six columns in turn, the others 1.5.
+    columns = [np.full(6, 1.5) for _ in range(6)]
+    for k, column in enumerate(columns):
+        column[k] = value
     path = tmp_path / "reconstruction.json"
-    _write_points(path, xs, f, J, errors)
+    write_point_columns(path, *columns)
     encoder = json.JSONEncoder(sort_keys=True)
-    rows = [
-        encoder.encode(
-            {"x": x, "f": [fv.real, fv.imag], "J": [jv.real, jv.imag], "error": e}
-        )
-        for x, fv, jv, e in zip(xs.tolist(), f.tolist(), J.tolist(), errors.tolist())
-    ]
+    rows = (
+        encoder.encode({"x": x, "f": [a, b], "J": [c, d], "error": e})
+        for x, a, b, c, d, e in zip(*(v.tolist() for v in columns))
+    )
     assert path.read_text(encoding="utf-8") == "[\n" + ",\n".join(rows) + "\n]\n"
+
+
+POINT_COLUMNS = ["x", "f_re", "f_im", "j_re", "j_im", "error"]
+
+
+@pytest.mark.parametrize("column", POINT_COLUMNS)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_points_raise_and_write_no_file(tmp_path, value, column):
+    # NaN and infinity have no JSON token: in any of the six columns, one
+    # raises before reconstruction.json is opened.
+    path = tmp_path / "reconstruction.json"
+    columns = [np.array([-1.0, 0.0, 1.0]) for _ in range(6)]
+    columns[POINT_COLUMNS.index(column)][1] = value
+    with pytest.raises(ContractError, match="finite numbers only"):
+        write_point_columns(path, *columns)
+    assert not path.exists()
 
 
 def test_reconstruct_rejects_multi_alpha_and_bad_points(tmp_path):

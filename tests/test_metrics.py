@@ -475,3 +475,24 @@ def test_quadrature_checks_of_the_zero_signal():
     # Both norms are 0: the drift divides by 1, not by the refined norm.
     checks = quadrature_checks(get_signal("zero"), frequency_grid(64), 2)
     assert checks == {"quadrature_refinement_factor": 2, "quadrature_drift": 0.0}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 12: K=256 resolves band samples only to |x|≈132",
+)
+def test_pointwise_values_are_resolved_across_256_integer_nodes():
+    # The band samples at |x_n| >= 135 are wrong by up to 0.24, and J follows
+    # them: |f - J| is 1.45e-4 at x = 150 and 0.147 at x = 200, where f is
+    # about 0, against at most 2.2e-14 for |x| <= 100.
+    f, J = pointwise_values(
+        get_signal("gauss_pair"),
+        GAUSSIAN,
+        1.25,
+        uniform_nodes(256),
+        frequency_grid(256),
+        4,
+        np.array([200.0]),
+    )
+    assert abs(f[0] - J[0]) < 1e-6
