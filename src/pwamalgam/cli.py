@@ -10,8 +10,7 @@ sweep
     ``convergence.json``.
 reconstruct
     Pointwise values of the approximant at chosen points; writes
-    ``reconstruction.json`` (a JSON array ordered by x, of finite numbers
-    only: a NaN or inf is a contract error and leaves no file).
+    ``reconstruction.json`` (a JSON array ordered by x).
 list-signals
     Print the builtin signal catalog.
 
@@ -21,11 +20,17 @@ success), 1 on numeric failure (a solve broke down or a sweep row failed),
 written (files written before it stay).
 
 Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
-line endings, and shortest round-trip float formatting (``repr``), so two
-runs with the same config produce byte-identical tables. The JSON data files
-(``regularity.json``, ``convergence.json``, ``reconstruction.json``) hold a
-JSON array with one object per line, keys sorted. ``manifest.json`` is
-indented; it records the normalized config echo, library version,
+line endings, and shortest round-trip float formatting (``repr``); a
+``flags`` cell joins its items by ``"; "``. Two runs of a config at one BLAS
+thread count write byte-identical data files (at N = 32 across counts too;
+from N = 128 up the Cholesky factor depends on the count). One strict
+encoder writes every JSON file, never a ``NaN`` or ``Infinity`` token. The
+JSON data files (``regularity.json``, ``convergence.json``,
+``reconstruction.json``) hold a JSON array with one object per line, keys
+sorted; a table's NaN or inf is null there. ``manifest.json`` has one
+top-level key per line, keys sorted, nested objects inline. A NaN or inf in
+it or in ``reconstruction.json`` is a contract error that leaves no file.
+The manifest records the normalized config echo, library version,
 timestamp, environment (Python, numpy and scipy versions, the BLAS
 libraries of numpy and of scipy, and ``git_revision``, the commit of the
 source checkout or null outside one), file listing, run-level checks and the
@@ -38,7 +43,7 @@ completes, whether clean or with flagged rows.
 `main` may be called any number of times in one process. One parser,
 built by the first call, serves every call, and each call runs the
 ``cmd_<command>`` function that the module holds when it runs; a call leaves
-no parser behind for the cyclic collector.
+nothing behind for the cyclic collector.
 
 The checks are decided beside their numbers: those of ``verify-family`` by
 `kernels.regularity_checks` (``precision_boundary_alpha`` is the ``alpha``
@@ -82,11 +87,14 @@ from .spectral import row_blocks
 
 
 def _cell(value: object) -> str:
-    # bool first: bool is an int subclass and must print True/False.
-    if isinstance(value, bool):
+    """``repr`` of a bool or float, or a tuple's items joined by ``"; "``
+    (empty for none); no item may hold a comma, quote or line break."""
+    if isinstance(value, (bool, float)):
         return repr(value)
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, tuple):
+        if any(mark in item for item in value for mark in ',"\r\n'):
+            raise ContractError(f"CSV cell items hold a comma, quote or line break: {value!r}")
+        return "; ".join(value)
     raise ContractError(f"unsupported CSV cell type {type(value).__name__}")
 
 
@@ -106,37 +114,20 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
+# The encoder of every JSON file: built once, and without `indent` json's
+# compiled one. A NaN or inf that reaches it raises ValueError, so no
+# non-standard token (``NaN``, ``Infinity``) is ever written.
+_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
+
 def _jsonable(value: object) -> object:
-    if isinstance(value, float) and math.isnan(value):
+    """A table cell as its JSON mirror holds it: NaN and ±inf become null."""
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
-def _write_json(path: Path, payload: object) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-# One encoder for every table row: `json.dumps` with `indent` falls back to
-# the pure-Python encoder, and with keyword arguments builds a new encoder per
-# call.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True)
-
-
-def _write_rows(path: Path, count: int, block_text: Callable[[slice], str]) -> None:
-    """Write a data table of `count` rows as a JSON array with one object per
-    line. `block_text` gives the encoded rows of one `row_blocks` block,
-    joined by ``",\\n"``, and each block is written before the next is asked
-    for: the text of the whole table never exists at once."""
-    with _output(path) as handle:
-        separator = "[\n"
-        for rows in row_blocks(count):
-            handle.write(separator)
-            handle.write(block_text(rows))
-            separator = ",\n"
-        handle.write("[]\n" if separator == "[\n" else "\n]\n")
-
-
-# A point of ``reconstruction.json``, keys sorted as `_ROW_ENCODER` sorts them.
+# A point of ``reconstruction.json``, keys sorted as `_ENCODER` sorts them.
 # ``%r`` of a float is ``float.__repr__``, the spelling `json` gives a finite
 # float.
 _POINT = '{"J": [%r, %r], "error": %r, "f": [%r, %r], "x": %r}'
@@ -145,18 +136,21 @@ _POINT = '{"J": [%r, %r], "error": %r, "f": [%r, %r], "x": %r}'
 def _write_points(
     path: Path, xs: np.ndarray, f_vals: np.ndarray, j_vals: np.ndarray, errors: np.ndarray
 ) -> None:
-    """Write ``reconstruction.json``: each block one ``%`` of `_POINT` repeated
-    once per x, with no row dict. The file holds finite numbers only: a NaN or
-    an infinity raises `ContractError` before the file is opened."""
+    """Write ``reconstruction.json`` a `row_blocks` block at a time, each one
+    ``%`` of `_POINT` repeated per x: the text of the whole file never exists
+    at once. A NaN or an infinity raises `ContractError` before the file is
+    opened."""
     columns = (j_vals.real, j_vals.imag, errors, f_vals.real, f_vals.imag, xs)
     if not all(np.isfinite(column).all() for column in columns):
         raise ContractError("reconstruction.json holds finite numbers only, not NaN or inf")
-
-    def block_text(rows: slice) -> str:
-        values = np.stack([column[rows] for column in columns], axis=1)
-        return ",\n".join([_POINT] * len(values)) % tuple(values.ravel().tolist())
-
-    _write_rows(path, len(xs), block_text)
+    with _output(path) as handle:
+        separator = "[\n"
+        for rows in row_blocks(len(xs)):
+            values = np.stack([column[rows] for column in columns], axis=1)
+            handle.write(separator)
+            handle.write(",\n".join([_POINT] * len(values)) % tuple(values.ravel().tolist()))
+            separator = ",\n"
+        handle.write("[]\n" if separator == "[\n" else "\n]\n")
 
 
 def _columns(report: object) -> dict[str, object]:
@@ -173,16 +167,14 @@ def _columns(report: object) -> dict[str, object]:
 
 
 def _write_table(outdir: Path, stem: str, reports: list) -> list[str]:
-    """Write `reports` as ``<stem>.csv`` and its JSON mirror, one row each,
-    and return the two file names. ``flags`` is in the JSON only."""
+    """Write `reports` as ``<stem>.csv`` and its JSON mirror, one row each
+    and the same columns in both, and return the two file names."""
     rows = [_columns(report) for report in reports]
-    header = [name for name in rows[0] if name != "flags"]
+    header = list(rows[0])
     lines = [",".join(header)] + [",".join(_cell(row[h]) for h in header) for row in rows]
     _write_text(outdir / f"{stem}.csv", "\n".join(lines) + "\n")
-    texts = [
-        _ROW_ENCODER.encode({name: _jsonable(v) for name, v in row.items()}) for row in rows
-    ]
-    _write_rows(outdir / f"{stem}.json", len(texts), lambda rows: ",\n".join(texts[rows]))
+    texts = [_ENCODER.encode({name: _jsonable(v) for name, v in row.items()}) for row in rows]
+    _write_text(outdir / f"{stem}.json", "[\n" + ",\n".join(texts) + "\n]\n")
     return [f"{stem}.csv", f"{stem}.json"]
 
 
@@ -276,7 +268,11 @@ def _write_manifest(
         "checks": checks,
         "timings": timings,
     }
-    _write_json(outdir / "manifest.json", manifest)
+    try:
+        lines = [_ENCODER.encode({key: manifest[key]})[1:-1] for key in sorted(manifest)]
+    except ValueError as exc:
+        raise ContractError(f"manifest.json holds finite numbers only: {exc}") from exc
+    _write_text(outdir / "manifest.json", "{\n  " + ",\n  ".join(lines) + "\n}\n")
 
 
 def _outdir(args: argparse.Namespace, config: ExperimentConfig) -> Path:

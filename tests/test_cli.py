@@ -32,6 +32,7 @@ from pwamalgam import (
 )
 from pwamalgam.cli import (
     _SOURCE_ROOT,
+    _cell,
     _git_revision,
     _write_points,
     main,
@@ -69,6 +70,16 @@ def run_cli(args):
     return code, out.getvalue(), err.getvalue()
 
 
+def refuse_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
+def read_json(path):
+    """The JSON file at `path`, parsed strictly: the ``NaN``, ``Infinity``
+    and ``-Infinity`` tokens that `json` reads but the standard lacks fail."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse_constant)
+
+
 def csv_rows(path):
     text = path.read_text(encoding="utf-8")
     lines = text.strip().split("\n")
@@ -85,13 +96,19 @@ def test_sweep_outputs_and_manifest(tmp_path):
     assert header == [
         "alpha", "l2_error", "amalgam_error", "sup_error", "rhs_bound",
         "bound_ratio", "condition_estimate", "tail_slack_f", "tail_slack_J",
-        "precision_limited",
+        "precision_limited", "flags",
     ]
     assert [r["alpha"] for r in rows] == ["0.75", "1.25"]
     assert float(rows[1]["amalgam_error"]) < float(rows[0]["amalgam_error"])
-    assert all(r["precision_limited"] == "False" for r in rows)
+    assert all(r["precision_limited"] == "False" and r["flags"] == "" for r in rows)
 
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(out / "manifest.json")
+    # One top-level key per line, keys sorted, each line an object's member.
+    lines = (out / "manifest.json").read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    members = [json.loads("{" + line.removesuffix(",") + "}") for line in lines[1:-2]]
+    assert [key for member in members for key in member] == sorted(manifest)
+    assert {k: v for member in members for k, v in member.items()} == manifest
     assert manifest["command"] == "sweep"
     assert manifest["checks"]["failed_rows"] == 0
     assert manifest["checks"]["embedding_l2_le_amalgam"] is True
@@ -109,7 +126,7 @@ def test_sweep_outputs_and_manifest(tmp_path):
     echoed = parse_config(manifest["config"])
     assert echoed == parse_config(SMALL_SWEEP)
     # JSON mirror carries the same rows.
-    mirror = json.loads((out / "convergence.json").read_text(encoding="utf-8"))
+    mirror = read_json(out / "convergence.json")
     assert [row["alpha"] for row in mirror] == [0.75, 1.25]
 
 
@@ -117,15 +134,17 @@ def json_rows(path):
     """The objects of a one-object-per-line JSON array, each parsed alone."""
     lines = path.read_text(encoding="utf-8").split("\n")
     assert lines[0] == "[" and lines[-2:] == ["]", ""]
-    rows = [json.loads(line.removesuffix(",")) for line in lines[1:-2]]
+    rows = [
+        json.loads(line.removesuffix(","), parse_constant=refuse_constant) for line in lines[1:-2]
+    ]
     assert all(line.endswith(",") for line in lines[1:-3])
-    assert json.loads("\n".join(lines)) == rows
+    assert read_json(path) == rows
     return rows
 
 
 MIRROR_RUNS = {
     # (config, exit code). The sweep's second row fails: NaN errors in the
-    # CSV, null and a flag in the JSON.
+    # CSV, null in the JSON, and its flag in both.
     "sweep": (
         {
             **SMALL_SWEEP,
@@ -149,10 +168,12 @@ def test_json_mirror_matches_csv(tmp_path, command):
     rows = json_rows(out / f"{table}.json")
     _, csv = csv_rows(out / f"{table}.csv")
     assert len(rows) == len(csv) == 2
-    extra = ["flags"] if command == "sweep" else []
     for row, line in zip(rows, csv):
-        assert list(row) == sorted([*line, *extra])
+        assert list(row) == sorted(line)
         for key, text in line.items():
+            if key == "flags":
+                assert text == "; ".join(row[key])
+                continue
             value = float(text) if text not in ("True", "False") else text == "True"
             assert row[key] == value or (row[key] is None and text == "nan")
     if command == "sweep":
@@ -338,18 +359,19 @@ def test_solver_breakdown_rows_exit_1(tmp_path):
     # The broken alpha = 16 matrix is far above the cap, and its row says so.
     assert float(rows[1]["condition_estimate"]) > PRECISION_CAP
     assert [r["precision_limited"] for r in rows] == ["False", "True"]
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(out / "manifest.json")
     assert manifest["checks"]["failed_rows"] == 1
     assert manifest["checks"]["precision_limited_rows"] == 1
-    mirror = json.loads((out / "convergence.json").read_text(encoding="utf-8"))
+    mirror = read_json(out / "convergence.json")
     assert mirror[1]["amalgam_error"] is None
     assert mirror[1]["flags"]
 
 
-def test_perturbed_breakdown_row_carries_inf(tmp_path):
+def test_perturbed_breakdown_row_carries_inf_in_csv_and_null_in_json(tmp_path):
     # No condition bound holds off the integer nodes, so the broken alpha = 16
-    # row carries inf: ``inf`` in the CSV and ``Infinity`` in the JSON, as
-    # `json.dumps` spells it. The row is still labelled precision-limited.
+    # row carries inf: ``inf`` in the CSV and null in the JSON, which has no
+    # token for it (``Infinity`` is not JSON). The row is still labelled
+    # precision-limited.
     payload = {
         **SMALL_SWEEP,
         "family": {"id": "poisson"},
@@ -364,9 +386,19 @@ def test_perturbed_breakdown_row_carries_inf(tmp_path):
     assert rows[0]["condition_estimate"] != "inf"
     assert rows[1]["condition_estimate"] == "inf"
     assert [r["precision_limited"] for r in rows] == ["False", "True"]
+    assert rows[1]["flags"].startswith("failed: ")
+    assert "no condition bound holds off the integer nodes" in rows[1]["flags"]
     mirror = (out / "convergence.json").read_text(encoding="utf-8").split("\n")
-    assert '"condition_estimate": Infinity' in mirror[2]
-    assert json.loads("\n".join(mirror))[1]["condition_estimate"] == math.inf
+    assert '"condition_estimate": null' in mirror[2]
+    assert json_rows(out / "convergence.json")[1]["condition_estimate"] is None
+
+
+@pytest.mark.parametrize("item", ["a, b", 'a "b"', "a\nb", "a\rb"])
+def test_flags_cell_refuses_what_a_csv_cell_would_quote(item):
+    # Items are joined by "; " unquoted, so none may hold a delimiter.
+    assert _cell(()) == "" and _cell(("a", "b")) == "a; b"
+    with pytest.raises(ContractError, match="comma, quote or line break"):
+        _cell(("a", item))
 
 
 def test_precision_limited_rows_still_exit_0(tmp_path):
@@ -382,7 +414,7 @@ def test_precision_limited_rows_still_exit_0(tmp_path):
     _, rows = csv_rows(out / "convergence.csv")
     assert rows[0]["precision_limited"] == "False"
     assert rows[1]["precision_limited"] == "True"
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(out / "manifest.json")
     assert manifest["checks"]["precision_limited_rows"] == 1
     assert manifest["checks"]["failed_rows"] == 0
 
@@ -404,7 +436,7 @@ def test_precision_limited_rows_leave_monotone_checks(tmp_path):
     _, rows = csv_rows(out / "convergence.csv")
     assert [r["precision_limited"] for r in rows] == ["False", "False", "True"]
     assert float(rows[2]["amalgam_error"]) > float(rows[1]["amalgam_error"])
-    checks = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["checks"]
+    checks = read_json(out / "manifest.json")["checks"]
     assert checks["errors_strictly_decreasing"] is True
     assert checks["embedding_l2_le_amalgam"] is True
     assert checks["excluded_rows"] == 1
@@ -435,7 +467,7 @@ def test_verify_family_passes_full_domain(tmp_path):
         assert float(row["delta_estimate"]) > 0
         assert float(row["condition_bound"]) == condition_bound(GAUSSIAN, float(row["alpha"]))
         assert float(row["mj_tail"]) == mj_tail_bound(GAUSSIAN, float(row["alpha"]), J_MAX)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(out / "manifest.json")
     assert manifest["checks"]["all_pass"] is True
     # The crossing itself is checked against its oracles in test_kernels.
     boundary = manifest["checks"]["precision_boundary_alpha"]
@@ -453,7 +485,7 @@ def test_verify_family_shallow_sweep_fails(tmp_path):
     out = tmp_path / "run"
     code, _, _ = run_cli(["verify-family", "--config", cfg, "--out", str(out)])
     assert code == 1  # decay-weight final value still above threshold
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(out / "manifest.json")
     assert manifest["checks"]["H3_final"] is False
     assert manifest["checks"]["H3_monotone"] is True
 
@@ -589,7 +621,7 @@ def test_reconstruct_interpolates_at_nodes(tmp_path):
         ["reconstruct", "--config", cfg, "--out", str(out), "--eval-points", "3,-2,0,1"]
     )
     assert code == 0
-    points = json.loads((out / "reconstruction.json").read_text(encoding="utf-8"))
+    points = read_json(out / "reconstruction.json")
     assert [p["x"] for p in points] == [-2.0, 0.0, 1.0, 3.0]  # ordered by x
     for p in points:
         assert p["error"] <= 1e-8  # interpolation condition at the nodes
@@ -612,7 +644,7 @@ def test_reconstruct_pointwise_error_shrinks_with_alpha(tmp_path):
             ["reconstruct", "--config", cfg, "--out", str(out), "--eval-points", "0.4,0"]
         )
         assert code == 0
-        points = json.loads((out / "reconstruction.json").read_text(encoding="utf-8"))
+        points = read_json(out / "reconstruction.json")
         floors[alpha] = points[0]["error"]  # x = 0, a node
         errors[alpha] = points[1]["error"]  # x = 0.4
     assert errors[2.5] < errors[0.75]
@@ -704,14 +736,16 @@ def test_reconstruct_peak_memory_is_its_collocation_build(tmp_path):
     assert peak <= 0.62 * 2**20
 
 
-def test_reconstruct_leaves_no_parser_behind(tmp_path):
-    # The indented manifest's pure-Python encoder still leaves closure
-    # cycles, but nothing of the parser: one serves every call.
-    payload = {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}}
-    args = ["reconstruct", "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]
+@pytest.mark.parametrize("command", ["verify-family", "sweep", "reconstruct"])
+def test_command_leaves_nothing_for_the_collector(tmp_path, command):
+    # One parser serves every call, and every JSON file is written by one
+    # compiled encoder. The indented manifest's pure-Python encoder left 33
+    # objects in closure cycles per call.
+    alphas = [1.0] if command == "reconstruct" else [1.0, 2.0]
+    payload = {**RECONSTRUCT_BASE, "alpha_sweep": {"values": alphas}, "nodes": {"N": 16}}
+    args = [command, "--config", write_config(tmp_path, payload), "--out", str(tmp_path)]
     assert run_cli(args)[0] == 0  # warm
-    garbage = unreachable_after(lambda: run_cli(args))
-    assert not [obj for obj in garbage if type(obj).__module__ == "argparse"]
+    assert unreachable_after(lambda: run_cli(args)) == []
 
 
 def test_reconstruct_empty_points(tmp_path):
@@ -849,7 +883,7 @@ def test_reconstruct_complex_signal_reports_both_parts(tmp_path):
         ["reconstruct", "--config", cfg, "--out", str(out), "--eval-points", "0.3"]
     )
     assert code == 0
-    (point,) = json.loads((out / "reconstruction.json").read_text(encoding="utf-8"))
+    (point,) = read_json(out / "reconstruction.json")
     assert point["f"][1] != 0.0  # genuinely complex reference
     assert point["error"] < 1e-2
 
@@ -887,7 +921,7 @@ def test_manifest_checks_do_not_depend_on_the_nodes(tmp_path, d):
     }
     for name, (args, keys) in runs.items():
         assert run_cli(args)[0] == 0
-        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        manifest = read_json(tmp_path / name / "manifest.json")
         assert set(manifest["checks"]) == keys
 
 
@@ -910,10 +944,28 @@ def test_manifest_records_stage_timings(tmp_path):
     for name, args in runs.items():
         code, _, _ = run_cli(args)
         assert code == 0
-        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        manifest = read_json(tmp_path / name / "manifest.json")
         timings = manifest["timings"]
         assert set(timings) == {"build", "compute", "write"}
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_non_finite_manifest_value_exits_2(tmp_path, monkeypatch, value):
+    # JSON has no token for NaN or inf: the run stops with exit 2 and no
+    # manifest, and the data file written before it stays.
+    def drifting(*args):
+        return {**quadrature_checks(*args), "quadrature_drift": value}
+
+    monkeypatch.setattr("pwamalgam.cli.quadrature_checks", drifting)
+    cfg = write_config(tmp_path, {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}})
+    out = tmp_path / "run"
+    args = ["reconstruct", "--config", cfg, "--out", str(out), "--eval-points", "0"]
+    code, _, err = run_cli(args)
+    assert code == 2 and err.count("\n") == 1
+    assert "manifest.json holds finite numbers only" in err
+    assert not (out / "manifest.json").exists()
+    assert json_rows(out / "reconstruction.json")[0]["x"] == 0.0
 
 
 def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
@@ -955,13 +1007,13 @@ COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct
 # timestamp and timings, so they are left out.
 DATA_FILE_SHA256 = {
     "reconstruct_tri_band/reconstruction.json": "c8899a0c676cb3afce369bfb8b6cf8be3d7df3f38b3674f0b0c8b5d5a4f3b666",
-    "sweep_gauss_pair/convergence.csv": "56263c6de105272a36b365acc4a71c7cac0545fe2a3534af7eb7b7ac973c4d23",
+    "sweep_gauss_pair/convergence.csv": "b08f1ce0d3715b5a1dc50e1390885f70036b0d0bf42897846c9660bee2f973d7",
     "sweep_gauss_pair/convergence.json": "12e301e5ab68979cdf7a586f80de1e46cdd4db8152380c157368397e731d0085",
-    "sweep_perturbed_nodes/convergence.csv": "8ad9bf87b735b9c5e6deabc75b395d4a27210cbf92a243fc5188ff7cd4dbae89",
+    "sweep_perturbed_nodes/convergence.csv": "8bbe263516fc7f1cae5909097127dd98bf0bf2207851ac59c5fccf87982ac621",
     "sweep_perturbed_nodes/convergence.json": "a7c85090b88430551d50122858265fe62a867fcfd8603fd2d7fecb3df2c498f4",
-    "sweep_precision_edge/convergence.csv": "8e65866cbf4c3d4f58453601b00ef2565d1387f75a50b9e3cc47da763f7afbd1",
+    "sweep_precision_edge/convergence.csv": "fc5f450b53e521d0840f178e989c07910230a461f11c51d98cdbceae622921ee",
     "sweep_precision_edge/convergence.json": "549d7284433d2f888516dfd43d44f731ed3ea14272344161be254f6ec335a9ef",
-    "sweep_two_band/convergence.csv": "ebc0419a2d55e347e8d8ec25603b9ae091b90b183e2b434101350461fe6d5a43",
+    "sweep_two_band/convergence.csv": "fbd6e0a2d652de6d76d4f04a299bd3ec3924e4332265dcaa322a43bde5311845",
     "sweep_two_band/convergence.json": "b734022016715b78e8fee6f6efa5902f3af8319ab9fbc6770a8d8d661a196661",
     "verify_gaussian/regularity.csv": "8ec30731f2679d0605a081e7693ef2b68d1cacd28fdc28abfa6ac54e83145c70",
     "verify_gaussian/regularity.json": "675afa1cb5048b882bafeab8d7b6157aa006fa14d880b5fbc3b091f933ca3144",
@@ -1059,7 +1111,7 @@ def test_committed_config_runs(tmp_path, path):
     out = tmp_path / "run"
     code, _, _ = run_cli([cmd, "--config", str(path), "--out", str(out)])
     assert code == 0
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(out / "manifest.json")
     assert manifest["command"] == cmd
     assert sorted(manifest["files"]) == sorted(p.name for p in out.iterdir())
     assert data_digests(path, out) == expected_digests(path)
@@ -1138,12 +1190,12 @@ INLINE_STUDIES = {
 INLINE_STUDY_SHA256 = {
     1: {
         "reconstruct_two_band_perturbed_N128/reconstruction.json": "a90589aad2cc2f26879e9b44c37a29c4b1a004d9280244ce08e965f8725cd496",
-        "sweep_gauss_pair_N256/convergence.csv": "f82bdb4b7c51c4731da155a573ea28dd2acc469475f0ec70957e38d19c055c0d",
+        "sweep_gauss_pair_N256/convergence.csv": "2d5d19fb6535457034ca9d4693153829a0d782d4dc63a0481b00de981305df24",
         "sweep_gauss_pair_N256/convergence.json": "8b7fd70dc2daa428365e9ac33475b549611e7f7f076a9f706f6d00d79e25c12c",
     },
     2: {
         "reconstruct_two_band_perturbed_N128/reconstruction.json": "bc0b9bcb47901ed97f72c780c90896dd74165cfa03d9eb233f686dd8f3d3ca76",
-        "sweep_gauss_pair_N256/convergence.csv": "87f42b34199e2eca30f1de445a4f808a5f0e0527f58ad72dea8fa4f992ba7071",
+        "sweep_gauss_pair_N256/convergence.csv": "fa618ce703da044f9e57077f8500aed6da99f3f4e71c98ed050383cf68312cd0",
         "sweep_gauss_pair_N256/convergence.json": "95491ba3a3261fdf96eb7c727b0a23e2ab1a10beb55af1980b12d52782415105",
     },
 }
