@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -102,6 +103,16 @@ class FrequencyGrid:
         return len(self.nodes)
 
 
+@cache
+def _legendre_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's `points`-point Gauss-Legendre rule on ``[-1, 1]``, computed once
+    per process and read-only, since every caller shares it."""
+    rule = np.polynomial.legendre.leggauss(points)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def gauss_legendre(
     extent: float, panels: int, per_panel: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +121,7 @@ def gauss_legendre(
     Each of `panels` equal panels carries the `per_panel`-point rule, which is
     exact for polynomials up to degree ``2 * per_panel - 1``.
     """
-    xs, ws = np.polynomial.legendre.leggauss(per_panel)
+    xs, ws = _legendre_rule(per_panel)
     edges = np.linspace(-extent, extent, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
@@ -203,6 +214,15 @@ class SpatialGrid:
 def spatial_grid(extent: float, density: int) -> SpatialGrid:
     """Uniform interior grid with `density` points per unit length.
 
+    With ``m = count - 1``, point ``k`` is ``((2k - m) * extent) / m``. The
+    grid is an exact mirror, ``points == -points[::-1]``, which the phase
+    builders use, and ends at ``-extent`` and ``extent``. Where the product
+    is exact (an extent of a few binary digits, such as 64 or 16.5, times an
+    integer), each point is its exact value rounded once, so where
+    ``m == 2 * extent * density`` point ``k`` is the correctly rounded
+    ``k / density - extent``: ``-47.85``, where ``np.linspace`` gives
+    ``-47.849999999999994``.
+
     Returns
     -------
     SpatialGrid
@@ -211,7 +231,9 @@ def spatial_grid(extent: float, density: int) -> SpatialGrid:
     if extent <= 0 or density <= 0:
         raise ContractError("extent and density must be positive")
     count = max(2, int(round(2 * extent * density)) + 1)
-    return SpatialGrid(extent=float(extent), points=np.linspace(-extent, extent, count))
+    m = count - 1
+    points = ((2 * np.arange(count) - m) * float(extent)) / m
+    return SpatialGrid(extent=float(extent), points=points)
 
 
 def band_norms(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> np.ndarray:
@@ -235,10 +257,25 @@ def l2_norm_parseval(spectrum: AmalgamSpectrum, grid: FrequencyGrid) -> float:
     return float(np.sqrt(squares + spectrum.tail_estimate**2))
 
 
-def _mirrored_columns(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
+def _mirrored_rows(x: np.ndarray) -> int:
+    """How many leading points of `x` are mirrors of the others: ``len(x) // 2``
+    if ``x == -x[::-1]`` exactly and holds at least 3 points, else 0.
+
+    Point ``q`` of such an array is ``-x[n - 1 - q]``, so its phase row
+    ``e^{i x xi}`` is the conjugate of that row, bit for bit, as in
+    `_mirrored_columns`. Two points are left alone: their mirrored half would
+    be a one-row block, which numpy multiplies as a dot product.
+    """
+    return len(x) // 2 if len(x) >= 3 and np.array_equal(x, -x[::-1]) else 0
+
+
+def _mirrored_columns(
+    x: np.ndarray, xi: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``cis(outer(x, [-xi[::-1], xi]))`` for nodes ``xi > 0`` from ``cos`` and ``sin``
     on `xi` only: ``x * (-xi)`` is ``-(x * xi)``, and numpy's ``cos`` is even and
     ``sin`` odd bit for bit, so the mirrored half is the other's conjugate, reversed.
+    The phase is written into `out` if given.
 
     The phase is filled at most ``ROW_BLOCK`` rows at a time through two
     contiguous float temporaries of that many rows, so its extra memory does
@@ -249,7 +286,7 @@ def _mirrored_columns(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     source first, since both are views of one array.
     """
     half = len(xi)
-    phase = np.empty((len(x), 2 * half), dtype=complex)
+    phase = np.empty((len(x), 2 * half), dtype=complex) if out is None else out
     angles = np.empty((min(len(x), ROW_BLOCK), half))
     parts = np.empty_like(angles)  # the points, then cos, then sin
     for start in range(0, len(x), ROW_BLOCK):
@@ -277,17 +314,30 @@ def band_inverse(values: np.ndarray, grid: FrequencyGrid, x: np.ndarray) -> np.n
     all-zero band gets a row of exact zeros and no product.
 
     Each block evaluates ``cos`` and ``sin`` on the ``xi > 0`` half of the grid
-    only (`_mirrored_columns`): the grid is an exact mirror.
+    only (`_mirrored_columns`): the grid is an exact mirror. If the points are
+    one too (`_mirrored_rows`), the blocks cover the second half of them only:
+    each is applied to every band, conjugated in place and applied again for
+    the mirrored points, whose rows are written reversed. An odd set's middle
+    point is its own mirror and is written once.
     """
     if values.ndim != 2 or len(values) == 0 or values.shape[1] != grid.points_per_band:
         raise ContractError("values need at least one band row of grid size")
     weighted = [(i, grid.weights * band) for i, band in enumerate(values) if np.any(band)]
     positive = grid.nodes[grid.points_per_band // 2 :]
+    mirrored = _mirrored_rows(x)
     out = np.zeros((len(values), len(x)), dtype=complex)
-    for rows in row_blocks(len(x)):
-        phase = _mirrored_columns(x[rows], positive)
+    # Column q of `own` holds the point x[mirrored + q], and the same column
+    # of `flipped` holds its mirror.
+    own, flipped = out[:, mirrored:], out[:, ::-1][:, mirrored:]
+    for rows in row_blocks(len(x) - mirrored):
+        phase = _mirrored_columns(x[mirrored:][rows], positive)
         for i, band in weighted:
-            out[i, rows] = TWO_PI**-0.5 * (phase @ band)
+            own[i, rows] = TWO_PI**-0.5 * (phase @ band)
+        if mirrored:
+            np.conjugate(phase, out=phase)
+            middle = len(x) % 2 if rows.start == 0 else 0  # an odd set's 0 is its own mirror
+            for i, band in weighted:
+                flipped[i, rows][middle:] = (TWO_PI**-0.5 * (phase @ band))[middle:]
         del phase  # before the next one is built
     return out
 
@@ -304,24 +354,35 @@ def band_forward(
     ``e^{-i(xi + 2 pi j) x} = e^{-i xi x} e^{-2 pi i j x}``: one phase
     matrix over the base band is applied to each row's ``2 j_cap + 1``
     modulated columns, in blocks of ``ROW_BLOCK // 2`` nodes ``xi > 0`` and
-    their mirrors (`_mirrored_columns` at ``-x``). Every row keeps its own
-    product with each block, so a row's transform is bit-identical to
-    transforming it alone, and to the whole matrix's product. A row's
-    modulated columns are formed again for each block: held for the four
-    rows of an ``N = 256`` sweep, they lifted its traced peak from 2.36 to
-    2.50 MiB.
+    their mirrors (`_mirrored_columns` at ``-x``). If the points are an exact
+    mirror (`_mirrored_rows`), as the window quadrature is, each block's rows
+    for the first half of them are filled in place as the conjugates of the
+    others, reversed. Every row keeps its own product with each block, so a
+    row's transform is bit-identical to transforming it alone, and to the
+    whole matrix's product. A row's modulated columns are formed again for
+    each block, in one buffer that assignment fills without the hidden ufunc
+    buffers of a broadcast product (131 kB): held for the four rows of an
+    ``N = 256`` sweep, they lifted its traced peak from 2.36 to 2.50 MiB.
     """
     if weighted.ndim != 2 or weighted.shape[1:] != x.shape or x.ndim != 1 or j_cap < 0:
         raise ContractError("weighted rows need one value per point, and j_cap >= 0")
     js = np.arange(-j_cap, j_cap + 1)
     modulation = cis(-TWO_PI * np.outer(x, js))
+    modulated = np.empty_like(modulation)  # a row's modulated columns
     half = grid.points_per_band // 2
+    mirrored = _mirrored_rows(x)
     transforms = np.empty((len(weighted), grid.points_per_band, len(js)), dtype=complex)
     for start in range(0, half, ROW_BLOCK // 2):
         xi = grid.nodes[half + start : half + start + ROW_BLOCK // 2]
-        phase = _mirrored_columns(-x, xi)
+        phase = np.empty((len(x), 2 * len(xi)), dtype=complex)
+        _mirrored_columns(-x[mirrored:], xi, out=phase[mirrored:])
+        # A reversed operand makes a ufunc buffer; an assignment does not.
+        phase[:mirrored] = phase[::-1][:mirrored]
+        np.conjugate(phase[:mirrored], out=phase[:mirrored])
         for out, row in zip(transforms, weighted):
-            product = TWO_PI**-0.5 * (phase.T @ (row[:, None] * modulation))
+            modulated[...] = row[:, None]  # assignment broadcasts without buffers
+            np.multiply(modulated, modulation, out=modulated)
+            product = TWO_PI**-0.5 * (phase.T @ modulated)
             out[half - start - len(xi) : half - start] = product[: len(xi)]
             out[half + start : half + start + len(xi)] = product[len(xi) :]
         del phase  # before the next one is built

@@ -970,7 +970,8 @@ def test_non_finite_manifest_value_exits_2(tmp_path, monkeypatch, value):
 
 def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
     # The drift check refines the run's grid by halving its panels: one
-    # Gauss-Legendre rule per run, the run's own.
+    # Gauss-Legendre rule per run, the run's own. Rules are kept per process,
+    # so the memo is emptied first.
     degrees = []
     leggauss = np.polynomial.legendre.leggauss
 
@@ -979,6 +980,7 @@ def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
         return leggauss(degree)
 
     monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    pwamalgam.spectral._legendre_rule.cache_clear()
     payload = {"family": {"id": "gaussian"}, "alpha_sweep": {"values": [1.0]}}
     cfg = write_config(tmp_path, payload)
     args = ["reconstruct", "--config", cfg, "--out", str(tmp_path / "run"), "--eval-points", "0"]
@@ -1006,9 +1008,9 @@ COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct
 # sha256 of every data file the committed configs write; manifests carry a
 # timestamp and timings, so they are left out.
 DATA_FILE_SHA256 = {
-    "reconstruct_tri_band/reconstruction.json": "c8899a0c676cb3afce369bfb8b6cf8be3d7df3f38b3674f0b0c8b5d5a4f3b666",
-    "sweep_gauss_pair/convergence.csv": "b08f1ce0d3715b5a1dc50e1390885f70036b0d0bf42897846c9660bee2f973d7",
-    "sweep_gauss_pair/convergence.json": "12e301e5ab68979cdf7a586f80de1e46cdd4db8152380c157368397e731d0085",
+    "reconstruct_tri_band/reconstruction.json": "a01028efda17f1643431cabbde3116819f71d3d970c74a14bebaa6e2c7a6924f",
+    "sweep_gauss_pair/convergence.csv": "447f9500eed4e26192f3c0bb9b16ffebbf017fdfe6b35956738af36d8a43202f",
+    "sweep_gauss_pair/convergence.json": "7ac3d30179ca77dfec91c7a11a418c8906820191a30ae4fa791252220e3cc5c5",
     "sweep_perturbed_nodes/convergence.csv": "8bbe263516fc7f1cae5909097127dd98bf0bf2207851ac59c5fccf87982ac621",
     "sweep_perturbed_nodes/convergence.json": "a7c85090b88430551d50122858265fe62a867fcfd8603fd2d7fecb3df2c498f4",
     "sweep_precision_edge/convergence.csv": "fc5f450b53e521d0840f178e989c07910230a461f11c51d98cdbceae622921ee",
@@ -1189,14 +1191,14 @@ INLINE_STUDIES = {
 # (the 65-node ones of the committed configs alike), so each count has its own.
 INLINE_STUDY_SHA256 = {
     1: {
-        "reconstruct_two_band_perturbed_N128/reconstruction.json": "a90589aad2cc2f26879e9b44c37a29c4b1a004d9280244ce08e965f8725cd496",
-        "sweep_gauss_pair_N256/convergence.csv": "2d5d19fb6535457034ca9d4693153829a0d782d4dc63a0481b00de981305df24",
-        "sweep_gauss_pair_N256/convergence.json": "8b7fd70dc2daa428365e9ac33475b549611e7f7f076a9f706f6d00d79e25c12c",
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "f1eb000ab551a64cd200e0400d38009a171746a38df7f0dab6e18155183151e9",
+        "sweep_gauss_pair_N256/convergence.csv": "3232111293cadf43299f845dee906091a9c696d29455b932219f2e1312a947f4",
+        "sweep_gauss_pair_N256/convergence.json": "83b95b1a699a7606d2e8de4f7d555a1073b780e4b7ce2662a489f1be7798bcd5",
     },
     2: {
-        "reconstruct_two_band_perturbed_N128/reconstruction.json": "bc0b9bcb47901ed97f72c780c90896dd74165cfa03d9eb233f686dd8f3d3ca76",
-        "sweep_gauss_pair_N256/convergence.csv": "fa618ce703da044f9e57077f8500aed6da99f3f4e71c98ed050383cf68312cd0",
-        "sweep_gauss_pair_N256/convergence.json": "95491ba3a3261fdf96eb7c727b0a23e2ab1a10beb55af1980b12d52782415105",
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "c894f39185949d1839efd9c1c4ef553121dbaa1aa0d731686e72bbf394294db1",
+        "sweep_gauss_pair_N256/convergence.csv": "2e195be87bfc8ad561ab631b5b4db550117f493cce4b49afaae638ea8f6baf29",
+        "sweep_gauss_pair_N256/convergence.json": "a4e57ba3b24981ee37dc4b653c95fd89851f9fd7037ac59712b09a8ec662a512",
     },
 }
 

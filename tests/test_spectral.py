@@ -1,5 +1,7 @@
 """Frequency grids, truncated band spectra, and the three spectral norms."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from pwamalgam import (
     l2_norm_parseval,
     signal_spectrum,
     spatial_grid,
+    uniform_nodes,
 )
 from pwamalgam import spectral
 from pwamalgam.metrics import truncated_signal_values, window_quadrature
@@ -115,6 +118,26 @@ def test_gauss_legendre_exact_to_its_degree(extent, panels, per_panel):
     for k in range(2 * per_panel):
         exact = ((extent + c) ** (k + 1) - (c - extent) ** (k + 1)) / (k + 1)
         assert np.sum(weights * (nodes + c) ** k) == pytest.approx(exact, rel=1e-13)
+
+
+def test_gauss_legendre_rule_is_computed_once_per_size(monkeypatch):
+    # Every sweep and reconstruct call builds its frequency grid; the rule
+    # under it depends on its size only and is kept, read-only, per process.
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(points):
+        calls.append(points)
+        return leggauss(points)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    spectral._legendre_rule.cache_clear()
+    first, again = frequency_grid(256), frequency_grid(256)
+    assert calls == [128]
+    assert np.array_equal(first.nodes, again.nodes) and first.nodes is not again.nodes
+    for array in spectral._legendre_rule(128):
+        assert not array.flags.writeable
+    assert first.nodes.flags.writeable
 
 
 def test_band_norm_gaussian_oracle():
@@ -280,6 +303,114 @@ def test_spatial_grid_shape():
         spatial_grid(0.0, 20)
     with pytest.raises(ContractError):
         spatial_grid(1.0, density=0)
+
+
+@pytest.mark.parametrize(
+    "extent, density", [(16.0, 20), (8.0, 10), (64.0, 20), (16.5, 20), (0.25, 1)]
+)
+def test_spatial_grid_points_are_exact_and_mirrored(extent, density):
+    # The sweep, the metrics tests and the reconstruct study's grids, a
+    # half-integer extent, and the two-point floor. Point k is the exact
+    # ((2k - m) * extent) / m rounded once, so the grid is an exact mirror
+    # (the phase builders rely on it) and a point that is a short decimal is
+    # written as one: np.linspace gave 12.800000000000011 for 12.8.
+    points = spatial_grid(extent, density).points
+    m = len(points) - 1
+    assert np.array_equal(points, -points[::-1])
+    assert points[0] == -extent and points[-1] == extent
+    exact = [Fraction(2 * k - m) * Fraction(extent) / m for k in range(m + 1)]
+    assert points.tolist() == [float(value) for value in exact]
+    if m == 2 * extent * density:
+        assert [Fraction(repr(p)) for p in points.tolist()] == exact
+    if (extent, density) == (64.0, 20):
+        assert max(len(repr(p)) for p in points.tolist()) == len("-63.95")
+
+
+# Exact mirrors x == -x[::-1]: nodes, the reconstruct study's grid, the
+# smallest mirrored set, a pair (not mirrored: its half would be one row),
+# and a set with both signed zeros.
+MIRRORED_SETS = {
+    "nodes513": uniform_nodes(256).values,
+    "grid2561": spatial_grid(64.0, 20).points,
+    "three": np.array([-1.5, 0.0, 1.5]),
+    "two": np.array([-0.25, 0.25]),
+    "signed-zeros": np.array([-2.0, -0.0, 0.0, 2.0]),
+}
+
+
+def unmirrored(monkeypatch, call):
+    """`call()` with every point set treated as no mirror."""
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_mirrored_rows", lambda x: 0)
+        return call()
+
+
+def counted_rows(monkeypatch, call):
+    """`call()`, and the phase rows on which `_mirrored_columns` runs ``cos``."""
+    rows = []
+    original = spectral._mirrored_columns
+
+    def counting(x, xi, out=None):
+        rows.append(len(x))
+        return original(x, xi, out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_mirrored_columns", counting)
+        return call(), sum(rows)
+
+
+@pytest.mark.parametrize("signal_id", ["gauss_pair", "two_band"])
+@pytest.mark.parametrize("name", list(MIRRORED_SETS))
+def test_band_inverse_on_a_mirrored_set_keeps_every_bit(monkeypatch, name, signal_id):
+    # Rows of the mirrored points come from the conjugated block of their
+    # mirrors, bit for bit, signed zeros included; cos and sin run on
+    # ceil(n / 2) rows.
+    x = MIRRORED_SETS[name]
+    grid = frequency_grid(256)
+    values = signal_spectrum(get_signal(signal_id), grid, 4).values
+    mirrored, rows = counted_rows(monkeypatch, lambda: band_inverse(values, grid, x))
+    assert rows == (len(x) if name == "two" else (len(x) + 1) // 2)
+    whole = unmirrored(monkeypatch, lambda: band_inverse(values, grid, x))
+    assert mirrored.tobytes() == whole.tobytes()
+    # Two pieces that are no mirror, each of at least two points (a lone
+    # point is a one-row product, which numpy computes as a dot product).
+    if len(x) >= 4:
+        split = max(2, len(x) // 3)
+        pieces = [band_inverse(values, grid, piece) for piece in (x[:split], x[split:])]
+        assert mirrored.tobytes() == np.concatenate(pieces, axis=1).tobytes()
+
+
+def test_band_forward_on_the_window_keeps_every_bit(monkeypatch):
+    # The N = 256 sweep's window quadrature is an exact mirror: each phase
+    # block's rows for its first half are the conjugates of the others.
+    grid = frequency_grid(256)
+    x, _ = window_quadrature(16.0, 6)
+    assert np.array_equal(x, -x[::-1]) and len(x) == 928
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
+    mirrored, phase_rows = counted_rows(monkeypatch, lambda: band_forward(rows, x, grid, 6))
+    blocks = grid.points_per_band // ROW_BLOCK
+    assert phase_rows == blocks * len(x) // 2
+    whole = unmirrored(monkeypatch, lambda: band_forward(rows, x, grid, 6))
+    assert mirrored.tobytes() == whole.tobytes()
+
+
+def test_band_forward_peak_memory_is_its_arrays_and_one_phase_block():
+    # The N = 256 sweep's transform: four weighted window residuals over the
+    # 928-point window, 13 bands. Beside the result and the modulation stand
+    # one phase block, filled in place (its mirrored rows too), one row's
+    # modulated columns and its product: 1.06 blocks. Each row's columns
+    # were a broadcast product with hidden ufunc buffers, which read 1.15.
+    grid = frequency_grid(256)
+    x, _ = window_quadrature(16.0, 6)
+    rng = np.random.default_rng(4)
+    rows = rng.standard_normal((4, len(x))) + 1j * rng.standard_normal((4, len(x)))
+    itemsize = np.dtype(complex).itemsize
+    result_bytes = rows.shape[0] * grid.points_per_band * 13 * itemsize
+    modulation_bytes = len(x) * 13 * itemsize
+    block_bytes = len(x) * ROW_BLOCK * itemsize
+    peak = traced_peak(lambda: band_forward(rows, x, grid, 6))
+    assert peak <= result_bytes + 2 * modulation_bytes + 1.1 * block_bytes
 
 
 def test_band_inverse_peak_memory_is_its_output_and_a_few_phase_blocks():
