@@ -23,11 +23,13 @@ Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
 line endings, and shortest round-trip float formatting (``repr``); a
 ``flags`` cell joins its items by ``"; "``. Two runs of a config at one BLAS
 thread count write byte-identical data files (at N = 32 across counts too;
-from N = 128 up the Cholesky factor depends on the count). One strict
-encoder writes every JSON file, never a ``NaN`` or ``Infinity`` token. The
-JSON data files (``regularity.json``, ``convergence.json``,
-``reconstruction.json``) hold a JSON array with one object per line, keys
-sorted; a table's NaN or inf is null there. ``manifest.json`` has one
+from N = 128 up the Cholesky factor depends on the count). No JSON file
+holds a ``NaN`` or ``Infinity`` token: the strict `_ENCODER` writes the
+tables' JSON mirrors and ``manifest.json``, and `_write_points` writes
+``reconstruction.json`` through its ``%r`` row template after checking that
+every value is finite. The JSON data files (``regularity.json``,
+``convergence.json``, ``reconstruction.json``) hold a JSON array with one
+object per line, keys sorted; a table's NaN or inf is null there. ``manifest.json`` has one
 top-level key per line, keys sorted, nested objects inline. A NaN or inf in
 it or in ``reconstruction.json`` is a contract error that leaves no file.
 The manifest records the normalized config echo, library version,
@@ -114,8 +116,9 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
-# The encoder of every JSON file: built once, and without `indent` json's
-# compiled one. A NaN or inf that reaches it raises ValueError, so no
+# The encoder of the tables' JSON mirrors and of ``manifest.json``
+# (``reconstruction.json`` has `_POINT`): built once, and without `indent`
+# json's compiled one. A NaN or inf that reaches it raises ValueError, so no
 # non-standard token (``NaN``, ``Infinity``) is ever written.
 _ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
@@ -421,7 +424,11 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument(
                 "--eval-points",
                 default=None,
-                help="comma-separated x values; defaults to the interior spatial grid",
+                help=(
+                    "comma-separated x values; defaults to the interior spatial grid."
+                    " Write a list that starts with a negative value as"
+                    " --eval-points=-0.5,0.5"
+                ),
             )
     _PARSER = parser
     return parser

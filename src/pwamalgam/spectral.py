@@ -150,22 +150,10 @@ def frequency_grid(points_per_band: int) -> FrequencyGrid:
 
 
 def halved_panels(grid: FrequencyGrid) -> FrequencyGrid:
-    """A `frequency_grid` rule with each of its two panels halved: ``2K`` nodes.
-
-    Each half panel carries the same ``K/2``-point rule, mapped affinely from
-    its parent panel: a node ``y`` of ``[a, b]`` gives ``(y + a) / 2`` and
-    ``(y + b) / 2``, each with half its weight. So no Gauss-Legendre rule is
-    computed again. The ``xi < 0`` half is built as the mirror of the other,
-    which keeps the refined grid an exact mirror.
-    """
-    half = grid.points_per_band // 2
-    positive = grid.nodes[half:]  # the panel [0, pi]
-    nodes = np.concatenate([0.5 * positive, 0.5 * (positive + np.pi)])
-    weights = np.tile(0.5 * grid.weights[half:], 2)
-    return FrequencyGrid(
-        nodes=np.concatenate([-nodes[::-1], nodes]),
-        weights=np.concatenate([weights[::-1], weights]),
-    )
+    """A `frequency_grid` rule with each of its two panels halved: the same
+    ``K/2``-point rule on each of the four, ``2K`` nodes."""
+    nodes, weights = gauss_legendre(np.pi, 4, grid.points_per_band // 2)
+    return FrequencyGrid(nodes=nodes, weights=weights)
 
 
 @dataclass(frozen=True)

@@ -463,12 +463,15 @@ def test_sweep_checks_a_tie_is_not_a_decrease():
     assert not sweep_checks(rows)["errors_strictly_decreasing"]
 
 
-def test_sweep_checks_embedding_slack_is_absolute_1e_10():
+def test_sweep_checks_embedding_slack_is_relative_1e_12():
     amalgam = 1e-3
-    held = [measured_row(1.0, amalgam, l2_error=amalgam + 5e-11)]
-    broken = [measured_row(1.0, amalgam, l2_error=amalgam + 2e-10)]
+    held = [measured_row(1.0, amalgam, l2_error=amalgam * (1 + 5e-13))]
+    broken = [measured_row(1.0, amalgam, l2_error=amalgam * (1 + 2e-12))]
     assert sweep_checks(held)["embedding_l2_le_amalgam"]
     assert not sweep_checks(broken)["embedding_l2_le_amalgam"]
+    # The slack scales with the errors, so rows near rounding level are checked too.
+    tiny = [measured_row(1.0, 1e-13, l2_error=2e-13)]
+    assert not sweep_checks(tiny)["embedding_l2_le_amalgam"]
 
 
 def test_quadrature_checks_of_the_zero_signal():

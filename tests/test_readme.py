@@ -1,12 +1,13 @@
-"""The README's Quick start, Configuration table, Layout block and the
-package export list match the current API."""
+"""The README's Quick start, Command-line block, Configuration table, Layout
+block and the package export list match the current API."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
 
-from pwamalgam import config
+from pwamalgam import cli, config
 
 from .test_config import CONFIGS
 
@@ -29,6 +30,21 @@ def test_quick_start_runs():
     # One pointwise error, then one line per alpha of the sweep.
     assert len(lines) == 1 + 4
     assert float(lines[0]) < 1e-3
+
+
+def test_command_line_block_parses():
+    # Every documented command, `\` continuations joined, is one argparse
+    # accepts; nothing runs.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = re.findall(r"```\n(.*?)```", section, flags=re.DOTALL)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == 4
+    for command in commands:
+        words = shlex.split(command)
+        assert words[0] == "pwamalgam"
+        args = cli.build_parser().parse_args(words[1:])
+        assert args.command == words[1]
 
 
 def test_star_import_binds_every_exported_name():
