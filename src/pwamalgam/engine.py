@@ -29,7 +29,12 @@ matrix-matrix product), because the rounding of the blocked BLAS kernels
 differs from the per-vector ones, and large coefficients magnify that
 difference: at ``N = 256`` and gaussian ``alpha = 2.5`` the coefficients' l1
 mass is 3.1e8, and one real product over all bands in `evaluate_J` moved the
-sweep's ``amalgam_error`` by 1.49e-6 relative.
+sweep's ``amalgam_error`` by 1.49e-6 relative. Where the points and the nodes
+are both exact mirrors (the sweep's target, and the nodes themselves in the
+residual check, on integer or symmetric perturbed nodes), the kernel is
+even, so the blocks of the first half of the points are those of the second
+reversed, bit for bit, and are copied rather than built: an ``N = 256``
+sweep evaluates 610,667 kernel entries instead of 1,218,671.
 
 Numerical policy: the matrix is factorized by Cholesky, and on every node
 set its 1-norm condition number is estimated from the factor in ``O(n^2)``
@@ -67,7 +72,7 @@ from .kernels import (
 )
 from .nodes import NodeSet
 from .signals import TestSignal, sample_band_signal, signal_spectrum
-from .spectral import ROW_BLOCK, TWO_PI, FrequencyGrid, cis, row_blocks
+from .spectral import ROW_BLOCK, TWO_PI, FrequencyGrid, _mirrored_rows, cis, row_blocks
 
 # Absolute interpolation-residual tolerance, scaled by ``1 + max|samples|``.
 SOLVER_TOL = 1e-8
@@ -310,15 +315,36 @@ def _kernel_blocks(
     imaginary part stays zero; the next block overwrites it. The kernel is
     applied in place to each block's difference array, which is freed before
     the block is yielded, so it never stands beside the next one.
+
+    If the nodes and at least four points are exact mirrors
+    (`spectral._mirrored_rows`), only the row blocks of the second half of
+    the points are built: the kernel is even, so ``phi_alpha(-x - x_n)`` is
+    ``phi_alpha(x - x_{-n})`` bit for bit. Each is followed by its mirror
+    block, on rows ``n - rows.stop : n - rows.start`` (less an odd set's
+    middle point, its own mirror) and columns ``count - cols.stop :
+    count - cols.start``, whose values are the built block's reversed along
+    both axes, with no ``exp``, subtraction or `searchsorted`. Three points
+    are left alone: their mirror block would be one row, which numpy
+    multiplies as a dot product.
     """
-    buffer = np.zeros((min(len(xs), ROW_BLOCK), nodes.count), dtype=complex)
-    for rows in row_blocks(len(xs)):
+    n, count = len(xs), nodes.count
+    mirrored = _mirrored_rows(xs) if n > 3 and _mirrored_rows(nodes.values) else 0
+    buffer = np.zeros((min(n, ROW_BLOCK), count), dtype=complex)
+    for own in row_blocks(n - mirrored):
+        rows = slice(mirrored + own.start, mirrored + own.stop)
         cols = _support_columns(nodes, xs[rows], radius)
         block = buffer[: rows.stop - rows.start, cols]
         differences = xs[rows, None] - nodes.values[cols]
         block.real = phi_spatial(family, alpha, differences, out=differences)
         del differences  # not held beside the next block's
         yield rows, block, cols
+        if mirrored:
+            # Stopping at `mirrored` leaves out an odd set's middle point.
+            rows = slice(n - rows.stop, min(n - rows.start, mirrored))
+            cols = slice(count - cols.stop, count - cols.start)
+            built, block = block, buffer[: rows.stop - rows.start, cols]
+            block.real = built.real[::-1, ::-1][: len(block)]  # numpy copies the overlap first
+            yield rows, block, cols
 
 
 def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarray:
@@ -327,10 +353,12 @@ def evaluate_J(approx: Approximant, x: float | np.ndarray) -> complex | np.ndarr
     Each row block of the kernel matrix ``phi_alpha(x - x_n)`` is built on
     the nodes within `kernels.support_radius` of its points only and applied
     to every non-empty band's coefficients in ascending band order; one phase
-    build per block gives the modulations of all bands. A lone point keeps
-    every node: numpy multiplies one row as a dot product, whose rounding
-    depends on its length. A one-row approximant is the baseband interpolant
-    ``I_alpha g``.
+    build per block gives the modulations of all bands. On mirrored points
+    and nodes every second block is the mirror of the one before, copied
+    reversed rather than built (see `_kernel_blocks`), and multiplied as it
+    would have been built. A lone point keeps every node: numpy multiplies
+    one row as a dot product, whose rounding depends on its length. A
+    one-row approximant is the baseband interpolant ``I_alpha g``.
 
     Raises
     ------

@@ -139,11 +139,16 @@ def truncated_signal_values(
 @dataclass(frozen=True)
 class Target:
     """What an approximant is measured against: the band-truncated signal
-    `values` at `points`, the window quadrature nodes (one per weight of
-    `wq`) and then the spatial grid, and its tail ``tail_f`` beyond ``m_max``.
+    `values` at `points` and its tail ``tail_f`` beyond ``m_max``.
 
-    It does not depend on ``alpha``, so `sweep` builds it once and measures
-    every approximant against it.
+    `points` holds the first half of the window quadrature nodes (one per
+    weight of `wq`), then the spatial grid, then the other half. Both parts
+    are exact mirrors, so where the window has an even number of nodes (an
+    even number of panels, ``2 T_int`` for an integer ``T_int``) the whole
+    is one, and `truncated_signal_values` and each `evaluate_J` on it build
+    the phases and kernel rows of one half only. It does not depend on
+    ``alpha``, so `sweep` builds it once and measures every approximant
+    against it.
     """
 
     signal: TestSignal
@@ -154,13 +159,21 @@ class Target:
     values: np.ndarray
     tail_f: float
 
+    @property
+    def spatial(self) -> slice:
+        """The entries of `points` that are the spatial grid; the others,
+        in order, are the window quadrature nodes."""
+        half = len(self.wq) // 2
+        return slice(half, half + len(self.points) - len(self.wq))
+
 
 def measurement_target(
     signal: TestSignal, grid: FrequencyGrid, x_grid: SpatialGrid, m_max: int
 ) -> Target:
     """The `Target` that `error_report` measures approximants of `m_max` against."""
     xq, wq = window_quadrature(x_grid.extent, m_max + J_MARGIN)
-    points = np.concatenate([xq, x_grid.points])
+    half = len(xq) // 2
+    points = np.concatenate([xq[:half], x_grid.points, xq[half:]])
     return Target(
         signal=signal,
         grid=grid,
@@ -209,11 +222,11 @@ def _measure(approx: Approximant, target: Target) -> tuple[np.ndarray, ErrorRepo
             f"approximant has M_max={m_max} but the target was built for {target.m_max}"
         )
 
-    # One evaluation: the window's residual first, then the spatial grid's.
+    # One evaluation: the spatial grid's residual between the window's halves.
     residual = evaluate_J(approx, target.points)
     np.subtract(target.values, residual, out=residual)
-    weighted = target.wq * residual[: len(target.wq)]
-    sup_error = float(np.max(np.abs(residual[len(target.wq) :])))
+    weighted = target.wq * np.delete(residual, target.spatial)
+    sup_error = float(np.max(np.abs(residual[target.spatial])))
 
     coeff_l1 = sum(float(np.sum(np.abs(row))) for row in approx.coefficients)
     tail_J = (
@@ -242,7 +255,7 @@ def _finish(
     ``j_cap`` that the bound side weighs are built once for every alpha. A
     failed row, which has no residual, passes through."""
     grid, j_cap = target.grid, target.m_max + J_MARGIN
-    xq = target.points[: len(target.wq)]
+    xq = np.delete(target.points, target.spatial)
     residuals = [weighted for weighted, _ in measured if weighted is not None]
     transforms = iter(band_forward(np.array(residuals), xq, grid, j_cap) if residuals else ())
     bands = signal_spectrum(target.signal, grid, j_cap)

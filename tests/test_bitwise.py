@@ -18,7 +18,10 @@ two exact cuts inside the blocks: kernel products over the support columns
 only (`engine._support_columns`), which relies on BLAS summing each output in
 column order so that dropped exact zeros change nothing, and phase blocks
 whose ``xi < 0`` half is the conjugate of the ``xi > 0`` half, which relies on
-numpy's ``cos`` being even and its ``sin`` odd bit for bit.
+numpy's ``cos`` being even and its ``sin`` odd bit for bit. The mirrored
+kernel blocks of `engine._kernel_blocks` are pinned against the blocks built
+from their own differences: they rely on ``(-x) - (-y)`` being ``-(x - y)``
+and the kernel being even, bit for bit.
 
 The gaussian kernel is the one form that differs from the plain one on
 purpose: it returns 0.0 where plain ``exp`` would be subnormal. Its pins
@@ -461,6 +464,110 @@ def test_residuals_in_row_blocks_equal_whole_complex_matrix(nodes, family, alpha
     assert np.array_equal(approx.residuals, whole)
 
 
+def mirrored_set(count):
+    """``count`` points that are an exact mirror, ``x == -x[::-1]``, off the nodes."""
+    half = 0.61 * np.arange(1, count // 2 + 1)
+    return np.concatenate([-half[::-1], [0.0] * (count % 2), half])
+
+
+# Mirrored sets around the shapes of the mirror blocks: three points (left
+# alone, since their mirror block would be one row), 4 to 7, 65 and 66 (one
+# block of each half, with and without a middle point), 129 to 131 (a second
+# block of two rows, after the first borrowed one), and both signed zeros.
+MIRRORED_POINTS = {f"n{n}": mirrored_set(n) for n in (3, 4, 5, 6, 7, 65, 66, 129, 130, 131)}
+MIRRORED_POINTS["signed-zeros"] = np.array([-2.0, -0.0, 0.0, 2.0])
+MIRRORED_NODES = {
+    "uniform-N256": uniform_nodes(256),
+    "symmetric-N64": perturbed_nodes(64, 0.2, 3, symmetric=True),
+}
+# The poisson kernel has no support radius: its mirror columns are all columns.
+KERNELS = {"gaussian": (GAUSSIAN, 1.5), "poisson": (POISSON, 4.0)}
+
+
+def unmirrored_kernel(monkeypatch, call):
+    """`call()` with every kernel block built, none taken from its mirror."""
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_mirrored_rows", lambda x: 0)
+        return call()
+
+
+def kernel_rows(monkeypatch, call):
+    """`call()`, and the rows of the kernel blocks on which `phi_spatial` runs."""
+    rows = []
+
+    def counting(family, alpha, x, out=None):
+        rows.append(len(x))
+        return phi_spatial(family, alpha, x, out=out)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "phi_spatial", counting)
+        return call(), sum(rows)
+
+
+@pytest.fixture(scope="module")
+def mirrored_approximants():
+    pair = get_signal("gauss_pair")
+    return {
+        (nodes, kernel): reconstruct(pair, *KERNELS[kernel], MIRRORED_NODES[nodes], GRID, 4)
+        for nodes in MIRRORED_NODES
+        for kernel in KERNELS
+    }
+
+
+@pytest.mark.parametrize("points", list(MIRRORED_POINTS))
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@pytest.mark.parametrize("nodes", list(MIRRORED_NODES))
+def test_evaluate_j_on_mirrored_points_keeps_every_bit(
+    monkeypatch, mirrored_approximants, nodes, kernel, points
+):
+    # On mirrored nodes the kernel rows of the mirrored points are those of
+    # their mirrors, reversed, bit for bit, signed zeros included.
+    approx = mirrored_approximants[nodes, kernel]
+    xs = MIRRORED_POINTS[points]
+    mirrored = evaluate_J(approx, xs)
+    whole = unmirrored_kernel(monkeypatch, lambda: evaluate_J(approx, xs))
+    assert mirrored.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@pytest.mark.parametrize("nodes", list(MIRRORED_NODES))
+def test_residuals_on_mirrored_nodes_keep_every_bit(monkeypatch, nodes, kernel):
+    # The residual check evaluates the kernel on the nodes themselves.
+    family, alpha = KERNELS[kernel]
+    node_set = MIRRORED_NODES[nodes]
+    values = signal_spectrum(get_signal("gauss_pair"), GRID, 4).values
+    samples = sample_band_signal(values, GRID, node_set)
+    solve = partial(solve_coefficients, family, alpha, node_set, samples)
+    mirrored = solve()
+    whole = unmirrored_kernel(monkeypatch, solve)
+    assert mirrored.residuals.tobytes() == whole.residuals.tobytes()
+    assert mirrored.coefficients.tobytes() == whole.coefficients.tobytes()
+
+
+@pytest.mark.parametrize("nodes", list(MIRRORED_NODES))
+def test_kernel_runs_on_half_the_rows_of_a_mirrored_set(monkeypatch, mirrored_approximants, nodes):
+    # ceil(n / 2) rows of every mirrored set of at least four points, the
+    # sweep's target and the nodes of the residual check among them; three
+    # points keep all their rows.
+    approx = mirrored_approximants[nodes, "gaussian"]
+    target = measurement_target(get_signal("gauss_pair"), GRID, spatial_grid(16.0, 20), 4)
+    sets = [*MIRRORED_POINTS.values(), target.points, approx.nodes.values]
+    for xs in sets:
+        _, rows = kernel_rows(monkeypatch, lambda: evaluate_J(approx, xs))
+        assert rows == (len(xs) if len(xs) == 3 else (len(xs) + 1) // 2)
+        _, whole = unmirrored_kernel(
+            monkeypatch, lambda: kernel_rows(monkeypatch, lambda: evaluate_J(approx, xs))
+        )
+        assert whole == len(xs)
+    # The residual check's rows are those of the solve beyond its matrix build.
+    samples = np.ones((1, approx.nodes.count), dtype=complex)
+    _, rows = kernel_rows(
+        monkeypatch, lambda: solve_coefficients(GAUSSIAN, 1.5, approx.nodes, samples)
+    )
+    _, build = kernel_rows(monkeypatch, lambda: collocation_matrix(GAUSSIAN, 1.5, approx.nodes))
+    assert rows - build == (approx.nodes.count + 1) // 2
+
+
 @pytest.mark.parametrize(
     "nodes, family, alpha",
     [
@@ -505,8 +612,9 @@ def test_forward_transform_in_row_blocks_equals_whole_exponential_matrix(approxi
     grid = frequency_grid(points)
     approx = approximants["uniform-N256"]
     target = measurement_target(get_signal("gauss_pair"), grid, spatial_grid(16.0, 20), 4)
-    assert np.array_equal(target.points[: len(WINDOW)], WINDOW)
-    residual = target.wq * (target.values[: len(WINDOW)] - evaluate_J(approx, WINDOW))
+    assert np.array_equal(np.delete(target.points, target.spatial), WINDOW)
+    window_values = np.delete(target.values, target.spatial)
+    residual = target.wq * (window_values - evaluate_J(approx, WINDOW))
     # The transform of `metrics.error_report`, in its mirrored blocks and whole.
     [streamed] = band_forward(residual[None], WINDOW, grid, 6)
     modulated = residual[:, None] * cis(-TWO_PI * np.outer(WINDOW, np.arange(-6, 7)))
@@ -516,18 +624,19 @@ def test_forward_transform_in_row_blocks_equals_whole_exponential_matrix(approxi
 
 @pytest.mark.parametrize("case", ["uniform-N256", "uniform-N256-a0.5", "poisson-N128"])
 def test_one_evaluation_over_window_and_grid_equals_one_per_point_set(approximants, case):
-    # `metrics.Target` holds the window and the spatial grid as one point set,
-    # so one row block spans both sets where they meet, and the band-truncated
-    # signal is inverted over both at once.
+    # `metrics.Target` holds the spatial grid between the window's two halves
+    # as one mirrored point set, so row blocks and their mirror blocks span
+    # the sets where they meet, and the band-truncated signal is inverted over
+    # all of them at once.
     approx = approximants[case]
-    points = np.concatenate([WINDOW, SWEEP_GRID])
-    joint = evaluate_J(approx, points)
-    assert np.array_equal(joint[: len(WINDOW)], evaluate_J(approx, WINDOW))
-    assert np.array_equal(joint[len(WINDOW) :], evaluate_J(approx, SWEEP_GRID))
+    half = len(WINDOW) // 2
+    points = np.concatenate([WINDOW[:half], SWEEP_GRID, WINDOW[half:]])
+    grid = slice(half, half + len(SWEEP_GRID))
     spectrum = signal_spectrum(get_signal("gauss_pair"), GRID, 4)
-    joint = inverse_ft_at(spectrum, GRID, points)
-    assert np.array_equal(joint[: len(WINDOW)], inverse_ft_at(spectrum, GRID, WINDOW))
-    assert np.array_equal(joint[len(WINDOW) :], inverse_ft_at(spectrum, GRID, SWEEP_GRID))
+    for evaluate in (partial(evaluate_J, approx), partial(inverse_ft_at, spectrum, GRID)):
+        joint = evaluate(points)
+        assert np.array_equal(np.delete(joint, grid), evaluate(WINDOW))
+        assert np.array_equal(joint[grid], evaluate(SWEEP_GRID))
 
 
 def test_band_forward_on_stacked_rows_equals_one_call_per_row():
@@ -536,12 +645,12 @@ def test_band_forward_on_stacked_rows_equals_one_call_per_row():
     signal = get_signal("gauss_pair")
     nodes = uniform_nodes(256)
     target = measurement_target(signal, GRID, spatial_grid(16.0, 20), 4)
-    assert np.array_equal(target.points[: len(target.wq)], WINDOW)
+    assert np.array_equal(np.delete(target.points, target.spatial), WINDOW)
     rows = np.array(
         [
             target.wq
             * (
-                target.values[: len(WINDOW)]
+                np.delete(target.values, target.spatial)
                 - evaluate_J(reconstruct(signal, GAUSSIAN, a, nodes, GRID, 4), WINDOW)
             )
             for a in (0.75, 1.25, 1.75, 2.5)

@@ -20,7 +20,7 @@ from pwamalgam import (
     sweep,
     uniform_nodes,
 )
-from pwamalgam import engine, metrics, signals
+from pwamalgam import engine, metrics, signals, spectral
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.errors import AccuracyError, ConditioningError
 from pwamalgam.metrics import (
@@ -376,18 +376,35 @@ def test_sweep_builds_the_bound_side_spectrum_once(monkeypatch, alphas):
     assert caps.count(m_max + J_MARGIN) == 1
 
 
-def test_target_is_the_window_then_the_spatial_grid():
+def test_target_is_the_spatial_grid_between_the_window_halves():
     signal = get_signal("gauss_pair")
     grid = frequency_grid(128)
     x_grid = spatial_grid(8.0, density=10)
     target = measurement_target(signal, grid, x_grid, 2)
     xq, wq = window_quadrature(x_grid.extent, 2 + J_MARGIN)
+    half = len(xq) // 2
     assert np.array_equal(target.wq, wq)
-    assert np.array_equal(target.points, np.concatenate([xq, x_grid.points]))
+    assert np.array_equal(target.points, np.concatenate([xq[:half], x_grid.points, xq[half:]]))
+    assert np.array_equal(target.points[target.spatial], x_grid.points)
+    assert np.array_equal(np.delete(target.points, target.spatial), xq)
     assert target.values.tobytes() == (
         truncated_signal_values(signal, grid, 2, target.points).tobytes()
     )
     assert target.tail_f == signal.tail_bound(2)
+
+
+@pytest.mark.parametrize(
+    "extent, density, points", [(16.0, 20, 256), (8.0, 10, 128)], ids=["sweeps", "T8"]
+)
+def test_target_is_one_mirrored_point_set(extent, density, points):
+    # Every committed sweep's target (T_int 16, density 20) and the tests'
+    # narrow one: the signal is inverted, and each alpha's approximant
+    # evaluated, on half of its points and their mirrors.
+    target = measurement_target(
+        get_signal("gauss_pair"), frequency_grid(points), spatial_grid(extent, density), 4
+    )
+    assert np.array_equal(target.points, -target.points[::-1])
+    assert spectral._mirrored_rows(target.points) == len(target.points) // 2
 
 
 @pytest.mark.parametrize("signal_id", ["gauss_pair", "two_band"])
