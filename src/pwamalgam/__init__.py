@@ -38,7 +38,6 @@ from .kernels import (
     phi_spatial,
     phi_spectral,
     precision_boundary,
-    regularity_verdict,
     verify_regularity,
 )
 from .metrics import ErrorReport, error_report, sweep, truncated_signal_values
@@ -103,7 +102,6 @@ __all__ = [
     "phi_spectral",
     "precision_boundary",
     "reconstruct",
-    "regularity_verdict",
     "sample_band_signal",
     "signal_spectrum",
     "solve_coefficients",

@@ -14,10 +14,11 @@ reconstruct
 list-signals
     Print the builtin signal catalog.
 
-Exit codes: 0 on success (rows flagged precision-limited still count as
-success), 1 on numeric failure (a solve broke down or a sweep row failed),
-2 on configuration or contract errors and on an output file that cannot be
-written (files written before it stay).
+Exit codes: 0 when the run completes and ``checks.all_pass`` holds (rows
+flagged precision-limited still pass), 1 when it completes with a failed
+check (every file is still written) or when a reconstruct's solve breaks
+down (no file is written), 2 on configuration or contract errors and on an
+output file that cannot be written (files written before it stay).
 
 Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
 line endings, and shortest round-trip float formatting (``repr``); a
@@ -40,7 +41,7 @@ wall seconds of three stages under ``timings``: ``build`` (config and
 inputs), ``compute`` (the certificates, the sweep, or the reconstruction and
 its evaluation, plus the run checks) and ``write`` (the data files; the
 manifest itself is not timed). It is written exactly when the run
-completes, whether clean or with flagged rows.
+completes, whether its checks pass or not.
 
 `main` may be called any number of times in one process. One parser,
 built by the first call, serves every call, and each call runs the
@@ -51,7 +52,8 @@ The checks are decided beside their numbers: those of ``verify-family`` by
 `kernels.regularity_checks` (``precision_boundary_alpha`` is the ``alpha``
 where the Toeplitz condition bound crosses the precision cap, null if it
 never does), those of ``sweep`` and ``reconstruct``, and which sweep rows
-they trust, by `metrics.sweep_checks` and `metrics.quadrature_checks`.
+they trust, by `metrics.sweep_checks` and `metrics.quadrature_checks`; every
+command's ``all_pass`` by `metrics.run_verdict`, in `_write_manifest`.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ from .errors import (
     DomainError,
 )
 from .kernels import regularity_checks, verify_regularity
-from .metrics import pointwise_values, quadrature_checks, sweep_checks
+from .metrics import pointwise_values, quadrature_checks, run_verdict, sweep_checks
 from .metrics import sweep as run_sweep
 from .signals import builtin_signals
 from .spectral import row_blocks
@@ -259,23 +261,28 @@ def _write_manifest(
     config: ExperimentConfig,
     files: list[str],
     checks: dict,
-    timings: dict[str, float],
-) -> None:
+    timer: _StageTimer,
+) -> int:
+    """End a run: lap ``write``, write ``manifest.json`` with the `run_verdict`
+    of `checks` as ``all_pass``, and return the exit code, 0 if it holds."""
+    timer.lap("write")
+    all_pass = run_verdict(checks)
     manifest = {
         "command": command,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "environment": _environment(),
         "config": config.echo(),
-        "files": files,
-        "checks": checks,
-        "timings": timings,
+        "files": [*files, "manifest.json"],
+        "checks": {**checks, "all_pass": all_pass},
+        "timings": timer.seconds,
     }
     try:
         lines = [_ENCODER.encode({key: manifest[key]})[1:-1] for key in sorted(manifest)]
     except ValueError as exc:
         raise ContractError(f"manifest.json holds finite numbers only: {exc}") from exc
     _write_text(outdir / "manifest.json", "{\n  " + ",\n  ".join(lines) + "\n}\n")
+    return 0 if all_pass else 1
 
 
 def _outdir(args: argparse.Namespace, config: ExperimentConfig) -> Path:
@@ -297,10 +304,8 @@ def cmd_verify_family(args: argparse.Namespace) -> int:
     reports = verify_regularity(family, alphas)
     checks = regularity_checks(family, reports)
     timer.lap("compute")
-    files = [*_write_table(outdir, "regularity", reports), "manifest.json"]
-    timer.lap("write")
-    _write_manifest(outdir, "verify-family", config, files, checks, timer.seconds)
-    return 0 if checks["all_pass"] else 1
+    files = _write_table(outdir, "regularity", reports)
+    return _write_manifest(outdir, "verify-family", config, files, checks, timer)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -321,10 +326,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     reports = run_sweep(*inputs, config.m_max)
     checks = {**sweep_checks(reports), **quadrature_checks(signal, grid, config.m_max)}
     timer.lap("compute")
-    files = [*_write_table(outdir, "convergence", reports), "manifest.json"]
-    timer.lap("write")
-    _write_manifest(outdir, "sweep", config, files, checks, timer.seconds)
-    return 1 if checks["failed_rows"] else 0
+    files = _write_table(outdir, "convergence", reports)
+    return _write_manifest(outdir, "sweep", config, files, checks, timer)
 
 
 def _parse_eval_points(text: str) -> list[float]:
@@ -371,10 +374,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     }
     timer.lap("compute")
     _write_points(outdir / "reconstruction.json", xs, f_vals, j_vals, errors)
-    files = ["reconstruction.json", "manifest.json"]
-    timer.lap("write")
-    _write_manifest(outdir, "reconstruct", config, files, checks, timer.seconds)
-    return 0
+    return _write_manifest(outdir, "reconstruct", config, ["reconstruction.json"], checks, timer)
 
 
 def cmd_list_signals(args: argparse.Namespace) -> int:

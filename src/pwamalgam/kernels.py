@@ -54,7 +54,7 @@ XI_GRID = (
     2 * np.pi / 3,
     -2 * np.pi / 3,
 )
-# Certification thresholds, read by `verify_regularity` and `regularity_verdict`.
+# Certification thresholds, read by `verify_regularity` and `regularity_checks`.
 INFIMUM_GRID_POINTS = 4096
 H2_CAP = 2.5
 A3_TAIL_REL = 1e-12
@@ -304,7 +304,7 @@ class RegularityReport:
     `h3_ratio_at` maps each grid frequency to ``m_alpha / phi_hat_alpha(xi)``;
     `pass_H3` means every profile entry strictly decreased from the previous
     alpha in the sweep (vacuously true for the first report). The final-value
-    threshold is a sweep-level verdict computed by the caller.
+    threshold is a sweep-level check, decided by `regularity_checks`.
     """
 
     alpha: float
@@ -381,29 +381,15 @@ def verify_regularity(
     return reports
 
 
-def regularity_verdict(reports: list[RegularityReport]) -> dict[str, bool]:
-    """Sweep-level pass/fail summary over a list of regularity reports.
-
-    The per-report flags aggregate by conjunction; the decay-weight check
-    additionally requires the final report's profile to fall below
-    `H3_FINAL` at every grid frequency.
-    """
-    final = reports[-1]
+def regularity_checks(family: InterpolatorFamily, reports: list[RegularityReport]) -> dict:
+    """The checks of a regularity sweep: the per-report flags by conjunction,
+    ``H3_final`` (the final report's profile below `H3_FINAL` at every grid
+    frequency) and the `precision_boundary` at `PRECISION_CAP`."""
     return {
         "A2": all(r.pass_A2 for r in reports),
         "A3": all(r.pass_A3 for r in reports),
         "H2": all(r.pass_H2 for r in reports),
         "H3_monotone": all(r.pass_H3 for r in reports),
-        "H3_final": all(v < H3_FINAL for v in final.h3_ratio_at.values()),
-    }
-
-
-def regularity_checks(family: InterpolatorFamily, reports: list[RegularityReport]) -> dict:
-    """The checks of a regularity sweep: its `regularity_verdict`, ``all_pass``
-    and the `precision_boundary` at `PRECISION_CAP`."""
-    verdict = regularity_verdict(reports)
-    return {
-        **verdict,
-        "all_pass": all(verdict.values()),
+        "H3_final": all(v < H3_FINAL for v in reports[-1].h3_ratio_at.values()),
         "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
     }

@@ -50,7 +50,8 @@ here as well: `sweep_checks` reads a sweep's rows and decides which of them
 are trusted, and `quadrature_checks` records ``quadrature_drift``, the
 signal's amalgam-norm change on a frequency grid refined by the fixed
 ``quadrature_refinement_factor`` (2): the run's grid with each of its two
-panels halved, carrying the same Gauss-Legendre rule.
+panels halved, carrying the same Gauss-Legendre rule. `run_verdict` decides
+every command's ``all_pass``, ``verify-family``'s too.
 """
 
 from __future__ import annotations
@@ -83,6 +84,9 @@ J_MARGIN = 2
 
 # Nodes of the drift check's grid per node of the run's: `halved_panels`.
 QUADRATURE_REFINEMENT = 2
+
+# The largest ``quadrature_drift`` a run passes with (committed configs: 2.3e-15).
+DRIFT_TOL = 1e-12
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -328,13 +332,14 @@ def sweep_checks(reports: list[ErrorReport]) -> dict:
     Row counts cover every row. The embedding and monotone checks read only
     trusted rows: failed rows carry no errors, and precision-limited rows
     carry rounding noise. Each error must fall strictly from one trusted row
-    to the next, and the L2 error may exceed the amalgam error by a relative
+    to the next or be exactly 0 in both (an exact reconstruction, as of the
+    zero signal), and the L2 error may exceed the amalgam error by a relative
     1e-12: ``sqrt(sum n_m^2 + t^2) <= sum n_m + t`` holds exactly, so the
     slack covers rounding only, at every error scale.
     """
     trusted = [r for r in reports if not r.flags and not r.precision_limited]
     decreasing = all(
-        all(b < a for a, b in zip(col, col[1:]))
+        all(b < a or a == b == 0.0 for a, b in zip(col, col[1:]))
         for col in (
             [r.l2_error for r in trusted],
             [r.amalgam_error for r in trusted],
@@ -364,6 +369,17 @@ def quadrature_checks(signal: TestSignal, grid: FrequencyGrid, m_max: int) -> di
         "quadrature_refinement_factor": QUADRATURE_REFINEMENT,
         "quadrature_drift": abs(a - b) / (abs(b) or 1.0),
     }
+
+
+def run_verdict(checks: dict) -> bool:
+    """``checks.all_pass`` of any run: every boolean check holds,
+    ``failed_rows`` is 0 and ``quadrature_drift`` is at most `DRIFT_TOL`, each
+    where present. Counts and numbers with no a-priori bound are not judged."""
+    return bool(
+        all(value for value in checks.values() if isinstance(value, bool))
+        and not checks.get("failed_rows", 0)
+        and checks.get("quadrature_drift", 0.0) <= DRIFT_TOL
+    )
 
 
 def pointwise_values(

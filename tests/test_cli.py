@@ -39,7 +39,7 @@ from pwamalgam.cli import (
 )
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.kernels import J_MAX
-from pwamalgam.metrics import quadrature_checks, truncated_signal_values
+from pwamalgam.metrics import DRIFT_TOL, quadrature_checks, truncated_signal_values
 
 from .memory import traced_peak
 from .test_config import CONFIGS
@@ -259,6 +259,40 @@ def test_zero_signal_sweep_is_exactly_zero(tmp_path):
     for row in rows:
         for column in ("l2_error", "amalgam_error", "sup_error", "bound_ratio"):
             assert row[column] == "0.0"
+    # Errors that stay exactly 0 are an exact reconstruction, not a stall.
+    checks = read_json(out / "manifest.json")["checks"]
+    assert checks["errors_strictly_decreasing"] is True
+    assert checks["all_pass"] is True
+
+
+def test_rising_errors_exit_1_with_every_file_written(tmp_path):
+    # Node truncation at N=32 makes two_band's trusted errors rise after
+    # alpha = 2.5 (ROADMAP item 13): the sweep completes, writes every file,
+    # and its failed monotone check fails the run.
+    payload = {
+        **SMALL_SWEEP,
+        "signal": {"id": "two_band"},
+        "alpha_sweep": {"values": [2.0, 2.25, 2.5, 2.75, 2.85]},
+        "nodes": {"N": 32},
+        "spatial": {"T_int": 16.0, "density": 20},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "run"
+    code, _, err = run_cli(["sweep", "--config", cfg, "--out", str(out)])
+    assert (code, err) == (1, "")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "convergence.csv", "convergence.json", "manifest.json",
+    ]
+    _, rows = csv_rows(out / "convergence.csv")
+    assert all(r["flags"] == "" and r["precision_limited"] == "False" for r in rows)
+    errors = [float(r["amalgam_error"]) for r in rows]
+    assert errors[3] > errors[2]
+    manifest = read_json(out / "manifest.json")
+    assert sorted(manifest["files"]) == sorted(p.name for p in out.iterdir())
+    checks = manifest["checks"]
+    assert checks["failed_rows"] == 0
+    assert checks["errors_strictly_decreasing"] is False
+    assert checks["all_pass"] is False
 
 
 def test_config_error_exits_2_without_manifest(tmp_path):
@@ -362,6 +396,7 @@ def test_solver_breakdown_rows_exit_1(tmp_path):
     manifest = read_json(out / "manifest.json")
     assert manifest["checks"]["failed_rows"] == 1
     assert manifest["checks"]["precision_limited_rows"] == 1
+    assert manifest["checks"]["all_pass"] is False
     mirror = read_json(out / "convergence.json")
     assert mirror[1]["amalgam_error"] is None
     assert mirror[1]["flags"]
@@ -891,10 +926,11 @@ def test_reconstruct_complex_signal_reports_both_parts(tmp_path):
 SWEEP_CHECKS = {
     "rows", "failed_rows", "precision_limited_rows", "excluded_rows",
     "embedding_l2_le_amalgam", "errors_strictly_decreasing",
-    "quadrature_refinement_factor", "quadrature_drift",
+    "quadrature_refinement_factor", "quadrature_drift", "all_pass",
 }
 RECONSTRUCT_CHECKS = {
     "alpha", "points", "max_pointwise_error", "quadrature_refinement_factor", "quadrature_drift",
+    "all_pass",
 }
 
 
@@ -968,6 +1004,23 @@ def test_non_finite_manifest_value_exits_2(tmp_path, monkeypatch, value):
     assert json_rows(out / "reconstruction.json")[0]["x"] == 0.0
 
 
+def test_drift_above_tolerance_exits_1_with_every_file_written(tmp_path, monkeypatch):
+    # A finite drift past `DRIFT_TOL` is a failed check, not a contract
+    # error: the run writes both files and exits 1.
+    def drifting(*args):
+        return {**quadrature_checks(*args), "quadrature_drift": 2 * DRIFT_TOL}
+
+    monkeypatch.setattr("pwamalgam.cli.quadrature_checks", drifting)
+    cfg = write_config(tmp_path, {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}})
+    out = tmp_path / "run"
+    args = ["reconstruct", "--config", cfg, "--out", str(out), "--eval-points", "0"]
+    assert run_cli(args) == (1, "", "")
+    checks = read_json(out / "manifest.json")["checks"]
+    assert checks["quadrature_drift"] == 2 * DRIFT_TOL
+    assert checks["all_pass"] is False
+    assert json_rows(out / "reconstruction.json")[0]["x"] == 0.0
+
+
 def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
     # The drift check refines the run's grid by halving its panels: one
     # Gauss-Legendre rule per run, the run's own. Rules are kept per process,
@@ -992,7 +1045,7 @@ def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):
 def test_drift_is_rounding_on_every_committed_config(path):
     config = load_config(path)
     checks = quadrature_checks(config.make_signal(), config.make_grid(), config.m_max)
-    assert 0.0 <= checks["quadrature_drift"] < 1e-12
+    assert 0.0 <= checks["quadrature_drift"] < DRIFT_TOL
 
 
 def test_drift_flags_an_under_resolved_grid():
@@ -1029,6 +1082,7 @@ DATA_FILE_SHA256 = {
 # OpenBLAS it was recorded with.
 MANIFEST_CHECKS = {
     "reconstruct_tri_band": {
+        "all_pass": True,
         "alpha": 1.0,
         "max_pointwise_error": 0.0017889949537186348,
         "points": 161,
@@ -1036,6 +1090,7 @@ MANIFEST_CHECKS = {
         "quadrature_refinement_factor": 2,
     },
     "sweep_gauss_pair": {
+        "all_pass": True,
         "embedding_l2_le_amalgam": True,
         "errors_strictly_decreasing": True,
         "excluded_rows": 0,
@@ -1046,6 +1101,7 @@ MANIFEST_CHECKS = {
         "rows": 4,
     },
     "sweep_perturbed_nodes": {
+        "all_pass": True,
         "embedding_l2_le_amalgam": True,
         "errors_strictly_decreasing": True,
         "excluded_rows": 0,
@@ -1056,6 +1112,7 @@ MANIFEST_CHECKS = {
         "rows": 4,
     },
     "sweep_precision_edge": {
+        "all_pass": True,
         "embedding_l2_le_amalgam": True,
         "errors_strictly_decreasing": True,
         "excluded_rows": 1,
@@ -1066,6 +1123,7 @@ MANIFEST_CHECKS = {
         "rows": 3,
     },
     "sweep_two_band": {
+        "all_pass": True,
         "embedding_l2_le_amalgam": True,
         "errors_strictly_decreasing": True,
         "excluded_rows": 0,

@@ -18,10 +18,10 @@ from pwamalgam import (
     phi_spatial,
     phi_spectral,
     precision_boundary,
-    regularity_verdict,
     verify_regularity,
 )
 from pwamalgam import engine, kernels, metrics
+from pwamalgam.kernels import PRECISION_CAP, regularity_checks
 from .oracles import transform_by_quadrature
 
 # Frozen closed-form oracle values.
@@ -182,13 +182,14 @@ def test_regularity_sweep_monotone_profile():
     family = get_family("gaussian")
     reports = verify_regularity(family, [0.5, 1.0, 2.0, 3.0])
     assert all(r.pass_A2 and r.pass_A3 and r.pass_H2 and r.pass_H3 for r in reports)
-    verdict = regularity_verdict(reports)
+    verdict = regularity_checks(family, reports)
     assert verdict == {
         "A2": True,
         "A3": True,
         "H2": True,
         "H3_monotone": True,
         "H3_final": True,
+        "precision_boundary_alpha": precision_boundary(family, PRECISION_CAP),
     }
     # Profile entries shrink between consecutive alphas at every frequency.
     for prev, curr in zip(reports, reports[1:]):
@@ -199,8 +200,8 @@ def test_regularity_sweep_monotone_profile():
 def test_h3_final_requires_deep_sweep():
     family = get_family("gaussian")
     shallow = verify_regularity(family, [0.5, 0.75])
-    assert regularity_verdict(shallow)["H3_final"] is False
-    assert regularity_verdict(shallow)["H3_monotone"] is True
+    assert regularity_checks(family, shallow)["H3_final"] is False
+    assert regularity_checks(family, shallow)["H3_monotone"] is True
 
 
 def test_verify_regularity_rejects_empty_sweep():

@@ -20,15 +20,17 @@ from pwamalgam import (
     sweep,
     uniform_nodes,
 )
-from pwamalgam import engine, metrics, signals, spectral
+from pwamalgam import engine, kernels, metrics, signals, spectral
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.errors import AccuracyError, ConditioningError
 from pwamalgam.metrics import (
+    DRIFT_TOL,
     J_MARGIN,
     ErrorReport,
     measurement_target,
     pointwise_values,
     quadrature_checks,
+    run_verdict,
     sweep_checks,
     truncated_signal_values,
     window_quadrature,
@@ -480,6 +482,20 @@ def test_sweep_checks_a_tie_is_not_a_decrease():
     assert not sweep_checks(rows)["errors_strictly_decreasing"]
 
 
+def test_sweep_checks_exact_zeros_are_not_a_rise():
+    # An exact reconstruction, as of the zero signal, cannot fall below 0.
+    zeros = [measured_row(1.0, 0.0), measured_row(2.0, 0.0), measured_row(3.0, 0.0)]
+    assert sweep_checks(zeros)["errors_strictly_decreasing"]
+    assert sweep_checks([measured_row(1.0, 1e-2), *zeros[1:]])["errors_strictly_decreasing"]
+    # Rows that stall at an equal non-zero error still fail, at any scale.
+    for error in (1e-2, 5e-324):
+        stalled = [measured_row(1.0, 1e-1), measured_row(2.0, error), measured_row(3.0, error)]
+        assert not sweep_checks(stalled)["errors_strictly_decreasing"]
+    # A rise from exactly 0 fails too.
+    rising = [measured_row(1.0, 0.0), measured_row(2.0, 1e-300)]
+    assert not sweep_checks(rising)["errors_strictly_decreasing"]
+
+
 def test_sweep_checks_embedding_slack_is_relative_1e_12():
     amalgam = 1e-3
     held = [measured_row(1.0, amalgam, l2_error=amalgam * (1 + 5e-13))]
@@ -489,6 +505,51 @@ def test_sweep_checks_embedding_slack_is_relative_1e_12():
     # The slack scales with the errors, so rows near rounding level are checked too.
     tiny = [measured_row(1.0, 1e-13, l2_error=2e-13)]
     assert not sweep_checks(tiny)["embedding_l2_le_amalgam"]
+
+
+PASSING_SWEEP = {
+    **sweep_checks([measured_row(1.0, 1e-2), measured_row(2.0, 1e-3)]),
+    "quadrature_refinement_factor": 2,
+    "quadrature_drift": 2.3e-15,
+}
+
+
+def test_run_verdict_passes_a_clean_sweep_and_reconstruct():
+    assert run_verdict(PASSING_SWEEP) is True
+    reconstruct = {"alpha": 1.0, "points": 161, "max_pointwise_error": 0.5}
+    assert run_verdict({**reconstruct, "quadrature_drift": DRIFT_TOL}) is True
+    # Counts and unbounded numbers are not judged.
+    assert run_verdict({**PASSING_SWEEP, "excluded_rows": 3, "precision_limited_rows": 3})
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"failed_rows": 1},
+        {"embedding_l2_le_amalgam": False},
+        {"errors_strictly_decreasing": False},
+        {"quadrature_drift": np.nextafter(DRIFT_TOL, 1.0)},
+        {"quadrature_drift": np.nan},
+    ],
+    ids=["failed_row", "embedding", "decreasing", "drift_above_tol", "drift_nan"],
+)
+def test_run_verdict_fails_on_each_part_alone(change):
+    assert run_verdict({**PASSING_SWEEP, **change}) is False
+
+
+def test_run_verdict_reads_every_regularity_flag():
+    family = get_family("gaussian")
+    checks = kernels.regularity_checks(family, kernels.verify_regularity(family, [0.5, 3.0]))
+    assert run_verdict(checks) is True
+    for flag in ("A2", "A3", "H2", "H3_monotone", "H3_final"):
+        assert run_verdict({**checks, flag: False}) is False
+    assert run_verdict({**checks, "precision_boundary_alpha": None}) is True
+
+
+def test_drift_tol_is_pinned():
+    # Every committed config drifts by at most 2.3e-15; a looser bound would
+    # pass grids that do not resolve their signal.
+    assert DRIFT_TOL == 1e-12
 
 
 def test_quadrature_checks_of_the_zero_signal():
