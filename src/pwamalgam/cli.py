@@ -27,11 +27,15 @@ thread count write byte-identical data files (at N = 32 across counts too;
 from N = 128 up the Cholesky factor depends on the count). No JSON file
 holds a ``NaN`` or ``Infinity`` token: the strict `_ENCODER` writes the
 tables' JSON mirrors and ``manifest.json``, and `_write_points` writes
-``reconstruction.json`` through its ``%r`` row template after checking that
-every value is finite. The JSON data files (``regularity.json``,
-``convergence.json``, ``reconstruction.json``) hold a JSON array with one
-object per line, keys sorted; a table's NaN or inf is null there. ``manifest.json`` has one
-top-level key per line, keys sorted, nested objects inline. A NaN or inf in
+``reconstruction.json`` through its bytes row template after checking that
+every value is finite. The numbers of ``reconstruction.json`` are the
+shortest round-trip digits of ``repr`` spelled as orjson spells them
+(``1e-8`` for ``1e-08``, ``1e16`` for ``1e+16``, ``0.00001`` for
+``1e-05``); the CSVs and the other JSON files keep ``repr``. The JSON data
+files (``regularity.json``, ``convergence.json``, ``reconstruction.json``)
+hold a JSON array with one object per line, keys sorted; a table's NaN or
+inf is null there. ``manifest.json`` has one top-level key per line, keys
+sorted, nested objects inline. A NaN or inf in
 it or in ``reconstruction.json`` is a contract error that leaves no file.
 The manifest records the normalized config echo, library version,
 timestamp, environment (Python, numpy and scipy versions, the BLAS
@@ -69,9 +73,10 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO
 
 import numpy as np
+import orjson
 import scipy
 
 from . import __version__
@@ -103,19 +108,20 @@ def _cell(value: object) -> str:
 
 
 @contextmanager
-def _output(path: Path) -> Iterator[TextIO]:
-    """`path` opened for UTF-8 text with LF line endings; a failure to open
-    or write it raises `ConfigError`."""
+def _output(path: Path) -> Iterator[BinaryIO]:
+    """`path` opened for bytes; a failure to open or write it raises
+    `ConfigError`."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        with open(path, "wb") as handle:
             yield handle
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _write_text(path: Path, text: str) -> None:
+    """Write `text` as UTF-8; its line endings are LF as written."""
     with _output(path) as handle:
-        handle.write(text)
+        handle.write(text.encode("utf-8"))
 
 
 # The encoder of the tables' JSON mirrors and of ``manifest.json``
@@ -132,10 +138,9 @@ def _jsonable(value: object) -> object:
     return value
 
 
-# A point of ``reconstruction.json``, keys sorted as `_ENCODER` sorts them.
-# ``%r`` of a float is ``float.__repr__``, the spelling `json` gives a finite
-# float.
-_POINT = '{"J": [%r, %r], "error": %r, "f": [%r, %r], "x": %r}'
+# A point of ``reconstruction.json``, keys sorted as `_ENCODER` sorts them;
+# each ``%b`` takes one number as orjson spells it.
+_POINT = b'{"J": [%b, %b], "error": %b, "f": [%b, %b], "x": %b}'
 
 
 def _write_points(
@@ -143,19 +148,23 @@ def _write_points(
 ) -> None:
     """Write ``reconstruction.json`` a `row_blocks` block at a time, each one
     ``%`` of `_POINT` repeated per x: the text of the whole file never exists
-    at once. A NaN or an infinity raises `ContractError` before the file is
-    opened."""
+    at once. One compiled `orjson.dumps` spells a block's numbers: the
+    shortest digits that round-trip, those of ``repr``, with exponents
+    unpadded and unsigned (``1e-8``, ``1e16``) and ``1e-5 <= |v| < 1e-4``
+    positional (``0.00001``). A NaN or an infinity raises `ContractError`
+    before the file is opened."""
     columns = (j_vals.real, j_vals.imag, errors, f_vals.real, f_vals.imag, xs)
     if not all(np.isfinite(column).all() for column in columns):
         raise ContractError("reconstruction.json holds finite numbers only, not NaN or inf")
     with _output(path) as handle:
-        separator = "[\n"
+        separator = b"[\n"
         for rows in row_blocks(len(xs)):
             values = np.stack([column[rows] for column in columns], axis=1)
+            numbers = orjson.dumps(values.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
             handle.write(separator)
-            handle.write(",\n".join([_POINT] * len(values)) % tuple(values.ravel().tolist()))
-            separator = ",\n"
-        handle.write("[]\n" if separator == "[\n" else "\n]\n")
+            handle.write(b",\n".join([_POINT] * len(values)) % tuple(numbers[1:-1].split(b",")))
+            separator = b",\n"
+        handle.write(b"[]\n" if separator == b"[\n" else b"\n]\n")
 
 
 def _columns(report: object) -> dict[str, object]:

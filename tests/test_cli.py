@@ -6,13 +6,16 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 
 import pwamalgam
@@ -718,7 +721,8 @@ def test_reconstruction_json_is_one_point_per_line(tmp_path):
 
 def test_reconstruct_sorts_points_stably(tmp_path):
     # 0.0 and -0.0 compare equal, so they keep the order they were given in,
-    # as `list.sort` kept them; the bytes are those the list-sorting writer wrote.
+    # as `list.sort` kept them; the bytes parse to the doubles the list-sorting
+    # writer wrote, each spelled as orjson spells it.
     cfg = write_config(tmp_path, {**RECONSTRUCT_BASE, "alpha_sweep": {"values": [1.0]}})
     orders = [("0.5,0.0,-0.0", [1, -1, 1]), ("-0.0,0.5,0", [-1, 1, 1])]
     for i, (points, signs) in enumerate(orders):
@@ -730,7 +734,7 @@ def test_reconstruct_sorts_points_stably(tmp_path):
         xs = [row["x"] for row in json_rows(out / "reconstruction.json")]
         assert xs == [0.0, 0.0, 0.5] and [math.copysign(1, x) for x in xs] == signs
     digest = hashlib.sha256((tmp_path / "run0" / "reconstruction.json").read_bytes())
-    assert digest.hexdigest() == "e2243746b3938b695c08c56e6abd7a074409ce823125c36214499ad960481d8b"
+    assert digest.hexdigest() == "6350f223931839724907ed702d9cdcdd9c1a8011cbb37c663c159e38cd417dca"
 
 
 def traced_reconstruct(tmp_path):
@@ -797,7 +801,8 @@ def test_reconstruct_empty_points(tmp_path):
 def test_rows_are_written_without_the_whole_text(tmp_path):
     # 2561 points, shaped like those of a reconstruct on its default grid. The
     # writer streams them a block at a time: its peak stays below the size of
-    # the file, whose bytes are those of the row encoder of the tables.
+    # the file, whose rows are laid out as the row encoder of the tables lays
+    # them out.
     xs = np.linspace(-64.0, 64.0, 2561)
     f_re, f_im, j_re, j_im, error = (
         np.sin(k * xs) / np.cosh(xs / 7.0) for k in (1.0, 2.0, 3.0, 5.0, 7.0)
@@ -807,12 +812,24 @@ def test_rows_are_written_without_the_whole_text(tmp_path):
     peak = traced_peak(lambda: _write_points(path, xs, f, J, error))
     assert len(json_rows(path)) == 2561
     assert peak < path.stat().st_size
-    encoder = json.JSONEncoder(sort_keys=True)
+    assert path.read_text(encoding="utf-8") == points_text(xs, f_re, f_im, j_re, j_im, error)
+
+
+# A row as `json.JSONEncoder(sort_keys=True)` writes it, each digit k standing
+# for the k-th of x, f_re, f_im, j_re, j_im and error.
+ROW_LAYOUT = json.JSONEncoder(sort_keys=True).encode(
+    {"x": 0, "f": [1, 2], "J": [3, 4], "error": 5}
+)
+
+
+def points_text(*columns):
+    """The text of ``reconstruction.json`` for six real columns: rows in
+    `ROW_LAYOUT`, each number as `orjson.dumps` spells the float."""
     rows = (
-        encoder.encode({"x": x, "f": [a, b], "J": [c, d], "error": e})
-        for x, a, b, c, d, e in zip(*(v.tolist() for v in (xs, f_re, f_im, j_re, j_im, error)))
+        re.sub(r"\d", lambda k: orjson.dumps(row[int(k.group())]).decode(), ROW_LAYOUT)
+        for row in zip(*(column.tolist() for column in columns))
     )
-    assert path.read_text(encoding="utf-8") == "[\n" + ",\n".join(rows) + "\n]\n"
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def write_point_columns(path, x, f_re, f_im, j_re, j_im, error):
@@ -826,19 +843,46 @@ def write_point_columns(path, x, f_re, f_im, j_re, j_im, error):
 @pytest.mark.parametrize(
     "value", [-0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308], ids=repr
 )
-def test_finite_points_are_written_as_json_writes_them(tmp_path, value):
+def test_finite_points_are_written_as_orjson_spells_them(tmp_path, value):
     # The value in each of the six columns in turn, the others 1.5.
     columns = [np.full(6, 1.5) for _ in range(6)]
     for k, column in enumerate(columns):
         column[k] = value
     path = tmp_path / "reconstruction.json"
     write_point_columns(path, *columns)
-    encoder = json.JSONEncoder(sort_keys=True)
-    rows = (
-        encoder.encode({"x": x, "f": [a, b], "J": [c, d], "error": e})
-        for x, a, b, c, d, e in zip(*(v.tolist() for v in columns))
-    )
-    assert path.read_text(encoding="utf-8") == "[\n" + ",\n".join(rows) + "\n]\n"
+    assert path.read_text(encoding="utf-8") == points_text(*columns)
+
+
+# Zeros, the least subnormal, the least normal, both sides of 1e-4 (below it
+# orjson writes 0.00001 where repr writes 1e-05), an exponent repr pads with
+# a sign (1e+16), and the largest double.
+EDGE_VALUES = [
+    0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.99e-5, 1e-4, 1e16, 1.7976931348623157e308
+]
+
+
+def test_points_read_back_bit_for_bit_in_the_digits_of_repr(tmp_path):
+    # Seeded random bit patterns, the finite ones, with the edge values and
+    # their negatives, in a different order in each of the six columns: json
+    # reads every double back exactly, and each number's text has the
+    # decimal value of its repr.
+    rng = np.random.default_rng(2013)
+    patterns = np.frombuffer(rng.bytes(8 * 4096), dtype=np.float64)
+    finite = patterns[np.isfinite(patterns)]
+    values = np.concatenate([finite, EDGE_VALUES, np.negative(EDGE_VALUES)])
+    columns = [rng.permutation(values) for _ in range(6)]
+    path = tmp_path / "reconstruction.json"
+    write_point_columns(path, *columns)
+    text = path.read_text(encoding="utf-8")
+    floats, decimals = json.loads(text), json.loads(text, parse_float=Decimal)
+    for column, read, spelled in zip(columns, point_columns(floats), point_columns(decimals)):
+        assert np.array_equal(np.array(read).view(np.uint64), column.view(np.uint64))
+        assert [(d, v) for d, v in zip(spelled, column.tolist()) if d != Decimal(repr(v))] == []
+
+
+def point_columns(rows):
+    """The x, f_re, f_im, j_re, j_im and error columns of parsed rows."""
+    return list(zip(*([row["x"], *row["f"], *row["J"], row["error"]] for row in rows)))
 
 
 POINT_COLUMNS = ["x", "f_re", "f_im", "j_re", "j_im", "error"]
@@ -1061,7 +1105,7 @@ COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct
 # sha256 of every data file the committed configs write; manifests carry a
 # timestamp and timings, so they are left out.
 DATA_FILE_SHA256 = {
-    "reconstruct_tri_band/reconstruction.json": "a01028efda17f1643431cabbde3116819f71d3d970c74a14bebaa6e2c7a6924f",
+    "reconstruct_tri_band/reconstruction.json": "c8a38bd862b5a9df1799988b4bdcee006dac2a221cad100f8643fa6732bb1dfb",
     "sweep_gauss_pair/convergence.csv": "447f9500eed4e26192f3c0bb9b16ffebbf017fdfe6b35956738af36d8a43202f",
     "sweep_gauss_pair/convergence.json": "7ac3d30179ca77dfec91c7a11a418c8906820191a30ae4fa791252220e3cc5c5",
     "sweep_perturbed_nodes/convergence.csv": "8bbe263516fc7f1cae5909097127dd98bf0bf2207851ac59c5fccf87982ac621",
@@ -1249,12 +1293,12 @@ INLINE_STUDIES = {
 # (the 65-node ones of the committed configs alike), so each count has its own.
 INLINE_STUDY_SHA256 = {
     1: {
-        "reconstruct_two_band_perturbed_N128/reconstruction.json": "f1eb000ab551a64cd200e0400d38009a171746a38df7f0dab6e18155183151e9",
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "3899390ec1c44858029fc1f662b968fe83c5c17d0f4be85a667723ae3607c618",
         "sweep_gauss_pair_N256/convergence.csv": "3232111293cadf43299f845dee906091a9c696d29455b932219f2e1312a947f4",
         "sweep_gauss_pair_N256/convergence.json": "83b95b1a699a7606d2e8de4f7d555a1073b780e4b7ce2662a489f1be7798bcd5",
     },
     2: {
-        "reconstruct_two_band_perturbed_N128/reconstruction.json": "c894f39185949d1839efd9c1c4ef553121dbaa1aa0d731686e72bbf394294db1",
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "6be161169cbfb3b35b24969834ae39362de7c28567125ec164ca3901026d7e98",
         "sweep_gauss_pair_N256/convergence.csv": "2e195be87bfc8ad561ab631b5b4db550117f493cce4b49afaae638ea8f6baf29",
         "sweep_gauss_pair_N256/convergence.json": "a4e57ba3b24981ee37dc4b653c95fd89851f9fd7037ac59712b09a8ec662a512",
     },
