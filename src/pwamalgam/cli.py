@@ -24,19 +24,17 @@ Output conventions: CSV files carry a mandatory header row, UTF-8 bytes, LF
 line endings, and shortest round-trip float formatting (``repr``); a
 ``flags`` cell joins its items by ``"; "``. Two runs of a config at one BLAS
 thread count write byte-identical data files (at N = 32 across counts too;
-from N = 128 up the Cholesky factor depends on the count). No JSON file
-holds a ``NaN`` or ``Infinity`` token: the strict `_ENCODER` writes the
-tables' JSON mirrors and ``manifest.json``, and `_write_points` writes
-``reconstruction.json`` through its bytes row template after checking that
-every value is finite. The numbers of ``reconstruction.json`` are the
-shortest round-trip digits of ``repr`` spelled as orjson spells them
-(``1e-8`` for ``1e-08``, ``1e16`` for ``1e+16``, ``0.00001`` for
-``1e-05``); the CSVs and the other JSON files keep ``repr``. The JSON data
-files (``regularity.json``, ``convergence.json``, ``reconstruction.json``)
-hold a JSON array with one object per line, keys sorted; a table's NaN or
-inf is null there. ``manifest.json`` has one top-level key per line, keys
-sorted, nested objects inline. A NaN or inf in
-it or in ``reconstruction.json`` is a contract error that leaves no file.
+from N = 128 up the Cholesky factor depends on the count). Every JSON file is
+written by orjson, through `_json` or, for ``reconstruction.json``, its bytes
+row template `_POINT`: keys sorted, no whitespace inside a line, and each
+number in the shortest digits that round-trip, those of ``repr``, with
+exponents unpadded and unsigned (``1e-8``, ``1e16``) and ``1e-5 <= |v| <
+1e-4`` positional (``0.00001``). The JSON data files (``regularity.json``,
+``convergence.json``, ``reconstruction.json``) hold a JSON array with one
+object per line; a table's NaN or inf is null there. ``manifest.json`` has
+one top-level key per line, nested objects inline. No JSON file holds a
+``NaN`` or ``Infinity`` token: a NaN or inf in the manifest's checks or in
+``reconstruction.json`` is a contract error that leaves no file.
 The manifest records the normalized config echo, library version,
 timestamp, environment (Python, numpy and scipy versions, the BLAS
 libraries of numpy and of scipy, and ``git_revision``, the commit of the
@@ -64,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import platform
 import sys
@@ -118,29 +115,21 @@ def _output(path: Path) -> Iterator[BinaryIO]:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write `text` as UTF-8; its line endings are LF as written."""
+def _write(path: Path, data: bytes) -> None:
+    """Write `data` to `path` through `_output`."""
     with _output(path) as handle:
-        handle.write(text.encode("utf-8"))
+        handle.write(data)
 
 
-# The encoder of the tables' JSON mirrors and of ``manifest.json``
-# (``reconstruction.json`` has `_POINT`): built once, and without `indent`
-# json's compiled one. A NaN or inf that reaches it raises ValueError, so no
-# non-standard token (``NaN``, ``Infinity``) is ever written.
-_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+def _json(value: object) -> bytes:
+    """`value` as orjson writes it: keys sorted, no whitespace, numpy arrays
+    and scalars as their Python values, NaN and ±inf as null."""
+    return orjson.dumps(value, option=orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY)
 
 
-def _jsonable(value: object) -> object:
-    """A table cell as its JSON mirror holds it: NaN and ±inf become null."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-# A point of ``reconstruction.json``, keys sorted as `_ENCODER` sorts them;
-# each ``%b`` takes one number as orjson spells it.
-_POINT = b'{"J": [%b, %b], "error": %b, "f": [%b, %b], "x": %b}'
+# A point of ``reconstruction.json`` as `_json` writes it; each ``%b`` takes
+# one number as orjson spells it.
+_POINT = b'{"J":[%b,%b],"error":%b,"f":[%b,%b],"x":%b}'
 
 
 def _write_points(
@@ -148,11 +137,8 @@ def _write_points(
 ) -> None:
     """Write ``reconstruction.json`` a `row_blocks` block at a time, each one
     ``%`` of `_POINT` repeated per x: the text of the whole file never exists
-    at once. One compiled `orjson.dumps` spells a block's numbers: the
-    shortest digits that round-trip, those of ``repr``, with exponents
-    unpadded and unsigned (``1e-8``, ``1e16``) and ``1e-5 <= |v| < 1e-4``
-    positional (``0.00001``). A NaN or an infinity raises `ContractError`
-    before the file is opened."""
+    at once. One `_json` call spells a block's numbers. A NaN or an infinity
+    raises `ContractError` before the file is opened."""
     columns = (j_vals.real, j_vals.imag, errors, f_vals.real, f_vals.imag, xs)
     if not all(np.isfinite(column).all() for column in columns):
         raise ContractError("reconstruction.json holds finite numbers only, not NaN or inf")
@@ -160,7 +146,7 @@ def _write_points(
         separator = b"[\n"
         for rows in row_blocks(len(xs)):
             values = np.stack([column[rows] for column in columns], axis=1)
-            numbers = orjson.dumps(values.ravel(), option=orjson.OPT_SERIALIZE_NUMPY)
+            numbers = _json(values.ravel())
             handle.write(separator)
             handle.write(b",\n".join([_POINT] * len(values)) % tuple(numbers[1:-1].split(b",")))
             separator = b",\n"
@@ -186,9 +172,8 @@ def _write_table(outdir: Path, stem: str, reports: list) -> list[str]:
     rows = [_columns(report) for report in reports]
     header = list(rows[0])
     lines = [",".join(header)] + [",".join(_cell(row[h]) for h in header) for row in rows]
-    _write_text(outdir / f"{stem}.csv", "\n".join(lines) + "\n")
-    texts = [_ENCODER.encode({name: _jsonable(v) for name, v in row.items()}) for row in rows]
-    _write_text(outdir / f"{stem}.json", "[\n" + ",\n".join(texts) + "\n]\n")
+    _write(outdir / f"{stem}.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+    _write(outdir / f"{stem}.json", b"[\n" + b",\n".join(map(_json, rows)) + b"\n]\n")
     return [f"{stem}.csv", f"{stem}.json"]
 
 
@@ -273,8 +258,14 @@ def _write_manifest(
     timer: _StageTimer,
 ) -> int:
     """End a run: lap ``write``, write ``manifest.json`` with the `run_verdict`
-    of `checks` as ``all_pass``, and return the exit code, 0 if it holds."""
+    of `checks` as ``all_pass``, and return the exit code, 0 if it holds. A
+    NaN or inf in `checks`, the only member computed from numbers (the config
+    echo was validated at load time), raises `ContractError` before the file
+    is opened."""
     timer.lap("write")
+    for key, value in checks.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ContractError(f"manifest.json holds finite numbers only, not {key}={value}")
     all_pass = run_verdict(checks)
     manifest = {
         "command": command,
@@ -286,11 +277,8 @@ def _write_manifest(
         "checks": {**checks, "all_pass": all_pass},
         "timings": timer.seconds,
     }
-    try:
-        lines = [_ENCODER.encode({key: manifest[key]})[1:-1] for key in sorted(manifest)]
-    except ValueError as exc:
-        raise ContractError(f"manifest.json holds finite numbers only: {exc}") from exc
-    _write_text(outdir / "manifest.json", "{\n  " + ",\n  ".join(lines) + "\n}\n")
+    lines = [_json({key: manifest[key]})[1:-1] for key in sorted(manifest)]
+    _write(outdir / "manifest.json", b"{\n  " + b",\n  ".join(lines) + b"\n}\n")
     return 0 if all_pass else 1
 
 

@@ -90,6 +90,11 @@ def _at_least(low: int) -> tuple:
     return (lambda v, c: v >= low, f"{{name}} must be >= {low}")
 
 
+# The manifest echoes the config through orjson, which writes integers of the
+# 64-bit range only; nodes.N has a tighter bound of its own.
+_BELOW_2_64 = (lambda v, c: v < 2**64, "{name} must be < 2**64")
+
+
 _SIGNAL_IDS = tuple(s.signal_id for s in builtin_signals())
 
 # One row per key: (section, key, ExperimentConfig attribute, parser, default,
@@ -120,7 +125,7 @@ _KEYS: tuple[tuple, ...] = (
             "{name}={v} violates the Kadec 1/4 bound (need 0 <= d < 0.25)",
         ),
     ),
-    ("nodes", "seed", "nodes_seed", _as_int, 0, _at_least(0)),
+    ("nodes", "seed", "nodes_seed", _as_int, 0, _at_least(0), _BELOW_2_64),
     ("nodes", "symmetric", "nodes_symmetric", _as_bool, True),
     ("signal", "id", "signal_id", _one_of(*_SIGNAL_IDS), "gauss_pair"),
     (
@@ -132,6 +137,7 @@ _KEYS: tuple[tuple, ...] = (
         # The grid's 2*T_int*density + 1 floats must fit numpy's array size
         # limit of 2**63 - 1 bytes; from 10**400 the product overflows a float.
         (lambda v, c: v < 2**59 / c["t_int"], "{name} must keep 2*T_int*density < 2**60"),
+        _BELOW_2_64,
     ),
     ("output", "directory", "out_directory", _as_string, "."),
 )

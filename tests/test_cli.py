@@ -1,12 +1,12 @@
 """CLI behavior: outputs, determinism, exit codes."""
 
+import dataclasses
 import gc
 import hashlib
 import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import warnings
@@ -38,11 +38,17 @@ from pwamalgam.cli import (
     _cell,
     _git_revision,
     _write_points,
+    _write_table,
     main,
 )
 from pwamalgam.engine import PRECISION_CAP
 from pwamalgam.kernels import J_MAX
-from pwamalgam.metrics import DRIFT_TOL, quadrature_checks, truncated_signal_values
+from pwamalgam.metrics import (
+    DRIFT_TOL,
+    ErrorReport,
+    quadrature_checks,
+    truncated_signal_values,
+)
 
 from .memory import traced_peak
 from .test_config import CONFIGS
@@ -427,8 +433,29 @@ def test_perturbed_breakdown_row_carries_inf_in_csv_and_null_in_json(tmp_path):
     assert rows[1]["flags"].startswith("failed: ")
     assert "no condition bound holds off the integer nodes" in rows[1]["flags"]
     mirror = (out / "convergence.json").read_text(encoding="utf-8").split("\n")
-    assert '"condition_estimate": null' in mirror[2]
+    assert '"condition_estimate":null' in mirror[2]
     assert json_rows(out / "convergence.json")[1]["condition_estimate"] is None
+
+
+def test_numpy_float_cells_write_the_bytes_of_plain_floats(tmp_path):
+    # A report's float fields may be numpy float64 scalars; the table's JSON
+    # mirror spells them as the plain floats they hold, NaN and inf as null.
+    report = ErrorReport(
+        alpha=1.5, l2_error=2.5e-8, sup_error=1e16, rhs_bound=1e-5, condition_estimate=math.inf
+    )
+    floats = {
+        field.name: np.float64(getattr(report, field.name))
+        for field in dataclasses.fields(report)
+        if isinstance(getattr(report, field.name), float)
+    }
+    assert len(floats) == 9
+    texts = []
+    for name, row in (("plain", report), ("numpy", dataclasses.replace(report, **floats))):
+        (tmp_path / name).mkdir()
+        _write_table(tmp_path / name, "convergence", [row])
+        texts.append((tmp_path / name / "convergence.json").read_bytes())
+    assert texts[0] == texts[1]
+    assert json_rows(tmp_path / "numpy" / "convergence.json")[0]["condition_estimate"] is None
 
 
 @pytest.mark.parametrize("item", ["a, b", 'a "b"', "a\nb", "a\rb"])
@@ -734,7 +761,7 @@ def test_reconstruct_sorts_points_stably(tmp_path):
         xs = [row["x"] for row in json_rows(out / "reconstruction.json")]
         assert xs == [0.0, 0.0, 0.5] and [math.copysign(1, x) for x in xs] == signs
     digest = hashlib.sha256((tmp_path / "run0" / "reconstruction.json").read_bytes())
-    assert digest.hexdigest() == "6350f223931839724907ed702d9cdcdd9c1a8011cbb37c663c159e38cd417dca"
+    assert digest.hexdigest() == "000bd3a36182061cadbef82483e76bad7d9c409c5d7dcdfee1747c1d2e4a8af6"
 
 
 def traced_reconstruct(tmp_path):
@@ -801,8 +828,7 @@ def test_reconstruct_empty_points(tmp_path):
 def test_rows_are_written_without_the_whole_text(tmp_path):
     # 2561 points, shaped like those of a reconstruct on its default grid. The
     # writer streams them a block at a time: its peak stays below the size of
-    # the file, whose rows are laid out as the row encoder of the tables lays
-    # them out.
+    # the file, whose rows are laid out as orjson writes them.
     xs = np.linspace(-64.0, 64.0, 2561)
     f_re, f_im, j_re, j_im, error = (
         np.sin(k * xs) / np.cosh(xs / 7.0) for k in (1.0, 2.0, 3.0, 5.0, 7.0)
@@ -815,19 +841,15 @@ def test_rows_are_written_without_the_whole_text(tmp_path):
     assert path.read_text(encoding="utf-8") == points_text(xs, f_re, f_im, j_re, j_im, error)
 
 
-# A row as `json.JSONEncoder(sort_keys=True)` writes it, each digit k standing
-# for the k-th of x, f_re, f_im, j_re, j_im and error.
-ROW_LAYOUT = json.JSONEncoder(sort_keys=True).encode(
-    {"x": 0, "f": [1, 2], "J": [3, 4], "error": 5}
-)
-
-
 def points_text(*columns):
-    """The text of ``reconstruction.json`` for six real columns: rows in
-    `ROW_LAYOUT`, each number as `orjson.dumps` spells the float."""
+    """The text of ``reconstruction.json`` for six real columns: each row as
+    `orjson.dumps` writes it, keys sorted."""
     rows = (
-        re.sub(r"\d", lambda k: orjson.dumps(row[int(k.group())]).decode(), ROW_LAYOUT)
-        for row in zip(*(column.tolist() for column in columns))
+        orjson.dumps(
+            {"x": x, "f": [f_re, f_im], "J": [j_re, j_im], "error": error},
+            option=orjson.OPT_SORT_KEYS,
+        ).decode()
+        for x, f_re, f_im, j_re, j_im, error in zip(*(column.tolist() for column in columns))
     )
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
@@ -1105,19 +1127,19 @@ COMMAND_BY_PREFIX = {"verify_": "verify-family", "sweep_": "sweep", "reconstruct
 # sha256 of every data file the committed configs write; manifests carry a
 # timestamp and timings, so they are left out.
 DATA_FILE_SHA256 = {
-    "reconstruct_tri_band/reconstruction.json": "c8a38bd862b5a9df1799988b4bdcee006dac2a221cad100f8643fa6732bb1dfb",
+    "reconstruct_tri_band/reconstruction.json": "b30e76cdaf3fb7b876e8f285816d3110450da5c201020cc63b2f4d9c5fac75e7",
     "sweep_gauss_pair/convergence.csv": "447f9500eed4e26192f3c0bb9b16ffebbf017fdfe6b35956738af36d8a43202f",
-    "sweep_gauss_pair/convergence.json": "7ac3d30179ca77dfec91c7a11a418c8906820191a30ae4fa791252220e3cc5c5",
+    "sweep_gauss_pair/convergence.json": "23cdaa1a4bbcb0b0e1e87d588396e049fff21eda7c5b33ba2918e15b97d5d0e6",
     "sweep_perturbed_nodes/convergence.csv": "8bbe263516fc7f1cae5909097127dd98bf0bf2207851ac59c5fccf87982ac621",
-    "sweep_perturbed_nodes/convergence.json": "a7c85090b88430551d50122858265fe62a867fcfd8603fd2d7fecb3df2c498f4",
+    "sweep_perturbed_nodes/convergence.json": "35dd5072bac4d2fa0b2bcc85c0b385c13e51de092a0290f9b643de61e58a7c47",
     "sweep_precision_edge/convergence.csv": "fc5f450b53e521d0840f178e989c07910230a461f11c51d98cdbceae622921ee",
-    "sweep_precision_edge/convergence.json": "549d7284433d2f888516dfd43d44f731ed3ea14272344161be254f6ec335a9ef",
+    "sweep_precision_edge/convergence.json": "2fabf3c7029414715d3aed3571c6c6a915df52af3c7b0577e7378821ea06f1c4",
     "sweep_two_band/convergence.csv": "fbd6e0a2d652de6d76d4f04a299bd3ec3924e4332265dcaa322a43bde5311845",
-    "sweep_two_band/convergence.json": "b734022016715b78e8fee6f6efa5902f3af8319ab9fbc6770a8d8d661a196661",
+    "sweep_two_band/convergence.json": "e22955d7130fafd52711d4ad7cc121442cb03b77ac7fa3b5ae5f8a63af5145a7",
     "verify_gaussian/regularity.csv": "8ec30731f2679d0605a081e7693ef2b68d1cacd28fdc28abfa6ac54e83145c70",
-    "verify_gaussian/regularity.json": "675afa1cb5048b882bafeab8d7b6157aa006fa14d880b5fbc3b091f933ca3144",
+    "verify_gaussian/regularity.json": "0af23ff2eee78000414a0ea25e42727f3686d94b75ff1d55d7d2e2718b9b0d4a",
     "verify_poisson/regularity.csv": "95863bb0867981721c6759cbcb046749cf71fc26dd0bcb49b854dc7425e7fa0f",
-    "verify_poisson/regularity.json": "5d620567b237ba7ad566d69b353e07dd2419fc0e4e55020d7386f129a7970d15",
+    "verify_poisson/regularity.json": "f773ef2141b2d313d07c46afee77888c355e3ba0f84833f31a175085e298bd6b",
 }
 
 
@@ -1222,6 +1244,33 @@ def test_committed_config_runs(tmp_path, path):
     assert typed(manifest["checks"]) == typed(MANIFEST_CHECKS[path.stem])
 
 
+def orjson_text(text):
+    """`text`, one JSON value, as orjson writes what it holds, keys sorted."""
+    value = json.loads(text, parse_constant=refuse_constant)
+    return orjson.dumps(value, option=orjson.OPT_SORT_KEYS).decode()
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+def test_every_json_line_is_as_orjson_writes_it(tmp_path, path):
+    # One encoder writes every JSON file: each object of a data file and each
+    # top-level member of the manifest is a line of exactly the text orjson
+    # writes for it, between an opening and a closing line of the array or
+    # object.
+    out = tmp_path / "run"
+    assert run_cli([config_command(path), "--config", str(path), "--out", str(out)])[0] == 0
+    files = {file.name: file for file in out.glob("*.json")}
+    lines = files.pop("manifest.json").read_text(encoding="utf-8").split("\n")
+    assert lines[0] == "{" and lines[-2:] == ["}", ""]
+    members = [line.removeprefix("  ").removesuffix(",") for line in lines[1:-2]]
+    assert lines[1:-2] == [f"  {member}," for member in members[:-1]] + [f"  {members[-1]}"]
+    assert all(orjson_text(f"{{{member}}}") == f"{{{member}}}" for member in members)
+    assert sorted(files) in (["reconstruction.json"], ["convergence.json"], ["regularity.json"])
+    for file in files.values():
+        json_rows(file)  # the array's framing
+        rows = [line.removesuffix(",") for line in file.read_text(encoding="utf-8").split("\n")[1:-2]]
+        assert rows and all(orjson_text(row) == row for row in rows)
+
+
 def typed(checks):
     """`checks` with each value paired with its type: ``1 == True`` and
     ``2 == 2.0`` in Python, but not in a manifest."""
@@ -1293,14 +1342,14 @@ INLINE_STUDIES = {
 # (the 65-node ones of the committed configs alike), so each count has its own.
 INLINE_STUDY_SHA256 = {
     1: {
-        "reconstruct_two_band_perturbed_N128/reconstruction.json": "3899390ec1c44858029fc1f662b968fe83c5c17d0f4be85a667723ae3607c618",
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "0a53fa128913b6d43b47206f8478c206245b82e6cb9ada0d124820e457541cb2",
         "sweep_gauss_pair_N256/convergence.csv": "3232111293cadf43299f845dee906091a9c696d29455b932219f2e1312a947f4",
-        "sweep_gauss_pair_N256/convergence.json": "83b95b1a699a7606d2e8de4f7d555a1073b780e4b7ce2662a489f1be7798bcd5",
+        "sweep_gauss_pair_N256/convergence.json": "dfd563ca14eaab885f53047d8971d620e3c6a9cd7eadd4aa3b5e2ca8a61693f5",
     },
     2: {
-        "reconstruct_two_band_perturbed_N128/reconstruction.json": "6be161169cbfb3b35b24969834ae39362de7c28567125ec164ca3901026d7e98",
+        "reconstruct_two_band_perturbed_N128/reconstruction.json": "293a3a733a33b7f2012dca24e3513eee595341bf77a8c401baa6a059f7626802",
         "sweep_gauss_pair_N256/convergence.csv": "2e195be87bfc8ad561ab631b5b4db550117f493cce4b49afaae638ea8f6baf29",
-        "sweep_gauss_pair_N256/convergence.json": "a4e57ba3b24981ee37dc4b653c95fd89851f9fd7037ac59712b09a8ec662a512",
+        "sweep_gauss_pair_N256/convergence.json": "949d0d3dc1d564b221aa10a6b5b57d2abec839890854b45f272eefa7a55e50c2",
     },
 }
 

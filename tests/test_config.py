@@ -122,6 +122,20 @@ def test_node_seed_must_be_nonnegative():
             parse_config({"nodes": nodes})
     assert parse_config({"nodes": {"seed": 0}}).nodes_seed == 0
     assert parse_config({"nodes": {"d": 0.1, "seed": 0}}).make_nodes().count == 65
+    # The manifest's orjson echo writes integers below 2**64 only.
+    with pytest.raises(ConfigError, match=r"nodes\.seed must be < 2\*\*64"):
+        parse_config({"nodes": {"d": 0.1, "seed": 2**64}})
+    config = parse_config({"nodes": {"d": 0.1, "seed": 2**64 - 1}})
+    assert config.echo()["nodes"]["seed"] == 2**64 - 1
+
+
+def test_density_must_be_below_2_to_64():
+    # A T_int far below 1 leaves 2*T_int*density small for a density beyond
+    # the 64-bit integers that the manifest's orjson echo writes.
+    with pytest.raises(ConfigError, match=r"spatial\.density must be < 2\*\*64"):
+        parse_config({"spatial": {"T_int": 1e-30, "density": 2**64}})
+    config = parse_config({"spatial": {"T_int": 1e-30, "density": 2**64 - 1}})
+    assert config.echo()["spatial"]["density"] == 2**64 - 1
 
 
 def test_kadec_bound_named_at_config_time():
