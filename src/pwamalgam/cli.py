@@ -93,10 +93,13 @@ from .spectral import row_blocks
 
 
 def _cell(value: object) -> str:
-    """``repr`` of a bool or float, or a tuple's items joined by ``"; "``
-    (empty for none); no item may hold a comma, quote or line break."""
-    if isinstance(value, (bool, float)):
-        return repr(value)
+    """``repr`` of a bool or float as Python spells it (a numpy bool or
+    float64 too), or a tuple's items joined by ``"; "`` (empty for none); no
+    item may hold a comma, quote or line break."""
+    if isinstance(value, (bool, np.bool_)):
+        return repr(bool(value))
+    if isinstance(value, float):
+        return float.__repr__(value)
     if isinstance(value, tuple):
         if any(mark in item for item in value for mark in ',"\r\n'):
             raise ContractError(f"CSV cell items hold a comma, quote or line break: {value!r}")
@@ -264,7 +267,7 @@ def _write_manifest(
     is opened."""
     timer.lap("write")
     for key, value in checks.items():
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise ContractError(f"manifest.json holds finite numbers only, not {key}={value}")
     all_pass = run_verdict(checks)
     manifest = {

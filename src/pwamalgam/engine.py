@@ -55,11 +55,10 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, toeplitz
-from scipy.linalg.lapack import dlange
+from scipy.linalg import toeplitz
+from scipy.linalg.lapack import dlange, dpotrf, dpotrs
 
 from .errors import AccuracyError, ConditioningError, ContractError
 from .kernels import (
@@ -153,18 +152,18 @@ def _check_finite(kernel_values: np.ndarray) -> None:
         raise ContractError("collocation matrix entries must be finite")
 
 
-def _inverse_norm_1(factor: tuple[np.ndarray, bool]) -> float:
-    """``|A^-1|_1`` of a symmetric ``A`` from its Cholesky factor: the iteration
+def _inverse_norm_1(factor: np.ndarray) -> float:
+    """``|A^-1|_1`` of a symmetric ``A`` from its `dpotrf` factor: the iteration
     ``dpocon`` runs (LAPACK's Hager-Higham ``dlacn2``), without its overflow
     scaling. ``dpocon`` reads the same to rounding, but its level-2 BLAS rounds
     by the address of its work arrays, so its last digit varied from run to
-    run; `cho_solve`, the coefficients' solve, repeats bit for bit.
+    run; `dpotrs`, the coefficients' solve, repeats bit for bit.
 
     The start vector and the final alternating one are fixed in advance, so
     they are solved together, as two columns that round as two one-column
     solves do."""
-    n = len(factor[0])
-    solve = partial(cho_solve, factor, check_finite=False)
+    n = len(factor)
+    solve = lambda b: dpotrs(factor, b)[0]  # dpotrs returns (x, info)
     alternating = np.linspace(1.0, 2.0, n) * (-1.0) ** np.arange(n)
     x, x_alternating = solve(np.column_stack([np.full(n, 1.0 / n), alternating])).T
     estimate, signs = np.abs(x).sum(), np.where(x >= 0, 1.0, -1.0)
@@ -229,9 +228,8 @@ def solve_coefficients(
     # LAPACK reads the norm of the Fortran-ordered transpose and factors it in
     # place; `collocation_matrix` checked its entries finite.
     norm = dlange("1", matrix.T)
-    try:
-        factor = cho_factor(matrix.T, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:
+    factor, info = dpotrf(matrix.T, clean=0, overwrite_a=1)
+    if info > 0:
         if nodes.is_uniform:
             bound = condition_bound(family, alpha)
             detail = f"condition bound {bound:.3e}"
@@ -240,7 +238,7 @@ def solve_coefficients(
         raise ConditioningError(
             f"collocation matrix lost positive definiteness at alpha={alpha} ({detail})",
             condition_estimate=bound,
-        ) from exc
+        )
     condition = norm * _inverse_norm_1(factor)
     nonzero = [i for i, row in enumerate(stacked) if np.any(row)]
     # Rows 2k and 2k+1 of `parts` are band k's real and imaginary parts: its
@@ -249,7 +247,7 @@ def solve_coefficients(
     parts = np.empty((2 * len(nonzero), nodes.count))
     for k, i in enumerate(nonzero):
         parts[2 * k], parts[2 * k + 1] = stacked[i].real, stacked[i].imag
-    parts = cho_solve(factor, parts.T, overwrite_b=True, check_finite=False).T
+    parts = dpotrs(factor, parts.T, overwrite_b=1)[0].T
     del matrix, factor  # freed before the coefficients and residual blocks are built
     coeffs = np.zeros(stacked.shape, dtype=complex)
     coeffs[nonzero] = parts[0::2] + 1j * parts[1::2]

@@ -374,9 +374,10 @@ def quadrature_checks(signal: TestSignal, grid: FrequencyGrid, m_max: int) -> di
 def run_verdict(checks: dict) -> bool:
     """``checks.all_pass`` of any run: every boolean check holds,
     ``failed_rows`` is 0 and ``quadrature_drift`` is at most `DRIFT_TOL`, each
-    where present. Counts and numbers with no a-priori bound are not judged."""
+    where present, a numpy bool as a bool. Counts and numbers with no a-priori
+    bound are not judged."""
     return bool(
-        all(value for value in checks.values() if isinstance(value, bool))
+        all(value for value in checks.values() if isinstance(value, (bool, np.bool_)))
         and not checks.get("failed_rows", 0)
         and checks.get("quadrature_drift", 0.0) <= DRIFT_TOL
     )

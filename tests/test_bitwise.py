@@ -5,10 +5,14 @@ with the numpy and OpenBLAS in use, which keeps every output byte-identical.
 A numpy or BLAS whose rounding differs fails here, loudly, instead of moving
 the outputs silently.
 
-The in-place Cholesky pin compares the factor that `solve_coefficients`
-writes over the collocation matrix with the factor of a copy: it relies on
-the matrix being exactly symmetric, so that its transpose holds the bytes
-of the Fortran-ordered copy LAPACK is otherwise given.
+`engine` calls LAPACK's Cholesky routines directly, `dpotrf` to factor and
+`dpotrs` to solve; the pins compare its factor and solutions with those of
+scipy's `cho_factor` and `cho_solve`, which wrap the same routines, as a
+reference that does not go through `engine`. The in-place Cholesky pin
+compares the factor that `solve_coefficients` writes over the collocation
+matrix with the factor of a copy: it relies on the matrix being exactly
+symmetric, so that its transpose holds the bytes of the Fortran-ordered copy
+LAPACK is otherwise given.
 
 The row-block pins compare each streamed operator (`spectral.row_blocks`),
 the collocation matrix on perturbed nodes among them, with the whole-matrix
@@ -39,6 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf
 
 import pwamalgam
 from pwamalgam import (
@@ -209,7 +214,7 @@ def test_the_old_cutoff_left_subnormals_in_the_matrix(monkeypatch):
 
 
 def one_column_inverse_norm_1(factor):
-    """`engine._inverse_norm_1` with one `cho_solve` per vector, as it was
+    """`engine._inverse_norm_1` with one scipy `cho_solve` per vector, as it was
     before the start and the alternating vector were solved together."""
     n = len(factor[0])
     solve = partial(cho_solve, factor, check_finite=False)
@@ -238,7 +243,7 @@ def one_column_inverse_norm_1(factor):
 @pytest.mark.parametrize("alpha", [0.5, 1.25, 2.5, 3.0])
 def test_two_column_condition_solve_equals_one_column_solves(nodes, alpha):
     factor = cho_factor(collocation_matrix(GAUSSIAN, alpha, nodes))
-    assert engine._inverse_norm_1(factor) == one_column_inverse_norm_1(factor)
+    assert engine._inverse_norm_1(factor[0]) == one_column_inverse_norm_1(factor)
 
 
 # Runs in a fresh interpreter: OpenBLAS reads its thread count when it loads,
@@ -247,19 +252,20 @@ ONE_BAND_SOLVE_SCRIPT = """
 import sys
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 from pwamalgam import (
     collocation_matrix, frequency_grid, get_family, get_signal, perturbed_nodes,
     reconstruct, sample_band_signal, signal_spectrum, uniform_nodes,
 )
 from pwamalgam import engine
 
-# The band solves are the `cho_solve` calls outside the condition estimate.
+# The band solves are the `dpotrs` calls outside the condition estimate.
 band_solves, estimating = [], []
 
 def counting_solve(factor, b, **kwargs):
     if not estimating:
         band_solves.append(np.shape(b))
-    return cho_solve(factor, b, **kwargs)
+    return dpotrs(factor, b, **kwargs)
 
 def flagged_estimate(factor, estimate=engine._inverse_norm_1):
     estimating.append(True)
@@ -268,22 +274,23 @@ def flagged_estimate(factor, estimate=engine._inverse_norm_1):
     finally:
         estimating.pop()
 
-engine.cho_solve, engine._inverse_norm_1 = counting_solve, flagged_estimate
-nodes = {
-    "N32": uniform_nodes(32),
-    "N128": uniform_nodes(128),
-    "N256": uniform_nodes(256),
-    "perturbed-N128": perturbed_nodes(128, 0.2, 7),
+engine.dpotrs, engine._inverse_norm_1 = counting_solve, flagged_estimate
+nodes, family_id, alphas = {
+    "N32": (uniform_nodes(32), "gaussian", (0.75, 2.5)),
+    "N128": (uniform_nodes(128), "gaussian", (0.75, 2.5)),
+    "N256": (uniform_nodes(256), "gaussian", (0.75, 2.5)),
+    "perturbed-N128": (perturbed_nodes(128, 0.2, 7), "gaussian", (0.75, 2.5)),
+    "poisson-N128": (uniform_nodes(128), "poisson", (4.0, 8.0)),
 }[sys.argv[1]]
-grid, gaussian, signal = frequency_grid(256), get_family("gaussian"), get_signal("gauss_pair")
+grid, family, signal = frequency_grid(256), get_family(family_id), get_signal("gauss_pair")
 samples = sample_band_signal(signal_spectrum(signal, grid, 4).values, grid, nodes)
 nonzero = [i for i, band in enumerate(samples) if np.any(band)]
 columns = np.column_stack([p for i in nonzero for p in (samples[i].real, samples[i].imag)])
-for alpha in (0.75, 2.5):
+for alpha in alphas:
     band_solves.clear()
-    approx = reconstruct(signal, gaussian, alpha, nodes, grid, 4)
+    approx = reconstruct(signal, family, alpha, nodes, grid, 4)
     assert band_solves == [(nodes.count, 2 * len(nonzero))], (alpha, band_solves)
-    one_call = cho_solve(cho_factor(collocation_matrix(gaussian, alpha, nodes)), columns)
+    one_call = cho_solve(cho_factor(collocation_matrix(family, alpha, nodes)), columns)
     for k, i in enumerate(nonzero):
         pair = one_call[:, 2 * k] + 1j * one_call[:, 2 * k + 1]
         assert np.array_equal(approx.coefficients[i], pair), (alpha, i)
@@ -293,11 +300,12 @@ print("ok")
 
 
 @pytest.mark.parametrize("blas_threads", [1, 2])
-@pytest.mark.parametrize("nodes", ["N32", "N128", "N256", "perturbed-N128"])
+@pytest.mark.parametrize("nodes", ["N32", "N128", "N256", "perturbed-N128", "poisson-N128"])
 def test_band_solve_is_one_call_of_all_bands(nodes, blas_threads):
     # Each alpha solves all its non-empty bands, two real columns each, in one
-    # `cho_solve` call; every coefficient row is its column pair of that one
-    # call, bit for bit, at gaussian alpha 0.75 and 2.5. At one BLAS thread
+    # `dpotrs` call; every coefficient row is its column pair of scipy's one
+    # `cho_solve` call, bit for bit, at gaussian alpha 0.75 and 2.5 and, on a
+    # matrix with no exact zeros, poisson alpha 4 and 8. At one BLAS thread
     # the 18-column call rounds unlike one-column solves on some node sets
     # (alpha 2.5 at N = 256 among them), at two threads it happens not to, so
     # both counts run.
@@ -582,11 +590,11 @@ def test_factor_in_place_equals_factor_of_a_copy(monkeypatch, nodes, family, alp
     factored = []
 
     def recording(a, **kwargs):
-        factor = cho_factor(a, **kwargs)
-        factored.append((a, factor[0]))
-        return factor
+        factor, info = dpotrf(a, **kwargs)
+        factored.append((a, factor))
+        return factor, info
 
-    monkeypatch.setattr(engine, "cho_factor", recording)
+    monkeypatch.setattr(engine, "dpotrf", recording)
     values = signal_spectrum(get_signal("gauss_pair"), GRID, 4).values
     solve_coefficients(family, alpha, nodes, sample_band_signal(values, GRID, nodes))
     [(given, factor)] = factored

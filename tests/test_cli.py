@@ -47,6 +47,7 @@ from pwamalgam.metrics import (
     DRIFT_TOL,
     ErrorReport,
     quadrature_checks,
+    sweep_checks,
     truncated_signal_values,
 )
 
@@ -438,10 +439,12 @@ def test_perturbed_breakdown_row_carries_inf_in_csv_and_null_in_json(tmp_path):
 
 
 def test_numpy_float_cells_write_the_bytes_of_plain_floats(tmp_path):
-    # A report's float fields may be numpy float64 scalars; the table's JSON
-    # mirror spells them as the plain floats they hold, NaN and inf as null.
+    # A report's float fields may be numpy float64 scalars and its flag a
+    # numpy bool; the CSV and its JSON mirror spell them as the plain values
+    # they hold, NaN and inf as null in the JSON.
     report = ErrorReport(
-        alpha=1.5, l2_error=2.5e-8, sup_error=1e16, rhs_bound=1e-5, condition_estimate=math.inf
+        alpha=1.5, l2_error=2.5e-8, sup_error=1e16, rhs_bound=1e-5, condition_estimate=math.inf,
+        precision_limited=True,
     )
     floats = {
         field.name: np.float64(getattr(report, field.name))
@@ -449,12 +452,15 @@ def test_numpy_float_cells_write_the_bytes_of_plain_floats(tmp_path):
         if isinstance(getattr(report, field.name), float)
     }
     assert len(floats) == 9
+    numpy_row = dataclasses.replace(report, **floats, precision_limited=np.True_)
     texts = []
-    for name, row in (("plain", report), ("numpy", dataclasses.replace(report, **floats))):
+    for name, row in (("plain", report), ("numpy", numpy_row)):
         (tmp_path / name).mkdir()
         _write_table(tmp_path / name, "convergence", [row])
-        texts.append((tmp_path / name / "convergence.json").read_bytes())
+        paths = [tmp_path / name / f"convergence.{ext}" for ext in ("csv", "json")]
+        texts.append([path.read_bytes() for path in paths])
     assert texts[0] == texts[1]
+    assert b"np." not in texts[1][0] and b",True," in texts[1][0]
     assert json_rows(tmp_path / "numpy" / "convergence.json")[0]["condition_estimate"] is None
 
 
@@ -1052,10 +1058,11 @@ def test_manifest_records_stage_timings(tmp_path):
         assert all(isinstance(v, float) and v >= 0 for v in timings.values())
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float32(math.nan)], ids=repr)
 def test_non_finite_manifest_value_exits_2(tmp_path, monkeypatch, value):
     # JSON has no token for NaN or inf: the run stops with exit 2 and no
-    # manifest, and the data file written before it stays.
+    # manifest, and the data file written before it stays. A numpy float
+    # that is not a Python float (float32) is checked too.
     def drifting(*args):
         return {**quadrature_checks(*args), "quadrature_drift": value}
 
@@ -1085,6 +1092,20 @@ def test_drift_above_tolerance_exits_1_with_every_file_written(tmp_path, monkeyp
     assert checks["quadrature_drift"] == 2 * DRIFT_TOL
     assert checks["all_pass"] is False
     assert json_rows(out / "reconstruction.json")[0]["x"] == 0.0
+
+
+def test_numpy_false_check_exits_1_and_writes_false(tmp_path, monkeypatch):
+    # A check that a numpy reduction produced is an `np.bool_`, not a bool:
+    # a failing one fails the run, as the manifest's ``false`` says.
+    def numpy_checks(reports):
+        return {**sweep_checks(reports), "errors_strictly_decreasing": np.False_}
+
+    monkeypatch.setattr("pwamalgam.cli.sweep_checks", numpy_checks)
+    out = tmp_path / "run"
+    args = ["sweep", "--config", write_config(tmp_path, SMALL_SWEEP), "--out", str(out)]
+    assert run_cli(args) == (1, "", "")
+    checks = read_json(out / "manifest.json")["checks"]
+    assert checks["errors_strictly_decreasing"] is False and checks["all_pass"] is False
 
 
 def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):

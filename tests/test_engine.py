@@ -146,7 +146,7 @@ def test_non_finite_kernel_values_raise_before_the_factorization(monkeypatch, no
         raise AssertionError("factorized a matrix with a NaN entry")
 
     monkeypatch.setattr(engine, "phi_spatial", with_nan)
-    monkeypatch.setattr(engine, "cho_factor", factor)
+    monkeypatch.setattr(engine, "dpotrf", factor)
     samples = np.ones((3, nodes.count), dtype=complex)
     with pytest.raises(ContractError, match="finite"):
         solve_coefficients(GAUSSIAN, 1.0, nodes, samples)

@@ -530,8 +530,9 @@ def test_run_verdict_passes_a_clean_sweep_and_reconstruct():
         {"errors_strictly_decreasing": False},
         {"quadrature_drift": np.nextafter(DRIFT_TOL, 1.0)},
         {"quadrature_drift": np.nan},
+        {"errors_strictly_decreasing": np.False_},
     ],
-    ids=["failed_row", "embedding", "decreasing", "drift_above_tol", "drift_nan"],
+    ids=["failed_row", "embedding", "decreasing", "drift_above_tol", "drift_nan", "numpy_false"],
 )
 def test_run_verdict_fails_on_each_part_alone(change):
     assert run_verdict({**PASSING_SWEEP, **change}) is False
