@@ -24,7 +24,6 @@ from .errors import (
     ConditioningError,
     ConfigError,
     ContractError,
-    DomainError,
     PwAmalgamError,
 )
 from .kernels import (
@@ -69,7 +68,6 @@ __all__ = [
     "ConditioningError",
     "ConfigError",
     "ContractError",
-    "DomainError",
     "ErrorReport",
     "ExperimentConfig",
     "FrequencyGrid",

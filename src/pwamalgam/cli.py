@@ -78,13 +78,7 @@ import scipy
 
 from . import __version__
 from .config import ExperimentConfig, load_config
-from .errors import (
-    AccuracyError,
-    ConditioningError,
-    ConfigError,
-    ContractError,
-    DomainError,
-)
+from .errors import AccuracyError, ConditioningError, ConfigError, ContractError
 from .kernels import regularity_checks, verify_regularity
 from .metrics import pointwise_values, quadrature_checks, run_verdict, sweep_checks
 from .metrics import sweep as run_sweep
@@ -439,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
-    except (ConfigError, DomainError, ContractError) as exc:
+    except ContractError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ConditioningError, AccuracyError) as exc:

@@ -1,9 +1,10 @@
 """Exception hierarchy for the pwamalgam library.
 
 Two families of failure are distinguished deliberately: requests outside the
-documented contract (`ContractError`, `DomainError`, `ConfigError`) and numeric
-failures of an in-contract computation (`ConditioningError`, `AccuracyError`).
-The CLI maps the first family to exit code 2 and the second to exit code 1.
+documented contract (`ContractError`, whose subclass `ConfigError` covers
+configurations, CLI options and output paths) and numeric failures of an
+in-contract computation (`ConditioningError`, `AccuracyError`). The CLI maps
+the first family to exit code 2 and the second to exit code 1.
 """
 
 from __future__ import annotations
@@ -17,12 +18,8 @@ class ContractError(PwAmalgamError):
     """An operation was called with arguments violating its contract."""
 
 
-class DomainError(PwAmalgamError):
-    """A parameter lies outside its documented admissible range."""
-
-
-class ConfigError(PwAmalgamError):
-    """An experiment configuration failed validation."""
+class ConfigError(ContractError):
+    """An experiment configuration, CLI option or output path was rejected."""
 
 
 class ConditioningError(PwAmalgamError):

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 # Head length for explicit M_j sums; tails beyond are bounded analytically.
 # Ten terms keep the poisson tail below 1e-12 of the head even at the domain
@@ -92,7 +92,7 @@ class InterpolatorFamily:
     def check_alpha(self, alpha: float) -> None:
         lo, hi = self.alpha_domain
         if not (lo <= alpha <= hi):
-            raise DomainError(
+            raise ContractError(
                 f"alpha={alpha} outside {self.family_id} domain [{lo}, {hi}]"
             )
 

@@ -120,8 +120,8 @@ def window_quadrature(extent: float, j_cap: int) -> tuple[np.ndarray, np.ndarray
     Panel order resolves the fastest phase present in the windowed
     transforms, ``(2 j_cap + 1) pi`` per unit length, with margin.
     """
-    if extent <= 0:
-        raise ContractError("window extent must be positive")
+    if not 0 < extent < np.inf:
+        raise ContractError(f"window extent must be positive and finite, got {extent!r}")
     n_panels = max(1, int(np.ceil(2.0 * extent)))
     panel_len = 2.0 * extent / n_panels
     per_panel = int(np.ceil((2 * j_cap + 1) * np.pi * panel_len / 2.0)) + 8

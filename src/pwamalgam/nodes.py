@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class NodeSet:
         if self.values.shape != n.shape:
             raise ContractError("values must have length 2N+1")
         if not (0 <= self.perturbation_bound < 0.25):
-            raise DomainError(
+            raise ContractError(
                 "perturbation bound violates the Kadec 1/4 criterion (need d < 1/4)"
             )
         if np.max(np.abs(self.values - n)) > self.perturbation_bound + 1e-15:
@@ -75,14 +75,19 @@ def perturbed_nodes(
     ----------
     symmetric : bool
         When set, ``x_{-n} = -x_n`` exactly (and ``x_0 = 0``); used by
-        realness checks downstream.
+        realness checks downstream. The default differs from the config's
+        ``nodes.symmetric`` default of true, so ``perturbed_nodes(N, d, seed)``
+        is not the node set that a config with the same ``N``, ``d`` and
+        ``seed`` gets.
     """
     if half_width < 0:
         raise ContractError("half_width must be nonnegative")
     if not (0 <= d < 0.25):
-        raise DomainError(
+        raise ContractError(
             "perturbation bound violates the Kadec 1/4 criterion (need d < 1/4)"
         )
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed!r}")
     rng = np.random.default_rng(seed)
     n = np.arange(-half_width, half_width + 1, dtype=float)
     if symmetric:

@@ -216,8 +216,10 @@ def spatial_grid(extent: float, density: int) -> SpatialGrid:
     SpatialGrid
         ``2*extent*density + 1`` points (at least 2) including both endpoints.
     """
-    if extent <= 0 or density <= 0:
-        raise ContractError("extent and density must be positive")
+    if not (0 < extent < np.inf and 0 < density < np.inf):
+        raise ContractError(
+            f"extent and density must be positive and finite, got {extent!r} and {density!r}"
+        )
     count = max(2, int(round(2 * extent * density)) + 1)
     m = count - 1
     points = ((2 * np.arange(count) - m) * float(extent)) / m

@@ -20,6 +20,9 @@ import pytest
 
 import pwamalgam
 from pwamalgam import (
+    AccuracyError,
+    ConditioningError,
+    ConfigError,
     ContractError,
     condition_bound,
     evaluate_J,
@@ -1106,6 +1109,27 @@ def test_numpy_false_check_exits_1_and_writes_false(tmp_path, monkeypatch):
     assert run_cli(args) == (1, "", "")
     checks = read_json(out / "manifest.json")["checks"]
     assert checks["errors_strictly_decreasing"] is False and checks["all_pass"] is False
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (ContractError("bad request"), 2),
+        (ConfigError("bad config"), 2),
+        (ConditioningError("breakdown", 1e17), 1),
+        (AccuracyError("residual", 1e-3, 1e12), 1),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else None,
+)
+def test_main_maps_each_failure_family_to_its_exit_code(monkeypatch, exc, code):
+    # A rejected request (a `ContractError`, `ConfigError` among them) exits
+    # 2 and a numeric failure exits 1, each with one line on stderr.
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr("pwamalgam.cli.cmd_sweep", failing)
+    prefix = "error" if code == 2 else "numeric failure"
+    assert run_cli(["sweep", "--config", "unused.json"]) == (code, "", f"{prefix}: {exc}\n")
 
 
 def test_drift_check_reuses_the_run_grid(tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pwamalgam import (
     ContractError,
-    DomainError,
     big_M,
     condition_bound,
     get_family,
@@ -53,7 +52,7 @@ def test_alpha_domain_enforced():
     assert gaussian.alpha_domain == (0.5, 3.0)
     assert get_family("poisson").alpha_domain == (0.5, 16.0)
     for alpha in (0.25, 5.0):
-        with pytest.raises(DomainError):
+        with pytest.raises(ContractError):
             phi_spectral(gaussian, alpha, 0.0)
     assert phi_spectral(gaussian, 3.0, 0.0) == pytest.approx(np.sqrt(6.0))
     with pytest.raises(ContractError):

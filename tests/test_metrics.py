@@ -61,6 +61,13 @@ def test_window_quadrature_resolves_phases():
         window_quadrature(0.0, 4)
 
 
+@pytest.mark.parametrize("extent", [np.inf, np.nan])
+def test_window_quadrature_rejects_a_non_finite_extent(extent):
+    # Once Python's OverflowError (inf) or ValueError (NaN) from the panel count.
+    with pytest.raises(ContractError, match="window extent must be positive and finite"):
+        window_quadrature(extent, 6)
+
+
 def test_zero_signal_reports_exact_zeros():
     _, _, approx, target = small_setup("zero", 1.0)
     report = error_report(approx, target)

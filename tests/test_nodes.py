@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwamalgam import ContractError, DomainError, NodeSet, perturbed_nodes, uniform_nodes
+from pwamalgam import ContractError, NodeSet, perturbed_nodes, uniform_nodes
 
 
 def test_uniform_nodes_are_integers():
@@ -28,10 +28,16 @@ def test_uniform_means_exact_integers():
 
 
 def test_kadec_bound_named_in_rejection():
-    with pytest.raises(DomainError, match="Kadec"):
+    with pytest.raises(ContractError, match="Kadec"):
         perturbed_nodes(8, 0.3, seed=0)
-    with pytest.raises(DomainError, match="Kadec"):
+    with pytest.raises(ContractError, match="Kadec"):
         NodeSet(half_width=1, values=np.arange(-1.0, 2.0), perturbation_bound=0.25)
+
+
+def test_negative_seed_is_a_contract_error():
+    # numpy's `default_rng` refused it with its own ValueError.
+    with pytest.raises(ContractError, match="seed must be nonnegative, got -1"):
+        perturbed_nodes(4, 0.1, seed=-1)
 
 
 def test_displacement_must_match_declared_bound():

@@ -305,6 +305,13 @@ def test_spatial_grid_shape():
         spatial_grid(1.0, density=0)
 
 
+@pytest.mark.parametrize("extent, density", [(np.inf, 20), (np.nan, 20), (1.0, np.inf)])
+def test_spatial_grid_rejects_non_finite_arguments(extent, density):
+    # Once Python's OverflowError (inf) or ValueError (NaN) from `round`.
+    with pytest.raises(ContractError, match="extent and density must be positive and finite"):
+        spatial_grid(extent, density)
+
+
 @pytest.mark.parametrize(
     "extent, density", [(16.0, 20), (8.0, 10), (64.0, 20), (16.5, 20), (0.25, 1)]
 )
